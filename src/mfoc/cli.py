@@ -166,16 +166,14 @@ def _initial_grid_path(config, tools):
 
 def _path_to_csv(path: ControlPath) -> str:
     template = path.measures[0]
-    coords = template.midpoints()
+    # a cell's coordinates read the same at every node: format them once
+    coords = [",".join(_fmt(c) for c in row) for row in template.midpoints()]
     lines = [
         "node," + ",".join(f"a{i}" for i in range(template.dprime)) + ",value"
     ]
     for k, nu in enumerate(path.measures):
-        vals = nu.values.ravel()
-        for row, v in zip(coords, vals):
-            lines.append(
-                str(k) + "," + ",".join(_fmt(c) for c in row) + "," + _fmt(v)
-            )
+        vals = nu.values.ravel().tolist()
+        lines.extend(f"{k},{c},{v:.17g}" for c, v in zip(coords, vals))
     return "\n".join(lines) + "\n"
 
 
@@ -463,8 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="parallelism bound; all reductions are fixed-order, so results "
-        "are identical for any value",
+        help="recorded in the manifest; it changes no computation yet",
     )
     parser.add_argument(
         "--set",

@@ -31,11 +31,14 @@ from .model import ConfigError, Dataset, FieldQuadrature, ProblemConfig
 from .optimizer import gibbs_map_with_flow, total_cost
 from .trajectories import (
     EnsembleFlow,
+    StagePass,
     TangentFlow,
     _hermite_midpoint,
     _node_quadratures,
     _rk4_between,
+    _tangent_dx,
     forward_solve,
+    stage_pass,
     tangent_solve,
 )
 
@@ -138,18 +141,14 @@ def solve_v(
     signed drift of the perturbation, so the result is linear in it.
     """
     _require_d1(config)
-    if not path.is_grid:
-        raise ConfigError("linearized multiplier requires the grid backend")
-    if eta.grid.nt != path.grid.nt or not eta.matches(path.measures[0]):
-        raise ConfigError("perturbation must live on the control path's grid")
-    grid = path.grid
-    n = flow.n
-    nodes = _node_quadratures(config.field, path)
-    vol = eta.cell_volume
-    dt = grid.dt
+    return _multiplier(config, path, flow, eta, stage_pass(config, path, flow, eta))
 
-    V = np.empty((grid.nt, n))
-    DV = np.empty((grid.nt, n))
+
+def _multiplier(config, path, flow, eta, stages: StagePass) -> LinearizedMultiplier:
+    """``solve_v`` on stage data that carries the folds of ``eta``."""
+    nt, n, dt = path.grid.nt, flow.n, path.grid.dt
+    V = np.empty((nt, n))
+    DV = np.empty((nt, n))
     # state columns: z, h, K, V, R
     state = np.zeros((n, 5))
     state[:, 0] = config.loss.grad_x(flow.x[-1], flow.y)[:, 0]
@@ -157,28 +156,13 @@ def solve_v(
     state[:, 2] = 1.0  # Jacobian at the terminal time
     V[-1] = 0.0
     DV[-1] = 0.0
+    for k in range(nt - 2, -1, -1):
 
-    tiers_right = None
-    for k in range(grid.nt - 2, -1, -1):
-        quad, fold = nodes[k]
-        eta_fold = quad.fold(eta.node(k).ravel() * vol)
-        if tiers_right is None:
-            tiers_right = quad.tiers(flow.x[k + 1], 2)
-        tiers_left = quad.tiers(flow.x[k], 2)
-        x_mid = _hermite_midpoint(
-            flow.x[k],
-            flow.x[k + 1],
-            fold.drift(tiers_left),
-            fold.drift(tiers_right),
-            dt,
-        )
-        tiers_mid = quad.tiers(x_mid, 2)
-
-        def rhs(tiers):
-            bx = fold.grad_x(tiers)[:, 0, 0]
-            bxx = fold.grad_xx(tiers)
-            s_eta = eta_fold.drift(tiers)[:, 0]
-            sx_eta = eta_fold.grad_x(tiers)[:, 0, 0]
+        def rhs(i):
+            bx = stages.bx[k, i][:, 0, 0]
+            bxx = stages.bxx[k, i]
+            s_eta = stages.s_eta[k, i][:, 0]
+            sx_eta = stages.sx_eta[k, i][:, 0, 0]
 
             def f(s):
                 z, h, kk, _, _ = s.T
@@ -196,12 +180,9 @@ def solve_v(
 
             return f
 
-        state = _rk4_between(
-            state, -dt, rhs(tiers_right), rhs(tiers_mid), rhs(tiers_left)
-        )
+        state = _rk4_between(state, -dt, rhs(2), rhs(1), rhs(0))
         V[k] = state[:, 3]
         DV[k] = state[:, 2] * state[:, 4]
-        tiers_right = tiers_left
     return LinearizedMultiplier(v=V, dv=DV, config=config, path=path, eta=eta)
 
 
@@ -245,10 +226,18 @@ def linear_map_image(
     path: ControlPath,
     flow: EnsembleFlow,
     eta: PerturbationPath,
+    stages: Optional[StagePass] = None,
 ) -> PerturbationPath:
-    """One application of the linearized fixed-point map."""
-    tangent = tangent_solve(config, path, flow, eta)
-    multiplier = solve_v(config, path, flow, eta)
+    """One application of the linearized fixed-point map.
+
+    Tangent and multiplier share one kernel pass. ``stages`` from
+    ``stage_pass(config, path, flow)`` spares repeated applications along one
+    flow the control's part of it.
+    """
+    _require_d1(config)
+    stages = stage_pass(config, path, flow, eta, stages)
+    tangent = TangentFlow(dx=_tangent_dx(stages, path.grid.dt), flow=flow, eta=eta)
+    multiplier = _multiplier(config, path, flow, eta, stages)
     return eta_from(config, path, flow, tangent, multiplier)
 
 
@@ -560,8 +549,9 @@ def stability_probe(
     last_image = None
     history = []
     breakdown = False
+    stages = stage_pass(config, path, flow)
     for j in range(iters):
-        image = linear_map_image(config, path, flow, basis[j])
+        image = linear_map_image(config, path, flow, basis[j], stages=stages)
         last_image = image
         rayleigh = _w_dot(path, basis[j], image)
         history.append(rayleigh)

@@ -15,7 +15,6 @@ pure, so they are safe to share across threads.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,15 +267,6 @@ class FieldQuadrature:
                 out = out * self._a0
             return out
         return np.einsum("nmi,ni->m", tiers["b"], z_ens) / n
-
-    def raw_values(self, tiers) -> np.ndarray:
-        """b on all (state, support) pairs, shape (n, m, d1)."""
-        if self.fast:
-            s = tiers[0]
-            if self._a0 is not None:
-                return (s * self._a0)[:, :, None]
-            return s[:, :, None]
-        return tiers["b"]
 
     def bracket_pair(self, tiers, vec_dx: np.ndarray, vec_b: np.ndarray) -> np.ndarray:
         """Support samples of mean_i [grad_x b . vec_dx_i + b . vec_b_i].
@@ -611,9 +601,3 @@ def rng_for(seed: int, label: str) -> np.random.Generator:
     key = int.from_bytes(digest[:8], "little")
     ss = np.random.SeedSequence(entropy=[int(seed) & (2**64 - 1), key])
     return np.random.Generator(np.random.Philox(ss))
-
-
-def config_digest(doc: dict) -> str:
-    """Stable digest of a configuration document (canonical JSON)."""
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()

@@ -124,16 +124,13 @@ def _measure_arrays(m):
 
 def _node_quadratures(field: ActivationField, path: ControlPath):
     """Per-node (quadrature, control fold); grid paths share one support."""
+    if path.is_grid:
+        quad = FieldQuadrature(field, path.measures[0].midpoints())
+        return [(quad, quad.fold(m.values.ravel() * m.cell_volume)) for m in path.measures]
     out = []
-    shared = None
     for m in path.measures:
         support, weights = _measure_arrays(m)
-        if path.is_grid:
-            if shared is None:
-                shared = FieldQuadrature(field, support)
-            quad = shared
-        else:
-            quad = FieldQuadrature(field, support)
+        quad = FieldQuadrature(field, support)
         out.append((quad, quad.fold(weights)))
     return out
 
@@ -340,6 +337,100 @@ def _adjoint_rhs(fold, tiers, with_hessian, d1):
     return f
 
 
+@dataclass(frozen=True)
+class StagePass:
+    """Stage data of the linearized sweeps along one stored grid flow.
+
+    Interval k takes its RK4 stages at s = 0, 1, 2: the left node, the cubic
+    Hermite midpoint ``x_mid[k]`` and the right node. Indexed [k, s], ``bx`` and
+    ``bxx`` (order-2 passes only) are grad_x and grad_xx of the drift of the
+    control frozen at node k, and ``s_eta``, ``sx_eta`` the drift of a
+    perturbation and its grad_x. No tier array is kept.
+    """
+
+    quad: FieldQuadrature
+    x_mid: np.ndarray
+    bx: np.ndarray
+    bxx: Optional[np.ndarray]
+    s_eta: Optional[np.ndarray] = None
+    sx_eta: Optional[np.ndarray] = None
+
+
+def stage_pass(
+    config: ProblemConfig,
+    path: ControlPath,
+    flow: EnsembleFlow,
+    eta: Optional[PerturbationPath] = None,
+    stages: Optional[StagePass] = None,
+    order: int = 2,
+) -> StagePass:
+    """One kernel evaluation per stage position of the linearized sweeps.
+
+    Without ``stages`` a pass of the given tier order builds the midpoints and
+    contracts the control folds there (grad_xx only at order 2, which only the
+    multiplier needs), and the folds of ``eta`` when given. With ``stages`` of
+    the same path and flow, an order-1 pass at the stored positions contracts
+    only the folds of ``eta``.
+    """
+    grid, n, d1 = path.grid, flow.n, config.field.d1
+    if not path.is_grid:
+        raise ConfigError("linearized sweeps require the grid backend")
+    if eta is not None and (eta.grid.nt != grid.nt or not eta.matches(path.measures[0])):
+        raise ConfigError("perturbation must live on the control path's grid")
+    shape = (grid.nt - 1, 3, n)
+    if stages is None:
+        nodes = _node_quadratures(config.field, path)
+        quad = nodes[0][0]
+        drift, bx = np.empty(shape + (d1,)), np.empty(shape + (d1, d1))
+        bxx = np.empty(shape) if order == 2 else None
+    else:
+        quad, order, nodes = stages.quad, 1, None
+    if eta is not None:
+        eta_folds = [quad.fold(eta.node(k).ravel() * eta.cell_volume) for k in range(shape[0])]
+        s_eta, sx_eta = np.empty(shape + (d1,)), np.empty(shape + (d1, d1))
+
+    def contract(x, uses):
+        tiers = quad.tiers(x, order)
+        for k, s in uses:
+            if nodes is not None:
+                fold = nodes[k][1]
+                if s != 1:  # node drifts place the midpoints
+                    drift[k, s] = fold.drift(tiers)
+                bx[k, s] = fold.grad_x(tiers)
+                if bxx is not None:
+                    bxx[k, s] = fold.grad_xx(tiers)
+            if eta is not None:
+                s_eta[k, s], sx_eta[k, s] = eta_folds[k].drift(tiers), eta_folds[k].grad_x(tiers)
+        return tiers
+
+    # ``last`` keeps one tier set alive until the next exists: freeing every
+    # set at once lets the allocator return its pages and fault them in again
+    # at the next position, which doubled the time of a pass on desk
+    for j in range(grid.nt):
+        last = contract(flow.x[j], [(k, s) for k, s in ((j - 1, 2), (j, 0)) if 0 <= k < shape[0]])
+    if stages is None:
+        x_mid = _hermite_midpoint(flow.x[:-1], flow.x[1:], drift[:, 0], drift[:, 2], grid.dt)
+        stages = StagePass(quad, x_mid, bx, bxx)
+    for k in range(shape[0]):
+        last = contract(stages.x_mid[k], [(k, 1)])
+    return stages if eta is None else replace(stages, s_eta=s_eta, sx_eta=sx_eta)
+
+
+def _tangent_dx(stages: StagePass, dt: float) -> np.ndarray:
+    """Tangent particles at the nodes, integrated forward on stage data."""
+    dX = np.zeros((stages.x_mid.shape[0] + 1,) + stages.x_mid.shape[1:])
+    for k in range(dX.shape[0] - 1):
+
+        def rhs(s):
+            bx, source = stages.bx[k, s], stages.s_eta[k, s]
+            return lambda v: np.einsum("nij,nj->ni", bx, v) + source
+
+        dX[k + 1] = _rk4_between(dX[k], dt, rhs(0), rhs(1), rhs(2))
+        if not np.all(np.isfinite(dX[k + 1])):
+            raise DivergenceError(f"tangent state diverged at node {k + 1}")
+    return dX
+
+
 def tangent_solve(
     config: ProblemConfig,
     path: ControlPath,
@@ -351,48 +442,8 @@ def tangent_solve(
     Solves d(dX)/dt = grad_x b(X, nu_t) dX + b(X, eta_t), dX(t0) = 0 along the
     stored characteristics, with the same node-frozen control convention.
     """
-    grid = path.grid
-    if not path.is_grid:
-        raise ConfigError("tangent solve requires the grid backend")
-    if eta.grid.nt != grid.nt or not eta.matches(path.measures[0]):
-        raise ConfigError("perturbation must live on the control path's grid")
-    n, d1 = flow.n, config.field.d1
-    nodes = _node_quadratures(config.field, path)
-    vol = eta.cell_volume
-    dX = np.zeros((grid.nt, n, d1))
-    dx = np.zeros((n, d1))
-    dt = grid.dt
-    tiers_left = None
-    for k in range(grid.nt - 1):
-        quad, fold = nodes[k]
-        eta_fold = quad.fold(eta.node(k).ravel() * vol)
-        if tiers_left is None:
-            tiers_left = quad.tiers(flow.x[k], 1)
-        tiers_right = quad.tiers(flow.x[k + 1], 1)
-        x_mid = _hermite_midpoint(
-            flow.x[k],
-            flow.x[k + 1],
-            fold.drift(tiers_left),
-            fold.drift(tiers_right),
-            dt,
-        )
-        tiers_mid = quad.tiers(x_mid, 1)
-
-        def rhs(tiers):
-            bx = fold.grad_x(tiers)
-            source = eta_fold.drift(tiers)
-
-            def f(v):
-                return np.einsum("nij,nj->ni", bx, v) + source
-
-            return f
-
-        dx = _rk4_between(dx, dt, rhs(tiers_left), rhs(tiers_mid), rhs(tiers_right))
-        if not np.all(np.isfinite(dx)):
-            raise DivergenceError(f"tangent state diverged at node {k + 1}")
-        dX[k + 1] = dx
-        tiers_left = tiers_right
-    return TangentFlow(dx=dX, flow=flow, eta=eta)
+    dx = _tangent_dx(stage_pass(config, path, flow, eta, order=1), path.grid.dt)
+    return TangentFlow(dx=dx, flow=flow, eta=eta)
 
 
 def duality_residual(

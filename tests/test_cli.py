@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfoc.cli import main
+from mfoc.cli import _fmt, _path_to_csv, _solved_state, load_run_document, main
+from mfoc.measures import ControlPath, GridMeasure
+from mfoc.model import TimeGrid
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -322,3 +324,39 @@ class TestDescentSeriesIdentity:
             if abs(dj + fisher_prev) <= 0.05 * fisher_prev:
                 hits += 1
         assert hits / total >= 0.95, (hits, total)
+
+
+def reference_path_to_csv(path):
+    """Row-by-row formatter that ``_path_to_csv`` must reproduce byte for byte."""
+    template = path.measures[0]
+    coords = template.midpoints()
+    lines = [
+        "node," + ",".join(f"a{i}" for i in range(template.dprime)) + ",value"
+    ]
+    for k, nu in enumerate(path.measures):
+        vals = nu.values.ravel()
+        for row, v in zip(coords, vals):
+            lines.append(
+                str(k) + "," + ",".join(_fmt(c) for c in row) + "," + _fmt(v)
+            )
+    return "\n".join(lines) + "\n"
+
+
+class TestPathCsv:
+    def test_solved_mini_path_matches_reference(self):
+        config, tools, _ = load_run_document(str(FIXTURES / "mini.json"), [])
+        result, _, _ = _solved_state(config, tools)
+        assert result is not None
+        text = _path_to_csv(result.path)
+        assert text == reference_path_to_csv(result.path)
+        assert text.count("\n") == 1 + config.grid.nt * 32 * 32
+
+    def test_edge_values_match_reference(self):
+        values = np.full((4, 4), 0.1)
+        values.flat[1:6] = [-0.0, 1e-300, 5e-324, 1.0 / 3.0, 12345678.901234567]
+        grid = TimeGrid(0.0, 1.0, 3)
+        measures = [GridMeasure(2.5, 4, values * scale) for scale in (1.0, 0.5, 3.0)]
+        path = ControlPath(grid, tuple(measures))
+        text = _path_to_csv(path)
+        assert text == reference_path_to_csv(path)
+        assert ",-0\n" in text and ",4.9406564584124654e-324\n" in text

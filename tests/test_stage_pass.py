@@ -1,0 +1,235 @@
+"""The linearized sweeps on the shared stage pass against the interval loops
+they replaced, and the number of activation-kernel calls they make."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mfoc import linearization
+from mfoc.cli import _solved_state, load_run_document
+from mfoc.linearization import (
+    LinearizedMultiplier,
+    eta_from,
+    linear_map_image,
+    solve_v,
+    stability_probe,
+)
+from mfoc.model import FieldQuadrature, rng_for
+from mfoc.trajectories import (
+    DivergenceError,
+    TangentFlow,
+    _hermite_midpoint,
+    _node_quadratures,
+    _rk4_between,
+    stage_pass,
+    tangent_solve,
+)
+
+from conftest import relative_eta
+
+MINI = Path(__file__).resolve().parent.parent / "fixtures" / "mini.json"
+
+
+# -- reference: the per-interval loops that re-evaluate tiers per sweep --------
+
+
+def reference_tangent_solve(config, path, flow, eta):
+    n, d1 = flow.n, config.field.d1
+    nodes = _node_quadratures(config.field, path)
+    vol = eta.cell_volume
+    dX = np.zeros((path.grid.nt, n, d1))
+    dx = np.zeros((n, d1))
+    dt = path.grid.dt
+    tiers_left = None
+    for k in range(path.grid.nt - 1):
+        quad, fold = nodes[k]
+        eta_fold = quad.fold(eta.node(k).ravel() * vol)
+        if tiers_left is None:
+            tiers_left = quad.tiers(flow.x[k], 1)
+        tiers_right = quad.tiers(flow.x[k + 1], 1)
+        x_mid = _hermite_midpoint(
+            flow.x[k], flow.x[k + 1], fold.drift(tiers_left), fold.drift(tiers_right), dt
+        )
+        tiers_mid = quad.tiers(x_mid, 1)
+
+        def rhs(tiers):
+            bx = fold.grad_x(tiers)
+            source = eta_fold.drift(tiers)
+
+            def f(v):
+                return np.einsum("nij,nj->ni", bx, v) + source
+
+            return f
+
+        dx = _rk4_between(dx, dt, rhs(tiers_left), rhs(tiers_mid), rhs(tiers_right))
+        if not np.all(np.isfinite(dx)):
+            raise DivergenceError(f"tangent state diverged at node {k + 1}")
+        dX[k + 1] = dx
+        tiers_left = tiers_right
+    return TangentFlow(dx=dX, flow=flow, eta=eta)
+
+
+def reference_solve_v(config, path, flow, eta):
+    grid = path.grid
+    n = flow.n
+    nodes = _node_quadratures(config.field, path)
+    vol = eta.cell_volume
+    dt = grid.dt
+    V = np.empty((grid.nt, n))
+    DV = np.empty((grid.nt, n))
+    state = np.zeros((n, 5))
+    state[:, 0] = config.loss.grad_x(flow.x[-1], flow.y)[:, 0]
+    state[:, 1] = 1.0
+    state[:, 2] = 1.0
+    V[-1] = 0.0
+    DV[-1] = 0.0
+    tiers_right = None
+    for k in range(grid.nt - 2, -1, -1):
+        quad, fold = nodes[k]
+        eta_fold = quad.fold(eta.node(k).ravel() * vol)
+        if tiers_right is None:
+            tiers_right = quad.tiers(flow.x[k + 1], 2)
+        tiers_left = quad.tiers(flow.x[k], 2)
+        x_mid = _hermite_midpoint(
+            flow.x[k], flow.x[k + 1], fold.drift(tiers_left), fold.drift(tiers_right), dt
+        )
+        tiers_mid = quad.tiers(x_mid, 2)
+
+        def rhs(tiers):
+            bx = fold.grad_x(tiers)[:, 0, 0]
+            bxx = fold.grad_xx(tiers)
+            s_eta = eta_fold.drift(tiers)[:, 0]
+            sx_eta = eta_fold.grad_x(tiers)[:, 0, 0]
+
+            def f(s):
+                z, h, kk, _, _ = s.T
+                gp = sx_eta * z + s_eta * h
+                return np.stack(
+                    [-bx * z, -2.0 * bx * h - bxx * z, -bx * kk, -s_eta * z, -gp / kk],
+                    axis=1,
+                )
+
+            return f
+
+        state = _rk4_between(state, -dt, rhs(tiers_right), rhs(tiers_mid), rhs(tiers_left))
+        V[k] = state[:, 3]
+        DV[k] = state[:, 2] * state[:, 4]
+        tiers_right = tiers_left
+    return LinearizedMultiplier(v=V, dv=DV, config=config, path=path, eta=eta)
+
+
+def reference_linear_map_image(config, path, flow, eta, stages=None):
+    tangent = reference_tangent_solve(config, path, flow, eta)
+    multiplier = reference_solve_v(config, path, flow, eta)
+    return eta_from(config, path, flow, tangent, multiplier)
+
+
+# -- fixtures ------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def mini():
+    config, tools, _ = load_run_document(str(MINI), [])
+    result, _, flow = _solved_state(config, tools)
+    assert result is not None
+    path = result.path
+    base = path.measures[0]
+    eta = relative_eta(
+        base,
+        config.grid,
+        lambda m: np.cos(1.1 * m[:, 0] - 0.4 * m[:, 1]),
+        profile=lambda t: 1.0 + 0.5 * np.sin(2.0 * t),
+    )
+    return config, tools, path, flow, eta
+
+
+@pytest.fixture
+def tiers_calls(monkeypatch):
+    calls = []
+    original = FieldQuadrature.tiers
+
+    def counting(self, X, order):
+        calls.append(order)
+        return original(self, X, order)
+
+    monkeypatch.setattr(FieldQuadrature, "tiers", counting)
+    return calls
+
+
+def _probe(config, tools, path, flow):
+    return stability_probe(
+        config,
+        path,
+        flow,
+        iters=int(tools["stability"]["iters"]),
+        rng=rng_for(config.seed, "stability-probe"),
+    )
+
+
+# -- bitwise agreement with the reference loops ---------------------------------
+
+
+def test_tangent_matches_reference_loop(mini):
+    config, _, path, flow, eta = mini
+    new = tangent_solve(config, path, flow, eta).dx
+    assert np.abs(new).max() > 0.0
+    assert np.array_equal(new, reference_tangent_solve(config, path, flow, eta).dx)
+
+
+def test_multiplier_matches_reference_loop(mini):
+    config, _, path, flow, eta = mini
+    new = solve_v(config, path, flow, eta)
+    ref = reference_solve_v(config, path, flow, eta)
+    assert np.abs(new.dv).max() > 0.0
+    assert np.array_equal(new.v, ref.v)
+    assert np.array_equal(new.dv, ref.dv)
+
+
+def test_linear_map_image_matches_reference_loops(mini):
+    config, _, path, flow, eta = mini
+    ref = reference_linear_map_image(config, path, flow, eta).values
+    assert np.array_equal(linear_map_image(config, path, flow, eta).values, ref)
+    stages = stage_pass(config, path, flow)
+    shared = linear_map_image(config, path, flow, eta, stages=stages).values
+    assert np.array_equal(shared, ref)
+
+
+def test_stability_probe_matches_reference_loops(mini, monkeypatch):
+    config, tools, path, flow, _ = mini
+    new = _probe(config, tools, path, flow)
+    monkeypatch.setattr(linearization, "linear_map_image", reference_linear_map_image)
+    ref = _probe(config, tools, path, flow)
+    assert len(new.details["ritz"]) == int(tools["stability"]["iters"])
+    assert new.details["ritz"] == ref.details["ritz"]
+    assert new.details["rayleigh_history"] == ref.details["rayleigh_history"]
+    assert new.dominant_eig == ref.dominant_eig
+    assert new.eta_residual == ref.eta_residual
+
+
+# -- kernel calls on mini (nt = 9) ---------------------------------------------
+
+
+def test_standalone_sweeps_make_one_pass(mini, tiers_calls):
+    config, _, path, flow, eta = mini
+    nt = config.grid.nt
+    tangent_solve(config, path, flow, eta)
+    assert tiers_calls == [1] * (2 * nt - 1) == [1] * 17
+    tiers_calls.clear()
+    solve_v(config, path, flow, eta)
+    assert tiers_calls == [2] * 17
+
+
+def test_linear_map_image_shares_the_pass(mini, tiers_calls):
+    config, _, path, flow, eta = mini
+    linear_map_image(config, path, flow, eta)
+    assert len(tiers_calls) == 26
+
+
+def test_stability_probe_builds_stage_data_once(mini, tiers_calls):
+    config, tools, path, flow, _ = mini
+    steps = len(_probe(config, tools, path, flow).details["rayleigh_history"])
+    assert steps == int(tools["stability"]["iters"])
+    assert len(tiers_calls) == 17 + 26 * steps
+    assert tiers_calls[:17] == [2] * 17
+    assert set(tiers_calls[17:]) == {1}

@@ -375,6 +375,23 @@ class TestRidgeFamilySymmetry:
             assert abs(v[0]) < 1e-14
 
 
+class TestNodeQuadratures:
+    def test_grid_path_shares_support_and_keeps_weights(self):
+        from mfoc.trajectories import _measure_arrays, _node_quadratures
+
+        config = make_config(n=4, nt=4)
+        path = ControlPath(
+            config.grid,
+            tuple(tilted_grid(res=16, beta=(0.3 * k, -0.2)) for k in range(4)),
+        )
+        nodes = _node_quadratures(config.field, path)
+        assert all(quad is nodes[0][0] for quad, _ in nodes)
+        for (quad, fold), m in zip(nodes, path.measures):
+            support, weights = _measure_arrays(m)
+            assert np.array_equal(quad.support, support)
+            assert np.array_equal(fold.w, weights)
+
+
 class TestFlowCsv:
     def test_rows_and_columns(self):
         import io
