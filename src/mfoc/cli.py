@@ -43,7 +43,7 @@ from .optimizer import (
     sample_prior,
     total_cost,
 )
-from .trajectories import backward_solve, forward_solve
+from .trajectories import backward_solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -327,7 +327,9 @@ def _descent_particle(config, tools, writer, steps, h, tilt) -> int:
     return EXIT_OK
 
 
-def _solved_state(config, tools):
+def _solved_state(config, tools, with_hessian=True):
+    """Picard solution, prior and, when asked, the solution's flow with its
+    transported curvature; (None, None, None) if Picard did not converge."""
     path, prior = _initial_grid_path(config, tools)
     result = picard_solve(
         config,
@@ -338,8 +340,9 @@ def _solved_state(config, tools):
     )
     if not result.converged:
         return None, None, None
-    flow = forward_solve(config, result.path)
-    flow = backward_solve(config, result.path, flow, with_hessian=True)
+    flow = None
+    if with_hessian:
+        flow = backward_solve(config, result.path, result.flow, with_hessian=True)
     return result, prior, flow
 
 
@@ -373,7 +376,7 @@ def cmd_stability(config, tools, writer) -> int:
 
 
 def cmd_pl_scan(config, tools, writer) -> int:
-    result, prior, flow = _solved_state(config, tools)
+    result, prior, _ = _solved_state(config, tools, with_hessian=False)
     if result is None:
         return EXIT_NO_CONVERGENCE
     report = pl_scan(

@@ -27,7 +27,7 @@ from .measures import (
     PerturbationPath,
     relative_entropy,
 )
-from .model import ConfigError, Dataset, FieldQuadrature, ProblemConfig
+from .model import ConfigError, Dataset, FieldQuadrature, ProblemConfig, Workspace
 from .optimizer import gibbs_map_with_flow, total_cost
 from .trajectories import (
     EnsembleFlow,
@@ -192,29 +192,36 @@ def eta_from(
     flow: EnsembleFlow,
     tangent: TangentFlow,
     multiplier: LinearizedMultiplier,
+    quad: Optional[FieldQuadrature] = None,
 ) -> PerturbationPath:
     """Kernel-direction image of the linearized system.
 
     At every node and support point the bracket combines the tangent action
     on b(., a) . grad_x(u) with the ensemble average of b(., a) . grad_x(v);
     centering by its control-average makes the node mass vanish exactly, and
-    the result is scaled by -nu / epsilon.
+    the result is scaled by -nu / epsilon. ``quad`` is the quadrature on the
+    path's grid support when the caller already has one (``StagePass.quad``).
     """
     _require_d1(config)
     if flow.hess is None:
         raise ConfigError("eta_from needs a flow with transported curvature")
     grid = path.grid
     template = path.measures[0]
-    quad = FieldQuadrature(config.field, template.midpoints())
+    if quad is None:
+        quad = FieldQuadrature(config.field, template.midpoints())
     vol = template.cell_volume
     shape = template.values.shape
     out = np.empty((grid.nt,) + shape)
+    # the tangent and dv at node k exist only after both sweeps, so these
+    # node calls cannot join the stage pass; each keeps both tiers in full
+    # for the reduction over particles
+    work = Workspace()
     for k in range(grid.nt):
-        tiers = quad.tiers(flow.x[k], 1)
+        quad.tiers(flow.x[k], 1, (), work, keep=2)
         dxk = tangent.dx[k][:, 0]
         vec_dx = flow.z[k][:, 0] * dxk  # pairs with grad_x b
         vec_b = flow.hess[k] * dxk + multiplier.dv[k]  # pairs with b
-        bracket = quad.bracket_pair(tiers, vec_dx, vec_b)
+        bracket = quad.bracket_pair(work.kept, vec_dx, vec_b)
         nu = path.measures[k].values.ravel()
         c_k = float(np.sum(bracket * nu)) * vol
         out[k] = (-(nu * (bracket - c_k)) / config.epsilon).reshape(shape)
@@ -238,7 +245,7 @@ def linear_map_image(
     stages = stage_pass(config, path, flow, eta, stages)
     tangent = TangentFlow(dx=_tangent_dx(stages, path.grid.dt), flow=flow, eta=eta)
     multiplier = _multiplier(config, path, flow, eta, stages)
-    return eta_from(config, path, flow, tangent, multiplier)
+    return eta_from(config, path, flow, tangent, multiplier, stages.quad)
 
 
 def _bracket_series(config, path, flow, eta, tangent) -> np.ndarray:

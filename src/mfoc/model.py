@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -27,24 +28,31 @@ class ConfigError(ValueError):
     """Raised for inconsistent or malformed problem configuration."""
 
 
-def _tanh_tiers(z, order):
-    t = np.tanh(z)
-    if order == 0:
-        return (t,)
-    s1 = 1.0 - t * t
-    if order == 1:
-        return t, s1
-    return t, s1, -2.0 * t * s1
+def _tanh_tiers(t, s1=None, s2=None):
+    """tanh and its first two derivatives, written in place: ``t`` holds the
+    pre-activation on entry; s1 and s2 are filled when given."""
+    np.tanh(t, out=t)
+    if s1 is not None:
+        np.multiply(t, t, out=s1)
+        np.subtract(1.0, s1, out=s1)
+    if s2 is not None:
+        np.multiply(t, -2.0, out=s2)
+        s2 *= s1
 
 
-def _logistic_tiers(z, order):
-    s = 1.0 / (1.0 + np.exp(-z))
-    if order == 0:
-        return (s,)
-    s1 = s * (1.0 - s)
-    if order == 1:
-        return s, s1
-    return s, s1, s1 * (1.0 - 2.0 * s)
+def _logistic_tiers(t, s1=None, s2=None):
+    """Logistic sigmoid and its derivatives, in place like ``_tanh_tiers``."""
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    t += 1.0
+    np.divide(1.0, t, out=t)
+    if s1 is not None:
+        np.subtract(1.0, t, out=s1)
+        s1 *= t
+    if s2 is not None:
+        np.multiply(t, 2.0, out=s2)
+        np.subtract(1.0, s2, out=s2)
+        s2 *= s1
 
 
 _SIGMAS = {"tanh": _tanh_tiers, "logistic": _logistic_tiers}
@@ -52,7 +60,9 @@ _SIGMAS = {"tanh": _tanh_tiers, "logistic": _logistic_tiers}
 
 def _sigma_triplet(name):
     def call(z):
-        return _SIGMAS[name](z, 2)
+        out = (np.array(z, dtype=float), np.empty(np.shape(z)), np.empty(np.shape(z)))
+        _SIGMAS[name](*out)
+        return out
 
     return call
 
@@ -185,41 +195,87 @@ class ActivationField:
             out["bxx"] = s2[:, :, 0] * a1m[None, :, 0, 0] ** 2
         return out
 
-    def grad_a_batch(self, X, A):
-        """grad_a b on all pairs, shape (n, m, d1, dprime)."""
+    def grad_a_batch(self, X, A, weights=None):
+        """grad_a b on all pairs, shape (n, m, d1, dprime).
+
+        With per-state ``weights`` (n, d1), returns their contraction
+        sum_n weights_n . grad_a b(X_n, a) instead, shape (m, dprime); for
+        d1 = 1 it is summed from (n, m) columns without the 4-D array.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         A = np.atleast_2d(np.asarray(A, dtype=float))
         n, m, d = X.shape[0], A.shape[0], self.d1
         sig = _sigma_triplet(self.sigma)
-        ga = np.zeros((n, m, d, self.dprime))
         if self.family == RIDGE_OUTER:
             a0 = A[:, :d]
             a1 = A[:, d : 2 * d]
             a2 = A[:, 2 * d]
             z = np.einsum("nk,mk->nm", X, a1) + a2
             s, s1, _ = sig(z)
+            if weights is not None and d == 1:
+                s1a0 = s1 * a0[None, :, 0]
+                return _contract_columns((s, s1a0 * X, s1a0), weights)
+            ga = np.zeros((n, m, d, self.dprime))
             ga[:, :, :, :d] = s[:, :, None, None] * np.eye(d)
             ga[:, :, :, d : 2 * d] = np.einsum("nm,mi,nj->nmij", s1, a0, X)
             ga[:, :, :, 2 * d] = s1[:, :, None] * a0[None, :, :]
+        else:
+            a1m = A[:, : d * d].reshape(-1, d, d)
+            a2 = A[:, d * d :]
+            z = np.einsum("nk,mik->nmi", X, a1m) + a2[None, :, :]
+            _, s1, _ = sig(z)
+            if weights is not None and d == 1:
+                return _contract_columns((s1[:, :, 0] * X, s1[:, :, 0]), weights)
+            ga = np.zeros((n, m, d, self.dprime))
+            for i in range(d):
+                ga[:, :, i, i * d : (i + 1) * d] = s1[:, :, i, None] * X[:, None, :]
+                ga[:, :, i, d * d + i] = s1[:, :, i]
+        if weights is None:
             return ga
-        a1m = A[:, : d * d].reshape(-1, d, d)
-        a2 = A[:, d * d :]
-        z = np.einsum("nk,mik->nmi", X, a1m) + a2[None, :, :]
-        _, s1, _ = sig(z)
-        for i in range(d):
-            ga[:, :, i, i * d : (i + 1) * d] = s1[:, :, i, None] * X[:, None, :]
-            ga[:, :, i, d * d + i] = s1[:, :, i]
-        return ga
+        return np.einsum("nmip,ni->mp", ga, weights)
+
+
+def _contract_columns(columns, weights):
+    """Columns (n, m) of grad_a b for d1 = 1, each summed against weights."""
+    return np.stack([np.einsum("nm,n->m", c, weights[:, 0]) for c in columns], axis=1)
+
+
+# rows per block of a fused kernel call: 512 KiB of float64 per tier buffer
+_BLOCK_CELLS = 65536
+
+
+class Workspace:
+    """Scratch buffers of one sweep, reused by every kernel call it makes.
+
+    A sweep creates one and drops it when it returns, so its buffers live
+    exactly as long as the sweep. ``kept`` holds the full tiers of the
+    latest call that asked to keep them.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+        self.kept = None
+
+    def buffer(self, name, rows: int, cols: int) -> np.ndarray:
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape[0] < rows or buf.shape[1] != cols:
+            buf = self._buffers[name] = np.empty((rows, cols))
+        return buf[:rows]
 
 
 class FieldQuadrature:
     """Field-times-measure reductions over a fixed support point set.
 
-    Separates the expensive activation evaluation (``tiers``, per state
-    batch) from the cheap weight contractions (``fold``), so a backward pass
-    can reuse one tier set against several weight vectors and cache tiers at
-    shared positions. For d1 = 1 the contraction kernels fold the parameter
-    columns into the weights and never materialize (n, m, d1, d1) arrays.
+    ``tiers`` evaluates the activation tiers (the activation and its first
+    two derivatives at every state-support pair) at one batch of states. A
+    sweep passes the weight folds (``fold``) its stage position needs and
+    gets back their per-particle contractions: the states go through the
+    kernel in row blocks written into the sweep's ``Workspace``, so no
+    (n, m) tier array is allocated per call or held across positions. Only
+    the reductions over particles (``bracket``, ``bracket_pair``) need a
+    tier in full; a call writes it into the workspace on request. For
+    d1 = 1 the folds carry the parameter columns in their weights and never
+    materialize (n, m, d1, d1) arrays.
     """
 
     def __init__(self, field: ActivationField, support: np.ndarray):
@@ -238,22 +294,54 @@ class FieldQuadrature:
                 self._a2 = np.ascontiguousarray(self.support[:, 1])
                 self._a0 = None
 
-    def tiers(self, X, order: int):
-        """Activation tiers at the given states; order in {0, 1, 2}."""
+    def tiers(self, X, order: int, folds=None, work: Optional[Workspace] = None, keep: int = 0):
+        """Activation tiers at the given states; order in {0, 1, 2}.
+
+        Without ``folds``, returns the tier arrays: a tuple of order + 1 (n, m)
+        arrays for d1 = 1, the ``field.batch`` dict otherwise. With ``folds``,
+        returns a tuple of order + 1 lists holding each fold's drift (n, d1),
+        grad_x (n, d1, d1) and, at order 2, grad_xx (n,), evaluated in row
+        blocks through the buffers of ``work``. The first ``keep`` tiers are
+        also written in full and left in ``work.kept``.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.fast:
-            z = np.multiply.outer(np.ascontiguousarray(X[:, 0]), self._a1)
-            z += self._a2
-            if self.field.sigma == "tanh":
-                t = np.tanh(z, out=z)
-                if order == 0:
-                    return (t,)
-                s1 = 1.0 - t * t
-                if order == 1:
-                    return t, s1
-                return t, s1, -2.0 * t * s1
-            return _SIGMAS[self.field.sigma](z, order)
-        return self.field.batch(X, self.support, derivatives=order)
+        work = work if work is not None else Workspace()
+        if not self.fast:
+            tiers = self.field.batch(X, self.support, derivatives=order)
+            if folds is None:
+                return tiers
+            if keep:
+                work.kept = tiers
+            names = ("drift", "grad_x", "grad_xx")[: order + 1]
+            return tuple([getattr(f, name)(tiers) for f in folds] for name in names)
+        x = np.ascontiguousarray(X[:, 0])
+        n, m = x.shape[0], self.support.shape[0]
+        if folds is None:
+            tiers = tuple(np.empty((n, m)) for _ in range(order + 1))
+            self._fill(x, tiers)
+            return tiers
+        rows = max(1, _BLOCK_CELLS // m)
+        full = [work.buffer(("full", j), n, m) for j in range(keep)]
+        block = [work.buffer(("block", j), min(rows, n), m) for j in range(keep, order + 1)]
+        weights = [(f._w_drift, f._w_gx, f._w_gxx)[: order + 1] for f in folds]
+        out = np.empty((order + 1, len(folds), n))
+        for r0 in range(0, n, rows):
+            r1 = min(r0 + rows, n)
+            tiers = [t[r0:r1] for t in full] + [t[: r1 - r0] for t in block]
+            self._fill(x[r0:r1], tiers)
+            for f, ws in enumerate(weights):
+                for j, w in enumerate(ws):
+                    np.einsum("nm,m->n", tiers[j], w, out=out[j, f, r0:r1])
+        if keep:
+            work.kept = tuple(full)
+        shapes = ((n, 1), (n, 1, 1), (n,))
+        return tuple([c.reshape(shapes[j]) for c in out[j]] for j in range(order + 1))
+
+    def _fill(self, x, tiers):
+        """Tiers of the states x (d1 = 1) into the given (rows, m) buffers."""
+        z = np.multiply.outer(x, self._a1, out=tiers[0])
+        z += self._a2
+        _SIGMAS[self.field.sigma](*tiers)
 
     def fold(self, weights: np.ndarray) -> "WeightFold":
         return WeightFold(self, np.asarray(weights, dtype=float))

@@ -12,7 +12,7 @@ preserves both positivity and the Gibbs form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -52,11 +52,17 @@ class CostReport:
 
 @dataclass(frozen=True)
 class PicardResult:
+    """``flow`` is the forward flow under ``path`` from the last Gibbs map,
+    so callers need not solve it again. Its adjoint and bracket are dropped:
+    held past the solve, they pin freed memory and raise the peak RSS of a
+    run."""
+
     path: ControlPath
     report: CostReport
     iterations: int
     converged: bool
     residual_history: tuple
+    flow: EnsembleFlow
 
 
 @dataclass(frozen=True)
@@ -183,6 +189,7 @@ def picard_solve(
     The update is the geometric mixture nu^{1-tau} Gamma[nu]^tau computed in
     log space and renormalized, so densities stay positive and Gibbs-form.
     The converged cost is the value of the control problem at (t0, gamma_0).
+    A non-finite residual stops the iteration at once, unconverged.
     """
     _require_grid(init_path, "picard solve")
     if not 0.0 < damping <= 1.0:
@@ -200,7 +207,7 @@ def picard_solve(
         if residual <= tol:
             converged = True
             break
-        if iterations >= max_iters:
+        if iterations >= max_iters or not math.isfinite(residual):
             break
         new_measures = []
         for k in range(path.grid.nt):
@@ -228,6 +235,7 @@ def picard_solve(
         iterations=iterations,
         converged=converged,
         residual_history=tuple(history),
+        flow=replace(flow, z=None, bracket=None),
     )
 
 
@@ -400,5 +408,4 @@ def langevin_descent_step(
 
 def _bracket_grad_a(config, flow, k, points) -> np.ndarray:
     """grad_a of mean_i b(x_i(t_k), a) . z_i(t_k) at the given points."""
-    ga = config.field.grad_a_batch(flow.x[k], points)  # (n, m, d1, dprime)
-    return np.einsum("nmip,ni->mp", ga, flow.z[k]) / flow.n
+    return config.field.grad_a_batch(flow.x[k], points, flow.z[k]) / flow.n

@@ -15,9 +15,15 @@ Integrator conventions (shared by the whole package):
   the cruder linear in-interval reconstruction; its second-order defect is the
   quantity being reported.
 
-Per-particle work is vectorized over the whole ensemble; reductions over
-measure cells use fixed-order numpy sums, so results do not depend on thread
-counts.
+Kernel work (shared by the forward, backward and stage passes): each stage
+position costs one ``FieldQuadrature.tiers`` call, which contracts the tiers
+against every weight fold that position needs and hands back per-particle
+vectors; the RK4 right-hand sides only see those. A sweep owns one
+``Workspace`` for the row blocks of all its calls, and only the particle
+reductions onto the measure grid (the node bracket) ask for a tier in full.
+Each particle's contraction is a fixed-order numpy sum over support points
+and the particle reductions sum rows in order, so results depend neither on
+the block size nor on thread counts.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .measures import (
     ParticleMeasure,
     PerturbationPath,
 )
-from .model import ActivationField, ConfigError, FieldQuadrature, ProblemConfig
+from .model import ActivationField, ConfigError, FieldQuadrature, ProblemConfig, Workspace
 
 
 class DivergenceError(RuntimeError):
@@ -162,34 +168,28 @@ def forward_solve(
     X = np.empty((grid.nt, n, d1))
     X[0] = config.dataset.x
     nodes = _node_quadratures(config.field, path)
+    work = Workspace()
     dt = grid.dt / substeps
     for k in range(grid.nt - 1):
         quad, fold = nodes[k]
         xk = X[k]
         for _ in range(substeps):
-            xk = _rk4_forward(quad, fold, xk, dt)
+            xk = _rk4_forward(quad, fold, xk, dt, work)
         if not np.all(np.isfinite(xk)):
             raise DivergenceError(f"forward state diverged at node {k + 1}")
         X[k + 1] = xk
     return EnsembleFlow(x=X, y=config.dataset.y.copy())
 
 
-def _rk4_forward(quad, fold, x, dt):
-    k1 = fold.drift(quad.tiers(x, 0))
-    k2 = fold.drift(quad.tiers(x + 0.5 * dt * k1, 0))
-    k3 = fold.drift(quad.tiers(x + 0.5 * dt * k2, 0))
-    k4 = fold.drift(quad.tiers(x + dt * k3, 0))
+def _rk4_forward(quad, fold, x, dt, work):
+    def drift(y):
+        return quad.tiers(y, 0, (fold,), work)[0][0]
+
+    k1 = drift(x)
+    k2 = drift(x + 0.5 * dt * k1)
+    k3 = drift(x + 0.5 * dt * k2)
+    k4 = drift(x + dt * k3)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _fine_forward_interval(quad, fold, x0, dt_interval, substeps):
-    """Fine node values of X across one control interval."""
-    dt = dt_interval / substeps
-    out = np.empty((substeps + 1,) + x0.shape)
-    out[0] = x0
-    for s in range(substeps):
-        out[s + 1] = _rk4_forward(quad, fold, out[s], dt)
-    return out
 
 
 # -- backward / tangent passes ----------------------------------------------------
@@ -234,6 +234,9 @@ def backward_solve(
         raise ConfigError("bracket assembly requires a grid path")
     order = 2 if with_hessian else 1
     nodes = _node_quadratures(config.field, path)
+    work = Workspace()
+    # the bracket reduces over particles, so node calls keep the order-0 tier
+    keep = 0 if bracket_grid is None else 1
 
     Z = np.empty_like(flow.x)
     z = config.loss.grad_x(flow.x[-1], flow.y)
@@ -250,64 +253,58 @@ def backward_solve(
     if bracket_grid is not None:
         bracket = np.empty((grid.nt, bracket_grid.res**bracket_grid.dprime))
 
-    # grid paths share one support, so activation tiers at a node can roll
-    # from one interval to the next (each node is evaluated exactly once)
-    can_roll = path.is_grid
-    dt = grid.dt
-    tiers_right = None
+    dt = grid.dt / substeps
+    right = None
     for k in range(grid.nt - 2, -1, -1):
         quad, fold = nodes[k]
-        if tiers_right is None or not can_roll:
-            tiers_right = quad.tiers(flow.x[k + 1], order)
-        if bracket is not None and k == grid.nt - 2:
-            bracket[-1] = quad.bracket(tiers_right, Z[-1])
-        tiers_left = quad.tiers(flow.x[k], order)
+        if right is None:
+            right = _first(quad.tiers(flow.x[k + 1], order, (fold,), work, keep))
+            if bracket is not None:
+                bracket[-1] = quad.bracket(work.kept, Z[-1])
+        # grid paths share one support, so the left node's call also serves
+        # interval k - 1, whose right node it is (each node is evaluated once)
+        roll = path.is_grid and k > 0
+        folds = (fold, nodes[k - 1][1]) if roll else (fold,)
+        node = quad.tiers(flow.x[k], order, folds, work, keep)
+        # RK4 substeps take their positions from a fine forward solve; the
+        # stage data at its ends are those of the stored nodes
         if substeps == 1:
+            x_fine = [flow.x[k], flow.x[k + 1]]
+        else:
+            x_fine = [flow.x[k]]
+            for _ in range(substeps):
+                x_fine.append(_rk4_forward(quad, fold, x_fine[-1], dt, work))
+        stages = [_first(node)]
+        stages += [_first(quad.tiers(x, order, (fold,), work)) for x in x_fine[1:-1]]
+        stages.append(right)
+        for s in range(substeps, 0, -1):
             x_mid = _hermite_midpoint(
-                flow.x[k],
-                flow.x[k + 1],
-                fold.drift(tiers_left),
-                fold.drift(tiers_right),
-                dt,
+                x_fine[s - 1], x_fine[s], stages[s - 1][0], stages[s][0], dt
             )
-            tiers_mid = quad.tiers(x_mid, order)
+            mid = _first(quad.tiers(x_mid, order, (fold,), work))
             state = _pack_state(z, h, with_hessian, d1)
             state = _rk4_between(
                 state,
                 -dt,
-                _adjoint_rhs(fold, tiers_right, with_hessian, d1),
-                _adjoint_rhs(fold, tiers_mid, with_hessian, d1),
-                _adjoint_rhs(fold, tiers_left, with_hessian, d1),
+                _adjoint_rhs(stages[s], with_hessian, d1),
+                _adjoint_rhs(mid, with_hessian, d1),
+                _adjoint_rhs(stages[s - 1], with_hessian, d1),
             )
             z, h = _unpack_state(state, with_hessian, d1)
-        else:
-            x_fine = _fine_forward_interval(quad, fold, flow.x[k], dt, substeps)
-            dt_f = dt / substeps
-            for s in range(substeps, 0, -1):
-                t_r = quad.tiers(x_fine[s], order) if s < substeps else tiers_right
-                t_l = quad.tiers(x_fine[s - 1], order) if s > 1 else tiers_left
-                x_mid = _hermite_midpoint(
-                    x_fine[s - 1], x_fine[s], fold.drift(t_l), fold.drift(t_r), dt_f
-                )
-                t_m = quad.tiers(x_mid, order)
-                state = _pack_state(z, h, with_hessian, d1)
-                state = _rk4_between(
-                    state,
-                    -dt_f,
-                    _adjoint_rhs(fold, t_r, with_hessian, d1),
-                    _adjoint_rhs(fold, t_m, with_hessian, d1),
-                    _adjoint_rhs(fold, t_l, with_hessian, d1),
-                )
-                z, h = _unpack_state(state, with_hessian, d1)
         if not np.all(np.isfinite(z)):
             raise DivergenceError(f"backward state diverged at node {k}")
         Z[k] = z
         if with_hessian:
             H[k] = h
         if bracket is not None:
-            bracket[k] = quad.bracket(tiers_left, z)
-        tiers_right = tiers_left
+            bracket[k] = quad.bracket(work.kept, z)
+        right = tuple(c[1] for c in node) if roll else None
     return replace(flow, z=Z, hess=H, bracket=bracket)
+
+
+def _first(contractions):
+    """(drift, grad_x[, grad_xx]) of the first fold of a kernel call."""
+    return tuple(c[0] for c in contractions)
 
 
 def _pack_state(z, h, with_hessian, d1):
@@ -322,9 +319,9 @@ def _unpack_state(state, with_hessian, d1):
     return state, None
 
 
-def _adjoint_rhs(fold, tiers, with_hessian, d1):
-    bx = fold.grad_x(tiers)
-    bxx = fold.grad_xx(tiers) if with_hessian else None
+def _adjoint_rhs(stage, with_hessian, d1):
+    bx = stage[1]
+    bxx = stage[2] if with_hessian else None
 
     def f(state):
         if with_hessian:
@@ -389,30 +386,33 @@ def stage_pass(
         eta_folds = [quad.fold(eta.node(k).ravel() * eta.cell_volume) for k in range(shape[0])]
         s_eta, sx_eta = np.empty(shape + (d1,)), np.empty(shape + (d1, d1))
 
+    # per interval: the control's fold when building, then the fold of eta
+    folds = [
+        ([nodes[k][1]] if nodes is not None else []) + ([eta_folds[k]] if eta is not None else [])
+        for k in range(shape[0])
+    ]
+    work = Workspace()
+
     def contract(x, uses):
-        tiers = quad.tiers(x, order)
+        c = iter(zip(*quad.tiers(x, order, [f for k, _ in uses for f in folds[k]], work)))
         for k, s in uses:
             if nodes is not None:
-                fold = nodes[k][1]
+                fold = next(c)
                 if s != 1:  # node drifts place the midpoints
-                    drift[k, s] = fold.drift(tiers)
-                bx[k, s] = fold.grad_x(tiers)
+                    drift[k, s] = fold[0]
+                bx[k, s] = fold[1]
                 if bxx is not None:
-                    bxx[k, s] = fold.grad_xx(tiers)
+                    bxx[k, s] = fold[2]
             if eta is not None:
-                s_eta[k, s], sx_eta[k, s] = eta_folds[k].drift(tiers), eta_folds[k].grad_x(tiers)
-        return tiers
+                s_eta[k, s], sx_eta[k, s] = next(c)[:2]
 
-    # ``last`` keeps one tier set alive until the next exists: freeing every
-    # set at once lets the allocator return its pages and fault them in again
-    # at the next position, which doubled the time of a pass on desk
     for j in range(grid.nt):
-        last = contract(flow.x[j], [(k, s) for k, s in ((j - 1, 2), (j, 0)) if 0 <= k < shape[0]])
+        contract(flow.x[j], [(k, s) for k, s in ((j - 1, 2), (j, 0)) if 0 <= k < shape[0]])
     if stages is None:
         x_mid = _hermite_midpoint(flow.x[:-1], flow.x[1:], drift[:, 0], drift[:, 2], grid.dt)
         stages = StagePass(quad, x_mid, bx, bxx)
     for k in range(shape[0]):
-        last = contract(stages.x_mid[k], [(k, 1)])
+        contract(stages.x_mid[k], [(k, 1)])
     return stages if eta is None else replace(stages, s_eta=s_eta, sx_eta=sx_eta)
 
 

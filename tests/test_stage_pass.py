@@ -149,9 +149,9 @@ def tiers_calls(monkeypatch):
     calls = []
     original = FieldQuadrature.tiers
 
-    def counting(self, X, order):
+    def counting(self, X, order, *args, **kwargs):
         calls.append(order)
-        return original(self, X, order)
+        return original(self, X, order, *args, **kwargs)
 
     monkeypatch.setattr(FieldQuadrature, "tiers", counting)
     return calls

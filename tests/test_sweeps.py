@@ -1,0 +1,304 @@
+"""Forward and backward sweeps on the fused kernel against the tier-holding
+loops they replaced, and the fused kernel against the weight folds."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mfoc import cli, optimizer
+from mfoc.cli import _initial_grid_path, load_run_document
+from mfoc.measures import ControlPath, ParticleMeasure
+from mfoc.model import (
+    COMPONENTWISE,
+    RIDGE_OUTER,
+    ActivationField,
+    FieldQuadrature,
+    Workspace,
+    rng_for,
+)
+from mfoc.optimizer import picard_solve, sample_prior
+from mfoc.trajectories import (
+    DivergenceError,
+    _hermite_midpoint,
+    _node_quadratures,
+    _pack_state,
+    _rk4_between,
+    _unpack_state,
+    backward_solve,
+    forward_solve,
+)
+
+MINI = Path(__file__).resolve().parent.parent / "fixtures" / "mini.json"
+
+
+# -- reference: the loops that hold tier arrays per stage position --------------
+
+
+def reference_forward_solve(config, path, substeps=1):
+    grid = path.grid
+    X = np.empty((grid.nt, config.dataset.n, config.field.d1))
+    X[0] = config.dataset.x
+    nodes = _node_quadratures(config.field, path)
+    dt = grid.dt / substeps
+    for k in range(grid.nt - 1):
+        quad, fold = nodes[k]
+        xk = X[k]
+        for _ in range(substeps):
+            xk = _reference_rk4_forward(quad, fold, xk, dt)
+        X[k + 1] = xk
+    return X
+
+
+def _reference_rk4_forward(quad, fold, x, dt):
+    k1 = fold.drift(quad.tiers(x, 0))
+    k2 = fold.drift(quad.tiers(x + 0.5 * dt * k1, 0))
+    k3 = fold.drift(quad.tiers(x + 0.5 * dt * k2, 0))
+    k4 = fold.drift(quad.tiers(x + dt * k3, 0))
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _reference_fine_forward_interval(quad, fold, x0, dt_interval, substeps):
+    dt = dt_interval / substeps
+    out = np.empty((substeps + 1,) + x0.shape)
+    out[0] = x0
+    for s in range(substeps):
+        out[s + 1] = _reference_rk4_forward(quad, fold, out[s], dt)
+    return out
+
+
+def _reference_adjoint_rhs(fold, tiers, with_hessian, d1):
+    bx = fold.grad_x(tiers)
+    bxx = fold.grad_xx(tiers) if with_hessian else None
+
+    def f(state):
+        if with_hessian:
+            zz, hh = state[..., :d1], state[..., d1]
+            dz = -np.einsum("nij,ni->nj", bx, zz)
+            dh = -2.0 * bx[:, 0, 0] * hh - bxx * zz[:, 0]
+            return np.concatenate([dz, dh[:, None]], axis=-1)
+        return -np.einsum("nij,ni->nj", bx, state)
+
+    return f
+
+
+def reference_backward_solve(config, path, flow, substeps=1, with_hessian=False, bracket_grid=None):
+    grid = path.grid
+    n, d1 = flow.n, config.field.d1
+    order = 2 if with_hessian else 1
+    nodes = _node_quadratures(config.field, path)
+    Z = np.empty_like(flow.x)
+    z = config.loss.grad_x(flow.x[-1], flow.y)
+    Z[-1] = z
+    H = h = None
+    if with_hessian:
+        H = np.empty((grid.nt, n))
+        h = np.ones(n)
+        H[-1] = h
+    bracket = None
+    if bracket_grid is not None:
+        bracket = np.empty((grid.nt, bracket_grid.res**bracket_grid.dprime))
+    rhs = _reference_adjoint_rhs
+    dt = grid.dt
+    tiers_right = None
+    for k in range(grid.nt - 2, -1, -1):
+        quad, fold = nodes[k]
+        if tiers_right is None or not path.is_grid:
+            tiers_right = quad.tiers(flow.x[k + 1], order)
+        if bracket is not None and k == grid.nt - 2:
+            bracket[-1] = quad.bracket(tiers_right, Z[-1])
+        tiers_left = quad.tiers(flow.x[k], order)
+        if substeps == 1:
+            x_mid = _hermite_midpoint(
+                flow.x[k], flow.x[k + 1], fold.drift(tiers_left), fold.drift(tiers_right), dt
+            )
+            tiers_mid = quad.tiers(x_mid, order)
+            state = _pack_state(z, h, with_hessian, d1)
+            state = _rk4_between(
+                state,
+                -dt,
+                rhs(fold, tiers_right, with_hessian, d1),
+                rhs(fold, tiers_mid, with_hessian, d1),
+                rhs(fold, tiers_left, with_hessian, d1),
+            )
+            z, h = _unpack_state(state, with_hessian, d1)
+        else:
+            x_fine = _reference_fine_forward_interval(quad, fold, flow.x[k], dt, substeps)
+            dt_f = dt / substeps
+            for s in range(substeps, 0, -1):
+                t_r = quad.tiers(x_fine[s], order) if s < substeps else tiers_right
+                t_l = quad.tiers(x_fine[s - 1], order) if s > 1 else tiers_left
+                x_mid = _hermite_midpoint(
+                    x_fine[s - 1], x_fine[s], fold.drift(t_l), fold.drift(t_r), dt_f
+                )
+                t_m = quad.tiers(x_mid, order)
+                state = _pack_state(z, h, with_hessian, d1)
+                state = _rk4_between(
+                    state,
+                    -dt_f,
+                    rhs(fold, t_r, with_hessian, d1),
+                    rhs(fold, t_m, with_hessian, d1),
+                    rhs(fold, t_l, with_hessian, d1),
+                )
+                z, h = _unpack_state(state, with_hessian, d1)
+        Z[k] = z
+        if with_hessian:
+            H[k] = h
+        if bracket is not None:
+            bracket[k] = quad.bracket(tiers_left, z)
+        tiers_right = tiers_left
+    return Z, H, bracket
+
+
+# -- fixtures ------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def mini():
+    config, tools, _ = load_run_document(str(MINI), [])
+    path, _ = _initial_grid_path(config, tools)
+    # a few Picard steps give a path away from the prior
+    return config, picard_solve(config, path, max_iters=3).path
+
+
+def _same(a, b):
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a, b)
+
+
+# -- bitwise agreement with the reference loops ---------------------------------
+
+
+@pytest.mark.parametrize("substeps", [1, 2])
+@pytest.mark.parametrize("with_hessian", [False, True])
+def test_grid_sweeps_match_reference_loops(mini, substeps, with_hessian):
+    config, path = mini
+    flow = forward_solve(config, path, substeps=substeps)
+    assert np.array_equal(flow.x, reference_forward_solve(config, path, substeps))
+    grid = path.measures[0]
+    new = backward_solve(config, path, flow, substeps, with_hessian, bracket_grid=grid)
+    ref = reference_backward_solve(config, path, flow, substeps, with_hessian, grid)
+    assert np.abs(new.z).max() > 0.0
+    assert all(_same(a, b) for a, b in zip((new.z, new.hess, new.bracket), ref))
+    if with_hessian:
+        plain = backward_solve(config, path, flow, substeps, with_hessian)
+        assert plain.bracket is None
+        assert np.array_equal(plain.z, ref[0]) and np.array_equal(plain.hess, ref[1])
+
+
+def test_particle_sweeps_match_reference_loops(mini):
+    config, _ = mini
+    rng = rng_for(config.seed, "sweep-test")
+    points = sample_prior(config.potential, config.field.dprime, 300, rng)
+    path = ControlPath.constant(config.grid, ParticleMeasure(points))
+    flow = forward_solve(config, path)
+    assert np.array_equal(flow.x, reference_forward_solve(config, path))
+    new = backward_solve(config, path, flow)
+    assert np.array_equal(new.z, reference_backward_solve(config, path, flow)[0])
+
+
+# -- the fused kernel against the folds ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "family,sigma",
+    [(COMPONENTWISE, "tanh"), (RIDGE_OUTER, "tanh"), (RIDGE_OUTER, "logistic")],
+)
+@pytest.mark.parametrize("n", [37, 5])
+def test_fused_contractions_equal_folds(family, sigma, n):
+    # m = 4096 puts 16 rows in a block: n = 37 ends on a partial block and
+    # n = 5 fits in less than one
+    field = ActivationField(family, sigma, 1)
+    rng = np.random.default_rng(n)
+    support = rng.normal(size=(4096, field.dprime))
+    quad = FieldQuadrature(field, support)
+    X = 2.0 * rng.normal(size=(n, 1))
+    folds = [quad.fold(rng.random(4096)), quad.fold(rng.normal(size=4096))]
+    work = Workspace()
+    for order in (0, 1, 2):
+        tiers = quad.tiers(X, order)
+        assert np.array_equal(tiers[0], _reference_sigma(sigma, X[:, 0], quad))
+        fused = quad.tiers(X, order, folds, work, keep=min(order + 1, 2))
+        assert len(fused) == order + 1
+        for j, name in enumerate(("drift", "grad_x", "grad_xx")[: order + 1]):
+            for f, fold in enumerate(folds):
+                ref = getattr(fold, name)(tiers)
+                assert fused[j][f].shape == ref.shape
+                assert np.array_equal(fused[j][f], ref)
+        assert all(np.array_equal(a, b) for a, b in zip(work.kept, tiers))
+
+
+def _reference_sigma(sigma, x, quad):
+    z = np.multiply.outer(x, quad.support[:, -2]) + quad.support[:, -1]
+    return np.tanh(z) if sigma == "tanh" else 1.0 / (1.0 + np.exp(-z))
+
+
+@pytest.mark.parametrize(
+    "family,sigma,d1",
+    [(COMPONENTWISE, "tanh", 1), (RIDGE_OUTER, "tanh", 1), (RIDGE_OUTER, "logistic", 1),
+     (COMPONENTWISE, "tanh", 2)],
+)
+def test_grad_a_contraction_equals_four_index_form(family, sigma, d1):
+    field = ActivationField(family, sigma, d1)
+    rng = np.random.default_rng(d1)
+    X, Z = rng.normal(size=(64, d1)), rng.normal(size=(64, d1))
+    A = rng.normal(size=(2000, field.dprime))
+    ref = np.einsum("nmip,ni->mp", field.grad_a_batch(X, A), Z)
+    assert np.array_equal(field.grad_a_batch(X, A, Z), ref)
+
+
+# -- satellites of the sweep engine ----------------------------------------------
+
+
+def test_picard_stops_on_non_finite_residual(mini, monkeypatch, tmp_path):
+    config, path = mini
+    maps = []
+    original = optimizer.gibbs_map_with_flow
+
+    def counting(*args):
+        maps.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(optimizer, "gibbs_map_with_flow", counting)
+    monkeypatch.setattr(optimizer, "picard_residual", lambda path, snapshots: np.nan)
+    result = picard_solve(config, path, max_iters=50)
+    assert len(maps) == 1
+    assert not result.converged and result.iterations == 0
+    assert cli.main(["solve", "--config", str(MINI), "--out", str(tmp_path / "o")]) == 2
+    assert len(maps) == 2
+
+
+def test_picard_result_carries_the_flow_of_its_path(mini):
+    config, path = mini
+    result = picard_solve(config, path, max_iters=2)
+    assert np.array_equal(result.flow.x, forward_solve(config, result.path).x)
+    assert result.flow.z is None and result.flow.bracket is None
+
+
+def test_pl_scan_runs_no_sweep_after_the_solve(tmp_path, monkeypatch):
+    calls = []
+    original = cli.backward_solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "backward_solve", counting)
+    code = cli.main(["pl-scan", "--config", str(MINI), "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert calls == []
+
+
+def test_divergence_in_backward_sweep_names_the_node(mini, monkeypatch):
+    config, path = mini
+    flow = forward_solve(config, path)
+    original = FieldQuadrature.tiers
+
+    def poisoned(self, X, order, *args, **kwargs):
+        out = original(self, X, order, *args, **kwargs)
+        return (out[0], [np.full_like(g, np.nan) for g in out[1]]) + tuple(out[2:])
+
+    monkeypatch.setattr(FieldQuadrature, "tiers", poisoned)
+    with pytest.raises(DivergenceError, match=f"node {config.grid.nt - 2}"):
+        backward_solve(config, path, flow)

@@ -113,9 +113,9 @@ class TestForwardSolve:
         path, _ = prior_path(config, res=16)
         original = FieldQuadrature.tiers
 
-        def poisoned(self, X, order):
-            out = original(self, X, order)
-            return (np.full_like(out[0], np.nan),) + tuple(out[1:])
+        def poisoned(self, X, order, *args, **kwargs):
+            out = original(self, X, order, *args, **kwargs)
+            return ([np.full_like(d, np.nan) for d in out[0]],) + tuple(out[1:])
 
         monkeypatch.setattr(FieldQuadrature, "tiers", poisoned)
         with pytest.raises(DivergenceError, match="node 1"):
