@@ -29,21 +29,24 @@ from . import __version__, faults
 from .checks import run_battery
 from .linearization import pl_scan, stability_probe
 from .measures import (
+    MIN_RES,
     ControlPath,
+    DegenerateMeasureError,
     ParticleMeasure,
     PriorMeasure,
     measure_to_csv,
     moment,
 )
-from .model import ConfigError, load_problem_config, rng_for
+from .model import ConfigError, config_section, config_value, load_problem_config, rng_for
 from .optimizer import (
+    PositivityError,
     fp_descent_step,
     langevin_descent_step,
     picard_solve,
     sample_prior,
     total_cost,
 )
-from .trajectories import backward_solve
+from .trajectories import DivergenceError, backward_solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -70,19 +73,8 @@ def _fmt(x) -> str:
 
 def _split_document(doc: dict):
     """Separate tool sections from the problem document; both strict."""
-    if not isinstance(doc, dict):
-        raise ConfigError("configuration document must be a JSON object")
-    problem = {}
-    tools = {}
-    for key, value in doc.items():
-        if key in _TOOL_SECTIONS:
-            section = dict(value)
-            for sub in section:
-                if sub not in _TOOL_SECTIONS[key]:
-                    raise ConfigError(f"unknown configuration key {key}.{sub!r}")
-            tools[key] = section
-        else:
-            problem[key] = value
+    problem = {key: value for key, value in doc.items() if key not in _TOOL_SECTIONS}
+    tools = {key: config_section(doc, key, allowed) for key, allowed in _TOOL_SECTIONS.items()}
     return problem, tools
 
 
@@ -103,6 +95,8 @@ def _apply_override(doc: dict, dotted: str, raw: str):
 def load_run_document(path: str, overrides, seed=None):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigError("configuration document must be a JSON object")
     for item in overrides or ():
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -154,12 +148,16 @@ class RunWriter:
 
 
 def _tool(tools, section, key, default):
-    return tools.get(section, {}).get(key, default)
+    """A tool setting, converted to the type of its default."""
+    value = tools.get(section, {}).get(key, default)
+    return config_value(type(default), value, f"{section}.{key}")
 
 
 def _initial_grid_path(config, tools):
-    res = int(_tool(tools, "measure", "res", 64))
-    halfwidth = float(_tool(tools, "measure", "box_halfwidth", 4.0))
+    res = _tool(tools, "measure", "res", 64)
+    if res < MIN_RES:
+        raise ConfigError(f"configuration key 'measure.res' must be >= {MIN_RES}, got {res}")
+    halfwidth = _tool(tools, "measure", "box_halfwidth", 4.0)
     prior = PriorMeasure.build(config.potential, halfwidth, res, config.field.dprime)
     return ControlPath.constant(config.grid, prior.measure), prior
 
@@ -182,9 +180,9 @@ def cmd_solve(config, tools, writer) -> int:
     result = picard_solve(
         config,
         path,
-        damping=float(_tool(tools, "solve", "damping", 0.5)),
-        tol=float(_tool(tools, "solve", "tol", 1e-8)),
-        max_iters=int(_tool(tools, "solve", "max_iters", 500)),
+        damping=_tool(tools, "solve", "damping", 0.5),
+        tol=_tool(tools, "solve", "tol", 1e-8),
+        max_iters=_tool(tools, "solve", "max_iters", 500),
     )
     lines = ["iteration,residual"]
     for i, r in enumerate(result.residual_history):
@@ -228,9 +226,9 @@ def _tilted_start(config, prior, path, amplitude=0.3):
 
 def cmd_descent(config, tools, writer) -> int:
     backend = _tool(tools, "descent", "backend", "grid")
-    steps = int(_tool(tools, "descent", "steps", 100))
-    h = float(_tool(tools, "descent", "step_size", 1e-3))
-    tilt = float(_tool(tools, "descent", "init_tilt", 0.3))
+    steps = _tool(tools, "descent", "steps", 100)
+    h = _tool(tools, "descent", "step_size", 1e-3)
+    tilt = _tool(tools, "descent", "init_tilt", 0.3)
     if backend == "grid":
         return _descent_grid(config, tools, writer, steps, h, tilt)
     if backend == "particle":
@@ -277,7 +275,7 @@ def _descent_grid(config, tools, writer, steps, h, tilt) -> int:
 
 
 def _descent_particle(config, tools, writer, steps, h, tilt) -> int:
-    m = int(_tool(tools, "descent", "particles", 2000))
+    m = _tool(tools, "descent", "particles", 2000)
     rng = rng_for(config.seed, "descent-particle")
     points = sample_prior(config.potential, config.field.dprime, m, rng)
     path = ControlPath.constant(config.grid, ParticleMeasure(points))
@@ -334,9 +332,9 @@ def _solved_state(config, tools, with_hessian=True):
     result = picard_solve(
         config,
         path,
-        damping=float(_tool(tools, "solve", "damping", 0.5)),
-        tol=float(_tool(tools, "solve", "tol", 1e-8)),
-        max_iters=int(_tool(tools, "solve", "max_iters", 500)),
+        damping=_tool(tools, "solve", "damping", 0.5),
+        tol=_tool(tools, "solve", "tol", 1e-8),
+        max_iters=_tool(tools, "solve", "max_iters", 500),
     )
     if not result.converged:
         return None, None, None
@@ -354,8 +352,8 @@ def cmd_stability(config, tools, writer) -> int:
         config,
         result.path,
         flow,
-        iters=int(_tool(tools, "stability", "iters", 10)),
-        margin=float(_tool(tools, "stability", "margin", 0.1)),
+        iters=_tool(tools, "stability", "iters", 10),
+        margin=_tool(tools, "stability", "margin", 0.1),
         rng=rng_for(config.seed, "stability-probe"),
     )
     rows = ["index,ritz_value"]
@@ -383,8 +381,8 @@ def cmd_pl_scan(config, tools, writer) -> int:
         config,
         result.path,
         result.report.cost,
-        radius=float(_tool(tools, "pl_scan", "radius", 0.1)),
-        samples=int(_tool(tools, "pl_scan", "samples", 200)),
+        radius=_tool(tools, "pl_scan", "radius", 0.1),
+        samples=_tool(tools, "pl_scan", "samples", 200),
         rng=rng_for(config.seed, "pl-scan"),
         prior=prior,
     )
@@ -498,6 +496,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (DivergenceError, DegenerateMeasureError, PositivityError) as exc:
+        reason = f"{type(exc).__name__}: {exc}"
+        print(f"numerical failure: {reason}", file=sys.stderr)
+        writer.write_json("summary.json", {"status": "numerical-failure", "reason": reason})
+        return EXIT_NO_CONVERGENCE
     finally:
         faults.clear()
         writer.finalize()

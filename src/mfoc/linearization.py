@@ -34,12 +34,10 @@ from .trajectories import (
     StagePass,
     TangentFlow,
     _hermite_midpoint,
-    _node_quadratures,
     _rk4_between,
     _tangent_dx,
     forward_solve,
     stage_pass,
-    tangent_solve,
 )
 
 __all__ = [
@@ -141,11 +139,11 @@ def solve_v(
     signed drift of the perturbation, so the result is linear in it.
     """
     _require_d1(config)
-    return _multiplier(config, path, flow, eta, stage_pass(config, path, flow, eta))
+    return _multiplier(config, path, flow, eta, stage_pass(config, path, flow, (eta,)))
 
 
 def _multiplier(config, path, flow, eta, stages: StagePass) -> LinearizedMultiplier:
-    """``solve_v`` on stage data that carries the folds of ``eta``."""
+    """``solve_v`` on stage data whose first perturbation is ``eta``."""
     nt, n, dt = path.grid.nt, flow.n, path.grid.dt
     V = np.empty((nt, n))
     DV = np.empty((nt, n))
@@ -161,8 +159,8 @@ def _multiplier(config, path, flow, eta, stages: StagePass) -> LinearizedMultipl
         def rhs(i):
             bx = stages.bx[k, i][:, 0, 0]
             bxx = stages.bxx[k, i]
-            s_eta = stages.s_eta[k, i][:, 0]
-            sx_eta = stages.sx_eta[k, i][:, 0, 0]
+            s_eta = stages.s_eta[0, k, i][:, 0]
+            sx_eta = stages.sx_eta[0, k, i][:, 0, 0]
 
             def f(s):
                 z, h, kk, _, _ = s.T
@@ -242,28 +240,10 @@ def linear_map_image(
     flow the control's part of it.
     """
     _require_d1(config)
-    stages = stage_pass(config, path, flow, eta, stages)
+    stages = stage_pass(config, path, flow, (eta,), stages)
     tangent = TangentFlow(dx=_tangent_dx(stages, path.grid.dt), flow=flow, eta=eta)
     multiplier = _multiplier(config, path, flow, eta, stages)
     return eta_from(config, path, flow, tangent, multiplier, stages.quad)
-
-
-def _bracket_series(config, path, flow, eta, tangent) -> np.ndarray:
-    """Per-node values of the tangent action on b(., eta_t) . grad_x u."""
-    if flow.hess is None:
-        raise ConfigError("bracket series needs a flow with transported curvature")
-    nodes = _node_quadratures(config.field, path)
-    vol = eta.cell_volume
-    out = np.empty(path.grid.nt)
-    for k in range(path.grid.nt):
-        quad, _ = nodes[k]
-        eta_fold = quad.fold(eta.node(k).ravel() * vol)
-        tiers = quad.tiers(flow.x[k], 1)
-        s_eta = eta_fold.drift(tiers)[:, 0]
-        sx_eta = eta_fold.grad_x(tiers)[:, 0, 0]
-        integrand = sx_eta * flow.z[k][:, 0] + s_eta * flow.hess[k]
-        out[k] = float(np.mean(integrand * tangent.dx[k][:, 0]))
-    return out
 
 
 def cross_term_via_tangent(config, path, flow, eta_bracket, tangent) -> float:
@@ -273,53 +253,29 @@ def cross_term_via_tangent(config, path, flow, eta_bracket, tangent) -> float:
     every node and therefore respects the left-frozen control branches; the
     tangent values inside an interval are reconstructed by the same cubic
     Hermite rule the solvers use. The tangent must carry its source so the
-    in-interval derivative of dX is available.
+    in-interval derivative of dX is available. One order-2 stage pass holds
+    the stage data of the tangent's source and of ``eta_bracket``.
     """
     _require_d1(config)
     if tangent.eta is None:
         raise ConfigError("cross term needs a tangent that carries its source")
-    grid = path.grid
-    nodes = _node_quadratures(config.field, path)
-    vol = eta_bracket.cell_volume
-    dt = grid.dt
-    n = flow.n
+    stages = stage_pass(config, path, flow, (tangent.eta, eta_bracket))
+    dt = path.grid.dt
+    # tangent at the left node, the Hermite midpoint and the right node
+    dx = tangent.dx[:, :, 0]
+    ends = np.stack([dx[:-1], dx[1:]], axis=1)
+    ddx = stages.bx[:, ::2, :, 0, 0] * ends + stages.s_eta[0, :, ::2, :, 0]
+    dx_stage = [dx[:-1], _hermite_midpoint(dx[:-1], dx[1:], ddx[:, 0], ddx[:, 1], dt), dx[1:]]
     # state columns: z, h, P (accumulated integrand)
-    state = np.zeros((n, 3))
+    state = np.zeros((flow.n, 3))
     state[:, 0] = config.loss.grad_x(flow.x[-1], flow.y)[:, 0]
     state[:, 1] = 1.0
-    tiers_right = None
-    for k in range(grid.nt - 2, -1, -1):
-        quad, fold = nodes[k]
-        e2_fold = quad.fold(eta_bracket.node(k).ravel() * vol)
-        e1_fold = quad.fold(tangent.eta.node(k).ravel() * vol)
-        if tiers_right is None:
-            tiers_right = quad.tiers(flow.x[k + 1], 2)
-        tiers_left = quad.tiers(flow.x[k], 2)
-        x_mid = _hermite_midpoint(
-            flow.x[k],
-            flow.x[k + 1],
-            fold.drift(tiers_left),
-            fold.drift(tiers_right),
-            dt,
-        )
-        tiers_mid = quad.tiers(x_mid, 2)
-        dx_l = tangent.dx[k][:, 0]
-        dx_r = tangent.dx[k + 1][:, 0]
-        ddx_l = (
-            fold.grad_x(tiers_left)[:, 0, 0] * dx_l
-            + e1_fold.drift(tiers_left)[:, 0]
-        )
-        ddx_r = (
-            fold.grad_x(tiers_right)[:, 0, 0] * dx_r
-            + e1_fold.drift(tiers_right)[:, 0]
-        )
-        dx_m = _hermite_midpoint(dx_l, dx_r, ddx_l, ddx_r, dt)
+    for k in range(path.grid.nt - 2, -1, -1):
 
-        def rhs(tiers, dx_here):
-            bx = fold.grad_x(tiers)[:, 0, 0]
-            bxx = fold.grad_xx(tiers)
-            s2 = e2_fold.drift(tiers)[:, 0]
-            sx2 = e2_fold.grad_x(tiers)[:, 0, 0]
+        def rhs(i):
+            bx, bxx = stages.bx[k, i][:, 0, 0], stages.bxx[k, i]
+            s2, sx2 = stages.s_eta[1, k, i][:, 0], stages.sx_eta[1, k, i][:, 0, 0]
+            dx_here = dx_stage[i][k]
 
             def f(s):
                 z, h = s[:, 0], s[:, 1]
@@ -334,14 +290,7 @@ def cross_term_via_tangent(config, path, flow, eta_bracket, tangent) -> float:
 
             return f
 
-        state = _rk4_between(
-            state,
-            -dt,
-            rhs(tiers_right, dx_r),
-            rhs(tiers_mid, dx_m),
-            rhs(tiers_left, dx_l),
-        )
-        tiers_right = tiers_left
+        state = _rk4_between(state, -dt, rhs(2), rhs(1), rhs(0))
     return float(np.mean(state[:, 2]))
 
 
@@ -350,43 +299,23 @@ def cross_term_via_multiplier(config, path, flow, eta_drift, multiplier) -> floa
 
     Re-integrates the multiplier states of ``multiplier.eta`` backward and
     accumulates the ensemble average of the signed drift of ``eta_drift``
-    against the multiplier's x-gradient, inside the same RK4 pass.
+    against the multiplier's x-gradient, inside the same RK4 pass. One
+    order-2 stage pass holds the stage data of both perturbations.
     """
     _require_d1(config)
-    grid = path.grid
-    nodes = _node_quadratures(config.field, path)
-    vol = eta_drift.cell_volume
-    dt = grid.dt
-    n = flow.n
-    eta2 = multiplier.eta
+    stages = stage_pass(config, path, flow, (multiplier.eta, eta_drift))
+    dt = path.grid.dt
     # state columns: z, h, K, R, W
-    state = np.zeros((n, 5))
+    state = np.zeros((flow.n, 5))
     state[:, 0] = config.loss.grad_x(flow.x[-1], flow.y)[:, 0]
     state[:, 1] = 1.0
     state[:, 2] = 1.0
-    tiers_right = None
-    for k in range(grid.nt - 2, -1, -1):
-        quad, fold = nodes[k]
-        e1_fold = quad.fold(eta_drift.node(k).ravel() * vol)
-        e2_fold = quad.fold(eta2.node(k).ravel() * vol)
-        if tiers_right is None:
-            tiers_right = quad.tiers(flow.x[k + 1], 2)
-        tiers_left = quad.tiers(flow.x[k], 2)
-        x_mid = _hermite_midpoint(
-            flow.x[k],
-            flow.x[k + 1],
-            fold.drift(tiers_left),
-            fold.drift(tiers_right),
-            dt,
-        )
-        tiers_mid = quad.tiers(x_mid, 2)
+    for k in range(path.grid.nt - 2, -1, -1):
 
-        def rhs(tiers):
-            bx = fold.grad_x(tiers)[:, 0, 0]
-            bxx = fold.grad_xx(tiers)
-            s2 = e2_fold.drift(tiers)[:, 0]
-            sx2 = e2_fold.grad_x(tiers)[:, 0, 0]
-            s1 = e1_fold.drift(tiers)[:, 0]
+        def rhs(i):
+            bx, bxx = stages.bx[k, i][:, 0, 0], stages.bxx[k, i]
+            s2, sx2 = stages.s_eta[0, k, i][:, 0], stages.sx_eta[0, k, i][:, 0, 0]
+            s1 = stages.s_eta[1, k, i][:, 0]
 
             def f(s):
                 z, h, kk, rr = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
@@ -404,10 +333,7 @@ def cross_term_via_multiplier(config, path, flow, eta_drift, multiplier) -> floa
 
             return f
 
-        state = _rk4_between(
-            state, -dt, rhs(tiers_right), rhs(tiers_mid), rhs(tiers_left)
-        )
-        tiers_right = tiers_left
+        state = _rk4_between(state, -dt, rhs(2), rhs(1), rhs(0))
     return float(np.mean(state[:, 4]))
 
 
@@ -416,7 +342,6 @@ def quadratic_form(
     path: ControlPath,
     flow: EnsembleFlow,
     eta: PerturbationPath,
-    tangent: Optional[TangentFlow] = None,
 ) -> float:
     """Second derivative of the cost along the perturbation.
 
@@ -426,8 +351,6 @@ def quadratic_form(
     _require_d1(config)
     if flow.hess is None:
         raise ConfigError("quadratic form needs a flow with transported curvature")
-    if tangent is None:
-        tangent = tangent_solve(config, path, flow, eta)
     dt = path.grid.dt
     vol = eta.cell_volume
     weighted = 0.0
@@ -440,10 +363,14 @@ def quadratic_form(
         ratio = np.zeros_like(e)
         np.divide(e * e, nu, out=ratio, where=nu > 10.0 * LOG_FLOOR)
         weighted += float(np.sum(ratio)) * vol * dt
-    # left-rule cross term keeps the form consistent with the discrete cost
-    # it curves (the entropy part of the cost uses the same rule)
-    series = _bracket_series(config, path, flow, eta, tangent)
-    cross = float(np.sum(series[:-1])) * dt
+    # one pass gives the tangent and, at each left node, the drift of eta and
+    # its grad_x; the left-rule cross term keeps the form consistent with the
+    # discrete cost it curves (the entropy part of the cost uses the same rule)
+    stages = stage_pass(config, path, flow, (eta,), order=1)
+    dx = _tangent_dx(stages, dt)[:-1, :, 0]
+    s_eta, sx_eta = stages.s_eta[0, :, 0, :, 0], stages.sx_eta[0, :, 0, :, 0, 0]
+    integrand = sx_eta * flow.z[:-1, :, 0] + s_eta * flow.hess[:-1]
+    cross = float(np.sum(np.mean(integrand * dx, axis=1))) * dt
     return config.epsilon * weighted + 2.0 * cross
 
 

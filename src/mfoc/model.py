@@ -275,7 +275,9 @@ class FieldQuadrature:
     the reductions over particles (``bracket``, ``bracket_pair``) need a
     tier in full; a call writes it into the workspace on request. For
     d1 = 1 the folds carry the parameter columns in their weights and never
-    materialize (n, m, d1, d1) arrays.
+    materialize (n, m, d1, d1) arrays. The tier-array form (no folds) serves
+    only ``duality_residual``, ``meanfield_drift``, fields with d1 > 1 and
+    the reference loops of the tests.
     """
 
     def __init__(self, field: ActivationField, support: np.ndarray):
@@ -495,7 +497,10 @@ class Dataset:
 
     @classmethod
     def from_pairs(cls, points):
-        pts = [np.asarray(p, dtype=float).ravel() for p in points]
+        try:
+            pts = [np.asarray(p, dtype=float).ravel() for p in points]
+        except (TypeError, ValueError):
+            raise ConfigError("dataset points must be lists of numbers") from None
         if not pts:
             raise ConfigError("dataset must contain at least one point")
         width = pts[0].size
@@ -601,6 +606,24 @@ def _reject_unknown(section: dict, allowed: set, where: str):
             raise ConfigError(f"unknown configuration key {where}{key!r}")
 
 
+def config_section(doc: dict, name: str, allowed: set) -> dict:
+    """The sub-object ``doc[name]`` (empty when absent); unknown keys fail."""
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"configuration key {name!r} must be a JSON object")
+    _reject_unknown(section, allowed, name + ".")
+    return section
+
+
+def config_value(kind, value, key: str):
+    """``kind(value)``, or a ConfigError naming the dotted key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        message = f"configuration key {key!r} expects {kind.__name__}, got {value!r}"
+        raise ConfigError(message) from None
+
+
 def load_problem_config(doc: dict) -> ProblemConfig:
     """Build a ProblemConfig from a parsed JSON document; unknown keys fail."""
     if not isinstance(doc, dict):
@@ -610,50 +633,46 @@ def load_problem_config(doc: dict) -> ProblemConfig:
         if name not in doc:
             raise ConfigError(f"missing configuration key {name!r}")
 
-    fsec = dict(doc.get("field", {}))
-    _reject_unknown(fsec, _FIELD_KEYS, "field.")
+    fsec = config_section(doc, "field", _FIELD_KEYS)
     field = ActivationField(
         family=fsec.get("family", COMPONENTWISE),
         sigma=fsec.get("sigma", "tanh"),
-        d1=int(fsec.get("d1", 1)),
+        d1=config_value(int, fsec.get("d1", 1), "field.d1"),
     )
 
-    psec = dict(doc.get("potential", {}))
-    _reject_unknown(psec, _POTENTIAL_KEYS, "potential.")
+    psec = config_section(doc, "potential", _POTENTIAL_KEYS)
     potential = ConfinementPotential(
-        c1=float(psec.get("c1", 0.25)), c2=float(psec.get("c2", 0.5))
+        c1=config_value(float, psec.get("c1", 0.25), "potential.c1"),
+        c2=config_value(float, psec.get("c2", 0.5), "potential.c2"),
     )
 
-    lsec = dict(doc.get("loss", {}))
-    _reject_unknown(lsec, _LOSS_KEYS, "loss.")
+    lsec = config_section(doc, "loss", _LOSS_KEYS)
     loss = TerminalLoss(
         kind=lsec.get("kind", "quadratic"),
-        d1=int(lsec.get("d1", field.d1)),
-        d2=int(lsec.get("d2", field.d1)),
+        d1=config_value(int, lsec.get("d1", field.d1), "loss.d1"),
+        d2=config_value(int, lsec.get("d2", field.d1), "loss.d2"),
     )
 
-    dsec = dict(doc["dataset"])
-    _reject_unknown(dsec, _DATASET_KEYS, "dataset.")
+    dsec = config_section(doc, "dataset", _DATASET_KEYS)
     if "points" not in dsec:
         raise ConfigError("missing configuration key 'dataset.points'")
     dataset = Dataset.from_pairs(dsec["points"])
 
-    gsec = dict(doc["grid"])
-    _reject_unknown(gsec, _GRID_KEYS, "grid.")
+    gsec = config_section(doc, "grid", _GRID_KEYS)
     grid = TimeGrid(
-        t0=float(gsec.get("t0", 0.0)),
-        horizon=float(gsec.get("T", 1.0)),
-        nt=int(gsec.get("nt", 65)),
+        t0=config_value(float, gsec.get("t0", 0.0), "grid.t0"),
+        horizon=config_value(float, gsec.get("T", 1.0), "grid.T"),
+        nt=config_value(int, gsec.get("nt", 65), "grid.nt"),
     )
 
     return ProblemConfig(
-        epsilon=float(doc["epsilon"]),
+        epsilon=config_value(float, doc["epsilon"], "epsilon"),
         field=field,
         potential=potential,
         loss=loss,
         dataset=dataset,
         grid=grid,
-        seed=int(doc.get("seed", 0)),
+        seed=config_value(int, doc.get("seed", 0), "seed"),
     )
 
 

@@ -32,6 +32,10 @@ from .model import ConfigError, ProblemConfig
 from .trajectories import EnsembleFlow, backward_solve, forward_solve
 
 
+class PositivityError(RuntimeError):
+    """A Fokker-Planck step kept a negative cell after every step halving."""
+
+
 @dataclass(frozen=True)
 class GibbsSnapshot:
     """Per-node Gibbs data: potential samples, log-normalizer, density."""
@@ -331,7 +335,7 @@ def fp_descent_step(
             break
         halvings += 1
         if halvings > 10:
-            raise RuntimeError(
+            raise PositivityError(
                 "fokker-planck step kept violating positivity after 10 halvings"
             )
         current *= 0.5

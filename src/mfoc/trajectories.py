@@ -24,12 +24,19 @@ reductions onto the measure grid (the node bracket) ask for a tier in full.
 Each particle's contraction is a fixed-order numpy sum over support points
 and the particle reductions sum rows in order, so results depend neither on
 the block size nor on thread counts.
+
+Every linearized sweep (tangent, multiplier, linearized map, quadratic form
+and both cross terms) reads its stage data from one ``stage_pass``, which
+contracts the control fold and the folds of any number of perturbations in
+the same call. The tier-array form of ``tiers`` (no folds) is left to
+``duality_residual`` and ``meanfield_drift``; fields with d1 > 1 go through
+``field.batch``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -341,8 +348,8 @@ class StagePass:
     Interval k takes its RK4 stages at s = 0, 1, 2: the left node, the cubic
     Hermite midpoint ``x_mid[k]`` and the right node. Indexed [k, s], ``bx`` and
     ``bxx`` (order-2 passes only) are grad_x and grad_xx of the drift of the
-    control frozen at node k, and ``s_eta``, ``sx_eta`` the drift of a
-    perturbation and its grad_x. No tier array is kept.
+    control frozen at node k. Indexed [p, k, s], ``s_eta`` and ``sx_eta`` are
+    the drift of the p-th perturbation and its grad_x. No tier array is kept.
     """
 
     quad: FieldQuadrature
@@ -357,7 +364,7 @@ def stage_pass(
     config: ProblemConfig,
     path: ControlPath,
     flow: EnsembleFlow,
-    eta: Optional[PerturbationPath] = None,
+    etas: Sequence[PerturbationPath] = (),
     stages: Optional[StagePass] = None,
     order: int = 2,
 ) -> StagePass:
@@ -365,14 +372,14 @@ def stage_pass(
 
     Without ``stages`` a pass of the given tier order builds the midpoints and
     contracts the control folds there (grad_xx only at order 2, which only the
-    multiplier needs), and the folds of ``eta`` when given. With ``stages`` of
-    the same path and flow, an order-1 pass at the stored positions contracts
-    only the folds of ``eta``.
+    multiplier needs), and the folds of every perturbation in ``etas``. With
+    ``stages`` of the same path and flow, an order-1 pass at the stored
+    positions contracts only the folds of ``etas``.
     """
     grid, n, d1 = path.grid, flow.n, config.field.d1
     if not path.is_grid:
         raise ConfigError("linearized sweeps require the grid backend")
-    if eta is not None and (eta.grid.nt != grid.nt or not eta.matches(path.measures[0])):
+    if any(eta.grid.nt != grid.nt or not eta.matches(path.measures[0]) for eta in etas):
         raise ConfigError("perturbation must live on the control path's grid")
     shape = (grid.nt - 1, 3, n)
     if stages is None:
@@ -382,13 +389,13 @@ def stage_pass(
         bxx = np.empty(shape) if order == 2 else None
     else:
         quad, order, nodes = stages.quad, 1, None
-    if eta is not None:
-        eta_folds = [quad.fold(eta.node(k).ravel() * eta.cell_volume) for k in range(shape[0])]
-        s_eta, sx_eta = np.empty(shape + (d1,)), np.empty(shape + (d1, d1))
+    s_eta = np.empty((len(etas),) + shape + (d1,))
+    sx_eta = np.empty((len(etas),) + shape + (d1, d1))
 
-    # per interval: the control's fold when building, then the fold of eta
+    # per interval: the control's fold when building, then one per perturbation
     folds = [
-        ([nodes[k][1]] if nodes is not None else []) + ([eta_folds[k]] if eta is not None else [])
+        ([nodes[k][1]] if nodes is not None else [])
+        + [quad.fold(eta.node(k).ravel() * eta.cell_volume) for eta in etas]
         for k in range(shape[0])
     ]
     work = Workspace()
@@ -403,8 +410,8 @@ def stage_pass(
                 bx[k, s] = fold[1]
                 if bxx is not None:
                     bxx[k, s] = fold[2]
-            if eta is not None:
-                s_eta[k, s], sx_eta[k, s] = next(c)[:2]
+            for p in range(len(etas)):
+                s_eta[p, k, s], sx_eta[p, k, s] = next(c)[:2]
 
     for j in range(grid.nt):
         contract(flow.x[j], [(k, s) for k, s in ((j - 1, 2), (j, 0)) if 0 <= k < shape[0]])
@@ -413,16 +420,16 @@ def stage_pass(
         stages = StagePass(quad, x_mid, bx, bxx)
     for k in range(shape[0]):
         contract(stages.x_mid[k], [(k, 1)])
-    return stages if eta is None else replace(stages, s_eta=s_eta, sx_eta=sx_eta)
+    return replace(stages, s_eta=s_eta, sx_eta=sx_eta) if etas else stages
 
 
 def _tangent_dx(stages: StagePass, dt: float) -> np.ndarray:
-    """Tangent particles at the nodes, integrated forward on stage data."""
+    """Tangent particles at the nodes for the pass's first perturbation."""
     dX = np.zeros((stages.x_mid.shape[0] + 1,) + stages.x_mid.shape[1:])
     for k in range(dX.shape[0] - 1):
 
         def rhs(s):
-            bx, source = stages.bx[k, s], stages.s_eta[k, s]
+            bx, source = stages.bx[k, s], stages.s_eta[0, k, s]
             return lambda v: np.einsum("nij,nj->ni", bx, v) + source
 
         dX[k + 1] = _rk4_between(dX[k], dt, rhs(0), rhs(1), rhs(2))
@@ -442,7 +449,7 @@ def tangent_solve(
     Solves d(dX)/dt = grad_x b(X, nu_t) dX + b(X, eta_t), dX(t0) = 0 along the
     stored characteristics, with the same node-frozen control convention.
     """
-    dx = _tangent_dx(stage_pass(config, path, flow, eta, order=1), path.grid.dt)
+    dx = _tangent_dx(stage_pass(config, path, flow, (eta,), order=1), path.grid.dt)
     return TangentFlow(dx=dx, flow=flow, eta=eta)
 
 
@@ -498,34 +505,3 @@ def duality_residual(
         psi, g = state[..., 0], state[..., 1:]
     transported = float(np.mean(psi))
     return abs(push_forward - transported)
-
-
-# -- CSV export ------------------------------------------------------------------
-
-
-def flow_to_csv(flow: EnsembleFlow, grid, stream, tangent: Optional[TangentFlow] = None):
-    """One row per (node, particle) with t, x, y, z, dx columns."""
-    d1 = flow.x.shape[2]
-    d2 = flow.y.shape[1]
-    cols = ["node", "particle", "t"]
-    cols += [f"x{i}" for i in range(d1)]
-    cols += [f"y{i}" for i in range(d2)]
-    cols += [f"z{i}" for i in range(d1)]
-    cols += [f"dx{i}" for i in range(d1)]
-    stream.write(",".join(cols) + "\n")
-    nodes = grid.nodes
-    fmt = lambda v: format(float(v), ".17g")
-    for k in range(flow.nt):
-        for i in range(flow.n):
-            row = [str(k), str(i), fmt(nodes[k])]
-            row += [fmt(v) for v in flow.x[k, i]]
-            row += [fmt(v) for v in flow.y[i]]
-            if flow.z is not None:
-                row += [fmt(v) for v in flow.z[k, i]]
-            else:
-                row += [""] * d1
-            if tangent is not None:
-                row += [fmt(v) for v in tangent.dx[k, i]]
-            else:
-                row += [""] * d1
-            stream.write(",".join(row) + "\n")

@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mfoc import optimizer
 from mfoc.cli import _fmt, _path_to_csv, _solved_state, load_run_document, main
-from mfoc.measures import ControlPath, GridMeasure
+from mfoc.measures import ControlPath, DegenerateMeasureError, GridMeasure
 from mfoc.model import TimeGrid
+from mfoc.trajectories import DivergenceError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -360,3 +362,67 @@ class TestPathCsv:
         text = _path_to_csv(path)
         assert text == reference_path_to_csv(path)
         assert ",-0\n" in text and ",4.9406564584124654e-324\n" in text
+
+
+# -- failure semantics ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "setting, named",
+    [
+        ("grid.nt=abc", "'grid.nt'"),
+        ("measure=5", "'measure'"),
+        ("measure.res=1", "'measure.res'"),
+        ("dataset.points=abc", "dataset points"),
+    ],
+)
+def test_malformed_set_value_exits_1(tmp_path, capsys, setting, named):
+    code, _ = run(tmp_path, "solve", "--config", str(FIXTURES / "mini.json"), "--set", setting)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("configuration error") and named in err
+    assert "Traceback" not in err
+
+
+def test_set_on_a_non_object_document_exits_1(tmp_path, capsys):
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2]")
+    code, _ = run(tmp_path, "solve", "--config", str(bad), "--set", "grid.nt=9")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("configuration error")
+
+
+def assert_numerical_failure(code, out, err, name):
+    assert code == 2
+    assert err.startswith(f"numerical failure: {name}") and "Traceback" not in err
+    summary = read_summary(out)
+    assert summary["status"] == "numerical-failure"
+    assert summary["reason"].startswith(f"{name}: ")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [f["name"] for f in manifest["files"]] == ["summary.json"]
+
+
+@pytest.mark.parametrize("error", [DivergenceError, DegenerateMeasureError])
+def test_numerical_failure_exits_2_with_reason(tmp_path, capsys, monkeypatch, error):
+    def failing(config, path):
+        raise error("injected during the solve")
+
+    monkeypatch.setattr(optimizer, "gibbs_map_with_flow", failing)
+    code, out = run(tmp_path, "solve", "--config", str(FIXTURES / "mini.json"))
+    assert_numerical_failure(code, out, capsys.readouterr().err, error.__name__)
+
+
+def test_fp_step_out_of_halvings_exits_2_with_reason(tmp_path, capsys):
+    code, out = run(
+        tmp_path,
+        "descent",
+        "--config",
+        str(FIXTURES / "mini.json"),
+        "--set",
+        "descent.step_size=10",
+        "--set",
+        "descent.steps=1",
+    )
+    err = capsys.readouterr().err
+    assert_numerical_failure(code, out, err, "PositivityError")
+    assert "after 10 halvings" in read_summary(out)["reason"]

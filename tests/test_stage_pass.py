@@ -1,6 +1,7 @@
 """The linearized sweeps on the shared stage pass against the interval loops
 they replaced, and the number of activation-kernel calls they make."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +11,16 @@ from mfoc import linearization
 from mfoc.cli import _solved_state, load_run_document
 from mfoc.linearization import (
     LinearizedMultiplier,
+    cross_term_via_multiplier,
+    cross_term_via_tangent,
     eta_from,
     linear_map_image,
+    quadratic_form,
+    second_derivative_check,
     solve_v,
     stability_probe,
 )
+from mfoc.measures import LOG_FLOOR
 from mfoc.model import FieldQuadrature, rng_for
 from mfoc.trajectories import (
     DivergenceError,
@@ -125,6 +131,130 @@ def reference_linear_map_image(config, path, flow, eta, stages=None):
     return eta_from(config, path, flow, tangent, multiplier)
 
 
+def reference_bracket_series(config, path, flow, eta, tangent):
+    nodes = _node_quadratures(config.field, path)
+    vol = eta.cell_volume
+    out = np.empty(path.grid.nt)
+    for k in range(path.grid.nt):
+        quad, _ = nodes[k]
+        eta_fold = quad.fold(eta.node(k).ravel() * vol)
+        tiers = quad.tiers(flow.x[k], 1)
+        s_eta = eta_fold.drift(tiers)[:, 0]
+        sx_eta = eta_fold.grad_x(tiers)[:, 0, 0]
+        integrand = sx_eta * flow.z[k][:, 0] + s_eta * flow.hess[k]
+        out[k] = float(np.mean(integrand * tangent.dx[k][:, 0]))
+    return out
+
+
+def reference_quadratic_form(config, path, flow, eta):
+    tangent = reference_tangent_solve(config, path, flow, eta)
+    dt = path.grid.dt
+    vol = eta.cell_volume
+    weighted = 0.0
+    for k in range(path.grid.nt - 1):
+        nu = path.measures[k].values
+        e = eta.node(k)
+        if np.any((np.abs(e) > 0.0) & (nu <= 10.0 * LOG_FLOOR)):
+            return math.inf
+        ratio = np.zeros_like(e)
+        np.divide(e * e, nu, out=ratio, where=nu > 10.0 * LOG_FLOOR)
+        weighted += float(np.sum(ratio)) * vol * dt
+    series = reference_bracket_series(config, path, flow, eta, tangent)
+    cross = float(np.sum(series[:-1])) * dt
+    return config.epsilon * weighted + 2.0 * cross
+
+
+def reference_cross_term_via_tangent(config, path, flow, eta_bracket, tangent):
+    nodes = _node_quadratures(config.field, path)
+    vol = eta_bracket.cell_volume
+    dt = path.grid.dt
+    state = np.zeros((flow.n, 3))
+    state[:, 0] = config.loss.grad_x(flow.x[-1], flow.y)[:, 0]
+    state[:, 1] = 1.0
+    tiers_right = None
+    for k in range(path.grid.nt - 2, -1, -1):
+        quad, fold = nodes[k]
+        e2_fold = quad.fold(eta_bracket.node(k).ravel() * vol)
+        e1_fold = quad.fold(tangent.eta.node(k).ravel() * vol)
+        if tiers_right is None:
+            tiers_right = quad.tiers(flow.x[k + 1], 2)
+        tiers_left = quad.tiers(flow.x[k], 2)
+        x_mid = _hermite_midpoint(
+            flow.x[k], flow.x[k + 1], fold.drift(tiers_left), fold.drift(tiers_right), dt
+        )
+        tiers_mid = quad.tiers(x_mid, 2)
+        dx_l = tangent.dx[k][:, 0]
+        dx_r = tangent.dx[k + 1][:, 0]
+        ddx_l = fold.grad_x(tiers_left)[:, 0, 0] * dx_l + e1_fold.drift(tiers_left)[:, 0]
+        ddx_r = fold.grad_x(tiers_right)[:, 0, 0] * dx_r + e1_fold.drift(tiers_right)[:, 0]
+        dx_m = _hermite_midpoint(dx_l, dx_r, ddx_l, ddx_r, dt)
+
+        def rhs(tiers, dx_here):
+            bx = fold.grad_x(tiers)[:, 0, 0]
+            bxx = fold.grad_xx(tiers)
+            s2 = e2_fold.drift(tiers)[:, 0]
+            sx2 = e2_fold.grad_x(tiers)[:, 0, 0]
+
+            def f(s):
+                z, h = s[:, 0], s[:, 1]
+                return np.stack(
+                    [-bx * z, -2.0 * bx * h - bxx * z, -(sx2 * z + s2 * h) * dx_here],
+                    axis=1,
+                )
+
+            return f
+
+        state = _rk4_between(
+            state, -dt, rhs(tiers_right, dx_r), rhs(tiers_mid, dx_m), rhs(tiers_left, dx_l)
+        )
+        tiers_right = tiers_left
+    return float(np.mean(state[:, 2]))
+
+
+def reference_cross_term_via_multiplier(config, path, flow, eta_drift, multiplier):
+    nodes = _node_quadratures(config.field, path)
+    vol = eta_drift.cell_volume
+    dt = path.grid.dt
+    eta2 = multiplier.eta
+    state = np.zeros((flow.n, 5))
+    state[:, 0] = config.loss.grad_x(flow.x[-1], flow.y)[:, 0]
+    state[:, 1] = 1.0
+    state[:, 2] = 1.0
+    tiers_right = None
+    for k in range(path.grid.nt - 2, -1, -1):
+        quad, fold = nodes[k]
+        e1_fold = quad.fold(eta_drift.node(k).ravel() * vol)
+        e2_fold = quad.fold(eta2.node(k).ravel() * vol)
+        if tiers_right is None:
+            tiers_right = quad.tiers(flow.x[k + 1], 2)
+        tiers_left = quad.tiers(flow.x[k], 2)
+        x_mid = _hermite_midpoint(
+            flow.x[k], flow.x[k + 1], fold.drift(tiers_left), fold.drift(tiers_right), dt
+        )
+        tiers_mid = quad.tiers(x_mid, 2)
+
+        def rhs(tiers):
+            bx = fold.grad_x(tiers)[:, 0, 0]
+            bxx = fold.grad_xx(tiers)
+            s2 = e2_fold.drift(tiers)[:, 0]
+            sx2 = e2_fold.grad_x(tiers)[:, 0, 0]
+            s1 = e1_fold.drift(tiers)[:, 0]
+
+            def f(s):
+                z, h, kk, rr = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
+                gp = sx2 * z + s2 * h
+                return np.stack(
+                    [-bx * z, -2.0 * bx * h - bxx * z, -bx * kk, -gp / kk, -s1 * kk * rr],
+                    axis=1,
+                )
+
+            return f
+
+        state = _rk4_between(state, -dt, rhs(tiers_right), rhs(tiers_mid), rhs(tiers_left))
+        tiers_right = tiers_left
+    return float(np.mean(state[:, 4]))
+
+
 # -- fixtures ------------------------------------------------------------------
 
 
@@ -142,6 +272,20 @@ def mini():
         profile=lambda t: 1.0 + 0.5 * np.sin(2.0 * t),
     )
     return config, tools, path, flow, eta
+
+
+@pytest.fixture(scope="module")
+def eta_pairs(mini):
+    config, _, path, _, eta = mini
+    base = path.measures[0]
+    other = relative_eta(base, config.grid, lambda m: np.sin(0.7 * m[:, 0] + 0.9 * m[:, 1]))
+    third = relative_eta(
+        base,
+        config.grid,
+        lambda m: np.cos(0.5 * m[:, 1]) - 0.3 * m[:, 0],
+        profile=lambda t: 1.2 - t,
+    )
+    return [(eta, other), (third, eta), (other, third)]
 
 
 @pytest.fixture
@@ -207,6 +351,29 @@ def test_stability_probe_matches_reference_loops(mini, monkeypatch):
     assert new.eta_residual == ref.eta_residual
 
 
+def test_quadratic_form_matches_reference_loops(mini, eta_pairs):
+    config, _, path, flow, _ = mini
+    for eta, _ in eta_pairs:
+        new = quadratic_form(config, path, flow, eta)
+        ref = reference_quadratic_form(config, path, flow, eta)
+        assert new == ref
+        assert second_derivative_check(config, path, flow, eta, lambdas=()).jform == ref
+        tangent = reference_tangent_solve(config, path, flow, eta)
+        assert np.abs(reference_bracket_series(config, path, flow, eta, tangent)).max() > 0.0
+
+
+def test_cross_terms_match_reference_loops(mini, eta_pairs):
+    config, _, path, flow, _ = mini
+    for e1, e2 in eta_pairs:
+        tangent1 = tangent_solve(config, path, flow, e1)
+        mult2 = solve_v(config, path, flow, e2)
+        lhs = cross_term_via_tangent(config, path, flow, e2, tangent1)
+        rhs = cross_term_via_multiplier(config, path, flow, e1, mult2)
+        assert lhs != 0.0
+        assert lhs == reference_cross_term_via_tangent(config, path, flow, e2, tangent1)
+        assert rhs == reference_cross_term_via_multiplier(config, path, flow, e1, mult2)
+
+
 # -- kernel calls on mini (nt = 9) ---------------------------------------------
 
 
@@ -233,3 +400,22 @@ def test_stability_probe_builds_stage_data_once(mini, tiers_calls):
     assert len(tiers_calls) == 17 + 26 * steps
     assert tiers_calls[:17] == [2] * 17
     assert set(tiers_calls[17:]) == {1}
+
+
+def test_quadratic_form_makes_one_order_1_pass(mini, tiers_calls):
+    config, _, path, flow, eta = mini
+    quadratic_form(config, path, flow, eta)
+    assert tiers_calls == [1] * 17
+
+
+def test_cross_terms_make_one_order_2_pass_each(mini, eta_pairs, tiers_calls):
+    config, _, path, flow, _ = mini
+    e1, e2 = eta_pairs[0]
+    tangent1 = tangent_solve(config, path, flow, e1)
+    mult2 = solve_v(config, path, flow, e2)
+    tiers_calls.clear()
+    cross_term_via_tangent(config, path, flow, e2, tangent1)
+    assert tiers_calls == [2] * 17
+    tiers_calls.clear()
+    cross_term_via_multiplier(config, path, flow, e1, mult2)
+    assert tiers_calls == [2] * 17

@@ -390,22 +390,3 @@ class TestNodeQuadratures:
             support, weights = _measure_arrays(m)
             assert np.array_equal(quad.support, support)
             assert np.array_equal(fold.w, weights)
-
-
-class TestFlowCsv:
-    def test_rows_and_columns(self):
-        import io
-
-        from mfoc.trajectories import backward_solve, flow_to_csv
-
-        config = make_config(n=4, nt=5)
-        path, _ = prior_path(config, res=16)
-        flow = backward_solve(config, path, forward_solve(config, path))
-        buf = io.StringIO()
-        flow_to_csv(flow, config.grid, buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "node,particle,t,x0,y0,z0,dx0"
-        assert len(lines) == 1 + 5 * 4
-        first = lines[1].split(",")
-        assert first[0] == "0" and first[1] == "0"
-        assert first[6] == ""  # no tangent attached
