@@ -10,6 +10,13 @@ Numbers in CSV files are written with 17 significant digits, comma
 separators, a header row and LF line endings, so reruns with identical
 configuration are byte-identical. Wall-clock time lives in the manifest
 only, which is the one deliberately non-reproducible artifact.
+
+A run file is written as it is formatted: ``RunWriter.write_text`` takes a
+string or an iterable of text chunks and encodes, writes and hashes each
+chunk as it arrives, and path files (``nu_star.csv``, ``final_state.csv``)
+come one node per chunk. A run's peak memory is therefore set by its
+working set, not by the size of its largest file. A run directory that
+cannot be created or written is an output error (exit 1, no traceback).
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -109,6 +117,10 @@ def load_run_document(path: str, overrides, seed=None):
     return config, tools, doc
 
 
+class OutputError(Exception):
+    """The run directory or one of its files could not be created or written."""
+
+
 class RunWriter:
     """Collects emitted files and finalizes the run manifest."""
 
@@ -119,14 +131,25 @@ class RunWriter:
         self.threads = threads
         self.started = time.monotonic()
         self.files = []
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise OutputError(exc) from exc
 
-    def write_text(self, name: str, content: str):
-        path = self.out_dir / name
-        data = content.encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(data)
-        self.files.append({"name": name, "sha256": hashlib.sha256(data).hexdigest()})
+    def write_text(self, name: str, content: str | Iterable[str]):
+        """Write a run file from a string or an iterable of text chunks; each
+        chunk is encoded, written and hashed as it arrives."""
+        chunks = (content,) if isinstance(content, str) else content
+        digest = hashlib.sha256()
+        try:
+            with open(self.out_dir / name, "wb") as fh:
+                for chunk in chunks:
+                    data = chunk.encode("utf-8")
+                    digest.update(data)
+                    fh.write(data)
+        except OSError as exc:
+            raise OutputError(exc) from exc
+        self.files.append({"name": name, "sha256": digest.hexdigest()})
 
     def write_json(self, name: str, payload: dict):
         self.write_text(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -141,10 +164,12 @@ class RunWriter:
             "wall_clock_s": time.monotonic() - self.started,
             "files": self.files,
         }
-        path = self.out_dir / "manifest.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(self.out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+                json.dump(manifest, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise OutputError(exc) from exc
 
 
 def _tool(tools, section, key, default):
@@ -162,17 +187,15 @@ def _initial_grid_path(config, tools):
     return ControlPath.constant(config.grid, prior.measure), prior
 
 
-def _path_to_csv(path: ControlPath) -> str:
+def _path_to_csv(path: ControlPath) -> Iterator[str]:
+    """CSV text of a grid path: the header, then one chunk per node."""
     template = path.measures[0]
     # a cell's coordinates read the same at every node: format them once
     coords = [",".join(_fmt(c) for c in row) for row in template.midpoints()]
-    lines = [
-        "node," + ",".join(f"a{i}" for i in range(template.dprime)) + ",value"
-    ]
+    yield "node," + ",".join(f"a{i}" for i in range(template.dprime)) + ",value\n"
     for k, nu in enumerate(path.measures):
         vals = nu.values.ravel().tolist()
-        lines.extend(f"{k},{c},{v:.17g}" for c, v in zip(coords, vals))
-    return "\n".join(lines) + "\n"
+        yield "".join(f"{k},{c},{v:.17g}\n" for c, v in zip(coords, vals))
 
 
 def cmd_solve(config, tools, writer) -> int:
@@ -488,11 +511,22 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    writer = RunWriter(out_dir, args.command, doc, args.threads)
-    if args.inject_fault:
-        faults.inject(args.inject_fault)
     try:
-        code = COMMANDS[args.command](config, tools, writer)
+        writer = RunWriter(out_dir, args.command, doc, args.threads)
+        if args.inject_fault:
+            faults.inject(args.inject_fault)
+        return _run(COMMANDS[args.command], config, tools, writer)
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    finally:
+        faults.clear()
+
+
+def _run(command, config, tools, writer) -> int:
+    """Exit code of one command; the manifest is written however it ends."""
+    try:
+        return command(config, tools, writer)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -502,9 +536,7 @@ def main(argv=None) -> int:
         writer.write_json("summary.json", {"status": "numerical-failure", "reason": reason})
         return EXIT_NO_CONVERGENCE
     finally:
-        faults.clear()
         writer.finalize()
-    return code
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -205,13 +206,17 @@ class ActivationField:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         A = np.atleast_2d(np.asarray(A, dtype=float))
         n, m, d = X.shape[0], A.shape[0], self.d1
-        sig = _sigma_triplet(self.sigma)
+        # sigma is written over the pre-activation and sigma'' is never formed:
+        # a Langevin step calls this once per node, and every (n, m) array
+        # it frees is memory the allocator may hand back and re-fault
         if self.family == RIDGE_OUTER:
             a0 = A[:, :d]
             a1 = A[:, d : 2 * d]
             a2 = A[:, 2 * d]
-            z = np.einsum("nk,mk->nm", X, a1) + a2
-            s, s1, _ = sig(z)
+            s = np.einsum("nk,mk->nm", X, a1)
+            s += a2
+            s1 = np.empty_like(s)
+            _SIGMAS[self.sigma](s, s1)
             if weights is not None and d == 1:
                 s1a0 = s1 * a0[None, :, 0]
                 return _contract_columns((s, s1a0 * X, s1a0), weights)
@@ -222,10 +227,14 @@ class ActivationField:
         else:
             a1m = A[:, : d * d].reshape(-1, d, d)
             a2 = A[:, d * d :]
-            z = np.einsum("nk,mik->nmi", X, a1m) + a2[None, :, :]
-            _, s1, _ = sig(z)
+            z = np.einsum("nk,mik->nmi", X, a1m)
+            z += a2[None, :, :]
+            s1 = np.empty_like(z)
+            _SIGMAS[self.sigma](z, s1)
             if weights is not None and d == 1:
-                return _contract_columns((s1[:, :, 0] * X, s1[:, :, 0]), weights)
+                s1 = s1[:, :, 0]
+                # sigma itself is not needed here: its array takes s1 * x
+                return _contract_columns((np.multiply(s1, X, out=z[:, :, 0]), s1), weights)
             ga = np.zeros((n, m, d, self.dprime))
             for i in range(d):
                 ga[:, :, i, i * d : (i + 1) * d] = s1[:, :, i, None] * X[:, None, :]
@@ -275,8 +284,8 @@ class FieldQuadrature:
     the reductions over particles (``bracket``, ``bracket_pair``) need a
     tier in full; a call writes it into the workspace on request. For
     d1 = 1 the folds carry the parameter columns in their weights and never
-    materialize (n, m, d1, d1) arrays. The tier-array form (no folds) serves
-    only ``duality_residual``, ``meanfield_drift``, fields with d1 > 1 and
+    materialize (n, m, d1, d1) arrays. Fields with d1 > 1 take the same
+    call through ``field.batch``; the tier-array form (no folds) serves only
     the reference loops of the tests.
     """
 
@@ -325,7 +334,8 @@ class FieldQuadrature:
         rows = max(1, _BLOCK_CELLS // m)
         full = [work.buffer(("full", j), n, m) for j in range(keep)]
         block = [work.buffer(("block", j), min(rows, n), m) for j in range(keep, order + 1)]
-        weights = [(f._w_drift, f._w_gx, f._w_gxx)[: order + 1] for f in folds]
+        names = ("_w_drift", "_w_gx", "_w_gxx")[: order + 1]
+        weights = [[getattr(f, name) for name in names] for f in folds]
         out = np.empty((order + 1, len(folds), n))
         for r0 in range(0, n, rows):
             r1 = min(r0 + rows, n)
@@ -381,20 +391,29 @@ class FieldQuadrature:
 
 
 class WeightFold:
-    """Contractions of one weight vector against FieldQuadrature tiers."""
+    """Contractions of one weight vector against FieldQuadrature tiers.
+
+    For d1 = 1 the weights are multiplied into the parameter columns of each
+    tier on first use and kept for the fold's lifetime, so a sweep that
+    never asks for grad_x or grad_xx never forms their weights.
+    """
 
     def __init__(self, quad: FieldQuadrature, weights: np.ndarray):
         self.quad = quad
         self.w = weights
-        if quad.fast:
-            if quad._a0 is not None:
-                self._w_drift = weights * quad._a0
-                self._w_gx = self._w_drift * quad._a1
-                self._w_gxx = self._w_gx * quad._a1
-            else:
-                self._w_drift = weights
-                self._w_gx = weights * quad._a1
-                self._w_gxx = self._w_gx * quad._a1
+
+    @cached_property
+    def _w_drift(self) -> np.ndarray:
+        a0 = self.quad._a0
+        return self.w if a0 is None else self.w * a0
+
+    @cached_property
+    def _w_gx(self) -> np.ndarray:
+        return self._w_drift * self.quad._a1
+
+    @cached_property
+    def _w_gxx(self) -> np.ndarray:
+        return self._w_gx * self.quad._a1
 
     def drift(self, tiers) -> np.ndarray:
         if self.quad.fast:

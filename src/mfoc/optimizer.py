@@ -223,6 +223,9 @@ def picard_solve(
             )
         path = path.replace_measures(new_measures)
         iterations += 1
+        # drop the previous map's snapshots and flow before the next map is
+        # built, so the two are never held at once
+        snapshots = flow = None
         snapshots, flow = gibbs_map_with_flow(config, path)
     terminal = terminal_cost(config, flow)
     entropy = path_entropy(path, prior)

@@ -28,9 +28,10 @@ the block size nor on thread counts.
 Every linearized sweep (tangent, multiplier, linearized map, quadratic form
 and both cross terms) reads its stage data from one ``stage_pass``, which
 contracts the control fold and the folds of any number of perturbations in
-the same call. The tier-array form of ``tiers`` (no folds) is left to
-``duality_residual`` and ``meanfield_drift``; fields with d1 > 1 go through
-``field.batch``.
+the same call. ``duality_residual`` and ``meanfield_drift`` pass their folds
+to the kernel in the same way, so no sweep of the package builds tier
+arrays; fields with d1 > 1 go through ``field.batch`` inside ``tiers``, and
+the tier-array form (no folds) serves only the reference loops of the tests.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def meanfield_drift(field: ActivationField, x, m) -> np.ndarray:
     support, weights = _measure_arrays(m)
     quad = FieldQuadrature(field, support)
     x = np.asarray(x, dtype=float).reshape(1, field.d1)
-    return quad.fold(weights).drift(quad.tiers(x, 0))[0]
+    return quad.tiers(x, 0, (quad.fold(weights),))[0][0][0]
 
 
 # -- forward pass ---------------------------------------------------------------
@@ -475,20 +476,19 @@ def duality_residual(
     psi = probe.value(flow.x[-1], flow.y).astype(float)
     g = probe.grad_x(flow.x[-1], flow.y).astype(float)
     nodes = _node_quadratures(config.field, path)
+    work = Workspace()
     dt = grid.dt
     for k in range(grid.nt - 2, -1, -1):
         quad, fold = nodes[k]
         chord = (flow.x[k + 1] - flow.x[k]) / dt
         x_mid = 0.5 * (flow.x[k] + flow.x[k + 1])
-        stage_tiers = [
-            quad.tiers(flow.x[k + 1], 1),
-            quad.tiers(x_mid, 1),
-            quad.tiers(flow.x[k], 1),
+        stages = [
+            _first(quad.tiers(x, 1, (fold,), work)) for x in (flow.x[k + 1], x_mid, flow.x[k])
         ]
 
-        def rhs(tiers):
-            bx = fold.grad_x(tiers)
-            defect = chord - fold.drift(tiers)
+        def rhs(stage):
+            drift, bx = stage
+            defect = chord - drift
 
             def f(state):
                 val_g = state[..., 1:]
@@ -499,9 +499,7 @@ def duality_residual(
             return f
 
         state = np.concatenate([psi[:, None], g], axis=-1)
-        state = _rk4_between(
-            state, -dt, rhs(stage_tiers[0]), rhs(stage_tiers[1]), rhs(stage_tiers[2])
-        )
+        state = _rk4_between(state, -dt, rhs(stages[0]), rhs(stages[1]), rhs(stages[2]))
         psi, g = state[..., 0], state[..., 1:]
     transported = float(np.mean(psi))
     return abs(push_forward - transported)

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mfoc import optimizer
-from mfoc.cli import _fmt, _path_to_csv, _solved_state, load_run_document, main
+from conftest import prior_path
+from mfoc.cli import RunWriter, _fmt, _path_to_csv, _solved_state, load_run_document, main
 from mfoc.measures import ControlPath, DegenerateMeasureError, GridMeasure
 from mfoc.model import TimeGrid
 from mfoc.trajectories import DivergenceError
@@ -349,7 +351,7 @@ class TestPathCsv:
         config, tools, _ = load_run_document(str(FIXTURES / "mini.json"), [])
         result, _, _ = _solved_state(config, tools)
         assert result is not None
-        text = _path_to_csv(result.path)
+        text = "".join(_path_to_csv(result.path))
         assert text == reference_path_to_csv(result.path)
         assert text.count("\n") == 1 + config.grid.nt * 32 * 32
 
@@ -359,12 +361,76 @@ class TestPathCsv:
         grid = TimeGrid(0.0, 1.0, 3)
         measures = [GridMeasure(2.5, 4, values * scale) for scale in (1.0, 0.5, 3.0)]
         path = ControlPath(grid, tuple(measures))
-        text = _path_to_csv(path)
+        text = "".join(_path_to_csv(path))
         assert text == reference_path_to_csv(path)
         assert ",-0\n" in text and ",4.9406564584124654e-324\n" in text
 
 
+class TestRunWriter:
+    def test_desk_path_streams_in_bounded_memory(self, tmp_path, desk_config):
+        path, _ = prior_path(desk_config)
+        assert len(path.measures) == 65 and path.measures[0].values.shape == (64, 64)
+        whole = reference_path_to_csv(path)
+        writer = RunWriter(tmp_path, "solve", {}, 1)
+        tracemalloc.start()
+        try:
+            writer.write_text("nu_star.csv", _path_to_csv(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole file is 10.7 MB; joining it as one string peaks near 47 MB
+        assert peak < 4e6, peak
+        writer.write_text("whole.csv", whole)
+        assert (tmp_path / "nu_star.csv").read_bytes() == whole.encode()
+        digests = [f["sha256"] for f in writer.files]
+        assert digests == [hashlib.sha256(whole.encode()).hexdigest()] * 2
+
+    @pytest.mark.parametrize(
+        "args, path_file",
+        [(("solve",), "nu_star.csv"), (("descent", "--set", "descent.steps=2"), "final_state.csv")],
+    )
+    def test_manifest_digests_match_files_on_disk(self, tmp_path, args, path_file):
+        code, out = run(tmp_path, *args, "--config", str(FIXTURES / "mini.json"))
+        assert code == 0
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        assert path_file in [f["name"] for f in files]
+        for entry in files:
+            on_disk = hashlib.sha256((out / entry["name"]).read_bytes()).hexdigest()
+            assert entry["sha256"] == on_disk, entry["name"]
+
+
 # -- failure semantics ---------------------------------------------------------
+
+
+def assert_output_error(code, err):
+    assert code == 1
+    assert err.startswith("output error: ") and "Traceback" not in err
+
+
+def test_existing_file_as_out_exits_1(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a run directory\n")
+    code = main(["solve", "--config", str(FIXTURES / "mini.json"), "--out", str(taken)])
+    assert_output_error(code, capsys.readouterr().err)
+    assert taken.read_text() == "not a run directory\n"
+
+
+def test_out_that_cannot_be_created_exits_1_without_manifest(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "run"
+    code = main(["solve", "--config", str(FIXTURES / "mini.json"), "--out", str(out)])
+    assert_output_error(code, capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_unwritable_run_file_exits_1_with_manifest(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "nu_star.csv").mkdir(parents=True)
+    code = main(["solve", "--config", str(FIXTURES / "mini.json"), "--out", str(out)])
+    assert_output_error(code, capsys.readouterr().err)
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert [f["name"] for f in files] == ["residuals.csv"]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
-"""Forward and backward sweeps on the fused kernel against the tier-holding
-loops they replaced, and the fused kernel against the weight folds."""
+"""Forward, backward and duality sweeps and the mean-field drift on the fused
+kernel against the tier-holding loops they replaced, and the fused kernel
+against the weight folds."""
 
 from pathlib import Path
 
@@ -15,18 +16,24 @@ from mfoc.model import (
     ActivationField,
     FieldQuadrature,
     Workspace,
+    _contract_columns,
+    _sigma_triplet,
     rng_for,
 )
 from mfoc.optimizer import picard_solve, sample_prior
 from mfoc.trajectories import (
     DivergenceError,
     _hermite_midpoint,
+    _measure_arrays,
     _node_quadratures,
     _pack_state,
     _rk4_between,
     _unpack_state,
     backward_solve,
+    default_test_functions,
+    duality_residual,
     forward_solve,
+    meanfield_drift,
 )
 
 MINI = Path(__file__).resolve().parent.parent / "fixtures" / "mini.json"
@@ -150,6 +157,49 @@ def reference_backward_solve(config, path, flow, substeps=1, with_hessian=False,
     return Z, H, bracket
 
 
+def reference_duality_residual(config, path, probe, flow):
+    push_forward = float(np.mean(probe.value(flow.x[-1], flow.y)))
+    psi = probe.value(flow.x[-1], flow.y).astype(float)
+    g = probe.grad_x(flow.x[-1], flow.y).astype(float)
+    nodes = _node_quadratures(config.field, path)
+    dt = path.grid.dt
+    for k in range(path.grid.nt - 2, -1, -1):
+        quad, fold = nodes[k]
+        chord = (flow.x[k + 1] - flow.x[k]) / dt
+        x_mid = 0.5 * (flow.x[k] + flow.x[k + 1])
+        stage_tiers = [
+            quad.tiers(flow.x[k + 1], 1),
+            quad.tiers(x_mid, 1),
+            quad.tiers(flow.x[k], 1),
+        ]
+
+        def rhs(tiers):
+            bx = fold.grad_x(tiers)
+            defect = chord - fold.drift(tiers)
+
+            def f(state):
+                val_g = state[..., 1:]
+                dpsi = np.einsum("ni,ni->n", defect, val_g)
+                dg = -np.einsum("nij,ni->nj", bx, val_g)
+                return np.concatenate([dpsi[:, None], dg], axis=-1)
+
+            return f
+
+        state = np.concatenate([psi[:, None], g], axis=-1)
+        state = _rk4_between(
+            state, -dt, rhs(stage_tiers[0]), rhs(stage_tiers[1]), rhs(stage_tiers[2])
+        )
+        psi, g = state[..., 0], state[..., 1:]
+    return abs(push_forward - float(np.mean(psi)))
+
+
+def reference_meanfield_drift(field, x, m):
+    support, weights = _measure_arrays(m)
+    quad = FieldQuadrature(field, support)
+    x = np.asarray(x, dtype=float).reshape(1, field.d1)
+    return quad.fold(weights).drift(quad.tiers(x, 0))[0]
+
+
 # -- fixtures ------------------------------------------------------------------
 
 
@@ -198,6 +248,28 @@ def test_particle_sweeps_match_reference_loops(mini):
     assert np.array_equal(new.z, reference_backward_solve(config, path, flow)[0])
 
 
+def test_duality_residual_matches_reference_loop(mini):
+    config, path = mini
+    flow = forward_solve(config, path)
+    probes = default_test_functions()
+    assert len(probes) == 5
+    for probe in probes:
+        new = duality_residual(config, path, probe, flow)
+        assert new == reference_duality_residual(config, path, probe, flow), probe.name
+    assert any(duality_residual(config, path, p, flow) > 0.0 for p in probes)
+
+
+def test_meanfield_drift_matches_reference(mini):
+    config, path = mini
+    rng = rng_for(config.seed, "sweep-test")
+    particles = ParticleMeasure(sample_prior(config.potential, config.field.dprime, 300, rng))
+    for m in (path.measures[0], path.measures[-1], particles):
+        for x in (-1.3, 0.0, 0.7):
+            new = meanfield_drift(config.field, [x], m)
+            assert new.shape == (1,)
+            assert np.array_equal(new, reference_meanfield_drift(config.field, [x], m))
+
+
 # -- the fused kernel against the folds ------------------------------------------
 
 
@@ -229,6 +301,19 @@ def test_fused_contractions_equal_folds(family, sigma, n):
         assert all(np.array_equal(a, b) for a, b in zip(work.kept, tiers))
 
 
+@pytest.mark.parametrize("family", [COMPONENTWISE, RIDGE_OUTER])
+def test_fold_forms_only_the_weights_a_call_uses(family):
+    field = ActivationField(family, "tanh", 1)
+    rng = np.random.default_rng(3)
+    quad = FieldQuadrature(field, rng.normal(size=(256, field.dprime)))
+    fold = quad.fold(rng.random(256))
+    X = rng.normal(size=(7, 1))
+    lazy = ("_w_drift", "_w_gx", "_w_gxx")
+    for order in (0, 1, 2):
+        quad.tiers(X, order, (fold,), Workspace())
+        assert [name in vars(fold) for name in lazy] == [j <= order for j in range(3)]
+
+
 def _reference_sigma(sigma, x, quad):
     z = np.multiply.outer(x, quad.support[:, -2]) + quad.support[:, -1]
     return np.tanh(z) if sigma == "tanh" else 1.0 / (1.0 + np.exp(-z))
@@ -246,6 +331,19 @@ def test_grad_a_contraction_equals_four_index_form(family, sigma, d1):
     A = rng.normal(size=(2000, field.dprime))
     ref = np.einsum("nmip,ni->mp", field.grad_a_batch(X, A), Z)
     assert np.array_equal(field.grad_a_batch(X, A, Z), ref)
+    if d1 == 1:
+        assert np.array_equal(field.grad_a_batch(X, A, Z), reference_grad_a_contraction(field, X, A, Z))
+
+
+def reference_grad_a_contraction(field, X, A, Z):
+    """The d1 = 1 contraction with sigma, sigma' and sigma'' as fresh arrays."""
+    sig = _sigma_triplet(field.sigma)
+    if field.family == RIDGE_OUTER:
+        s, s1, _ = sig(np.einsum("nk,mk->nm", X, A[:, 1:2]) + A[:, 2])
+        s1a0 = s1 * A[None, :, 0]
+        return _contract_columns((s, s1a0 * X, s1a0), Z)
+    _, s1, _ = sig(np.einsum("nk,mik->nmi", X, A[:, :1].reshape(-1, 1, 1)) + A[None, :, 1:])
+    return _contract_columns((s1[:, :, 0] * X, s1[:, :, 0]), Z)
 
 
 # -- satellites of the sweep engine ----------------------------------------------
