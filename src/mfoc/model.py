@@ -3,8 +3,9 @@ dataset, time grid and the global problem configuration.
 
 Conventions used throughout the package:
 
-* feature points ``x`` live in R^d1, labels ``y`` in R^d2,
-* network parameters ``a`` live in R^{dprime},
+* feature points ``x`` and labels ``y`` are scalars (d1 = d2 = 1); a batch
+  of n features or labels is an (n, 1) array,
+* network parameters ``a`` live in R^{dprime} (3 or 2, by field family),
 * ``b(x, a)`` is the parameterized velocity field, linear-in-``a`` growth,
 * ``ell(a) = c1|a|^4 + c2|a|^2`` is the confinement potential of the prior.
 
@@ -59,28 +60,20 @@ def _logistic_tiers(t, s1=None, s2=None):
 _SIGMAS = {"tanh": _tanh_tiers, "logistic": _logistic_tiers}
 
 
-def _sigma_triplet(name):
-    def call(z):
-        out = (np.array(z, dtype=float), np.empty(np.shape(z)), np.empty(np.shape(z)))
-        _SIGMAS[name](*out)
-        return out
-
-    return call
-
-
 @dataclass(frozen=True)
 class ActivationField:
-    """Velocity field b(x, a) built from a scalar bounded activation.
+    """Velocity field b(x, a) on scalar features, built from a bounded activation.
 
     Two families are supported:
 
-    * ``ridge-with-outer-weight``: b(x, a) = sigma(a1 . x + a2) a0 with
-      a = (a0, a1, a2), dprime = 2 d1 + 1;
-    * ``componentwise-ridge``: b_i(x, a) = sigma((A1 x)_i + (a2)_i) with
-      a = (A1 row-major, a2), dprime = d1 (d1 + 1).
+    * ``ridge-with-outer-weight``: b(x, a) = sigma(a1 x + a2) a0 with
+      a = (a0, a1, a2), dprime = 3;
+    * ``componentwise-ridge``: b(x, a) = sigma(a1 x + a2) with a = (a1, a2),
+      dprime = 2.
 
     Both satisfy b(x, 0) = 0; for the componentwise family this forces
-    sigma(0) = 0, so only ``tanh`` is accepted there.
+    sigma(0) = 0, so only ``tanh`` is accepted there. ``d1`` is kept for the
+    configuration document; its only legal value is 1.
     """
 
     family: str = COMPONENTWISE
@@ -92,8 +85,8 @@ class ActivationField:
             raise ConfigError(f"unknown field family {self.family!r}")
         if self.sigma not in _SIGMAS:
             raise ConfigError(f"unknown activation {self.sigma!r}")
-        if self.d1 < 1:
-            raise ConfigError("d1 must be >= 1")
+        if self.d1 != 1:
+            raise ConfigError("field.d1 must be 1")
         if self.family == COMPONENTWISE and self.sigma != "tanh":
             # sigma(0) != 0 would break b(x, 0) = 0 for this family.
             raise ConfigError(
@@ -103,149 +96,61 @@ class ActivationField:
 
     @property
     def dprime(self) -> int:
-        if self.family == RIDGE_OUTER:
-            return 2 * self.d1 + 1
-        return self.d1 * (self.d1 + 1)
-
-    def _split(self, a):
-        d = self.d1
-        if self.family == RIDGE_OUTER:
-            return a[:d], a[d : 2 * d], a[2 * d]
-        return a[: d * d].reshape(d, d), a[d * d :]
+        return 3 if self.family == RIDGE_OUTER else 2
 
     # -- pointwise evaluation ------------------------------------------------
 
-    def value(self, x, a):
-        x = np.asarray(x, dtype=float).reshape(self.d1)
+    def _at(self, x, a):
+        """x, the outer weight (None for the componentwise family), a1, and
+        sigma, sigma' at one pair, all as 1-vectors."""
+        x = np.asarray(x, dtype=float).reshape(1)
         a = np.asarray(a, dtype=float).reshape(self.dprime)
-        sig = _sigma_triplet(self.sigma)
-        if self.family == RIDGE_OUTER:
-            a0, a1, a2 = self._split(a)
-            s, _, _ = sig(a1 @ x + a2)
-            return s * a0
-        a1m, a2 = self._split(a)
-        s, _, _ = sig(a1m @ x + a2)
-        return s
+        a0 = a[0:1] if self.family == RIDGE_OUTER else None
+        a1, a2 = a[-2:-1], a[-1:]
+        s, s1 = a1 * x + a2, np.empty(1)
+        _SIGMAS[self.sigma](s, s1)
+        return x, a0, a1, s, s1
+
+    def value(self, x, a):
+        _, a0, _, s, _ = self._at(x, a)
+        return s if a0 is None else s * a0
 
     def jacobians(self, x, a):
-        """Return (grad_x b, grad_a b) with shapes (d1, d1) and (d1, dprime)."""
-        x = np.asarray(x, dtype=float).reshape(self.d1)
-        a = np.asarray(a, dtype=float).reshape(self.dprime)
-        d = self.d1
-        sig = _sigma_triplet(self.sigma)
-        if self.family == RIDGE_OUTER:
-            a0, a1, a2 = self._split(a)
-            z = a1 @ x + a2
-            s, s1, _ = sig(z)
-            gx = s1 * np.outer(a0, a1)
-            ga = np.zeros((d, self.dprime))
-            ga[:, :d] = s * np.eye(d)
-            ga[:, d : 2 * d] = s1 * np.outer(a0, x)
-            ga[:, 2 * d] = s1 * a0
-            return gx, ga
-        a1m, a2 = self._split(a)
-        z = a1m @ x + a2
-        s, s1, _ = sig(z)
-        gx = s1[:, None] * a1m
-        ga = np.zeros((d, self.dprime))
-        for i in range(d):
-            ga[i, i * d : (i + 1) * d] = s1[i] * x
-            ga[i, d * d + i] = s1[i]
-        return gx, ga
+        """Return (grad_x b, grad_a b) with shapes (1, 1) and (1, dprime)."""
+        x, a0, a1, s, s1 = self._at(x, a)
+        if a0 is None:
+            gx, ga = s1 * a1, (s1 * x, s1)
+        else:
+            gx, ga = s1 * (a0 * a1), (s, s1 * (a0 * x), s1 * a0)
+        return gx.reshape(1, 1), np.concatenate(ga).reshape(1, self.dprime)
 
-    # -- batched evaluation (hot path for the solvers) -----------------------
+    # -- batched evaluation (the Langevin step) -------------------------------
 
-    def batch(self, X, A, derivatives=0):
-        """Evaluate b on all pairs of rows of X (n, d1) and A (m, dprime).
+    def grad_a_batch(self, X, A, weights):
+        """sum_n weights_n grad_a b(X_n, a) at every row a of A, shape (m, dprime).
 
-        Returns a dict with key ``b`` of shape (n, m, d1) and, for
-        ``derivatives >= 1``, ``bx`` (n, m, d1, d1); for ``derivatives >= 2``
-        additionally ``bxx``, the second x-derivative contracted for d1 = 1
-        (shape (n, m, 1, 1, 1) is collapsed to (n, m)). Second derivatives are
-        only provided for d1 = 1.
+        X and weights are (n, 1), A is (m, dprime); the parameter columns are
+        summed from (n, m) arrays.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         A = np.atleast_2d(np.asarray(A, dtype=float))
-        d = self.d1
-        sig = _sigma_triplet(self.sigma)
-        out = {}
-        if self.family == RIDGE_OUTER:
-            a0 = A[:, :d]
-            a1 = A[:, d : 2 * d]
-            a2 = A[:, 2 * d]
-            z = np.einsum("nk,mk->nm", X, a1) + a2
-            s, s1, s2 = sig(z)
-            out["b"] = s[:, :, None] * a0[None, :, :]
-            if derivatives >= 1:
-                out["bx"] = np.einsum("nm,mi,mj->nmij", s1, a0, a1)
-            if derivatives >= 2:
-                if d != 1:
-                    raise NotImplementedError("second x-derivatives: d1 = 1 only")
-                out["bxx"] = s2 * a0[None, :, 0] * a1[None, :, 0] ** 2
-            return out
-        a1m = A[:, : d * d].reshape(-1, d, d)
-        a2 = A[:, d * d :]
-        z = np.einsum("nk,mik->nmi", X, a1m) + a2[None, :, :]
-        s, s1, s2 = sig(z)
-        out["b"] = s
-        if derivatives >= 1:
-            out["bx"] = s1[:, :, :, None] * a1m[None, :, :, :]
-        if derivatives >= 2:
-            if d != 1:
-                raise NotImplementedError("second x-derivatives: d1 = 1 only")
-            out["bxx"] = s2[:, :, 0] * a1m[None, :, 0, 0] ** 2
-        return out
-
-    def grad_a_batch(self, X, A, weights=None):
-        """grad_a b on all pairs, shape (n, m, d1, dprime).
-
-        With per-state ``weights`` (n, d1), returns their contraction
-        sum_n weights_n . grad_a b(X_n, a) instead, shape (m, dprime); for
-        d1 = 1 it is summed from (n, m) columns without the 4-D array.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        n, m, d = X.shape[0], A.shape[0], self.d1
+        ridge = self.family == RIDGE_OUTER
         # sigma is written over the pre-activation and sigma'' is never formed:
         # a Langevin step calls this once per node, and every (n, m) array
         # it frees is memory the allocator may hand back and re-fault
-        if self.family == RIDGE_OUTER:
-            a0 = A[:, :d]
-            a1 = A[:, d : 2 * d]
-            a2 = A[:, 2 * d]
-            s = np.einsum("nk,mk->nm", X, a1)
-            s += a2
-            s1 = np.empty_like(s)
-            _SIGMAS[self.sigma](s, s1)
-            if weights is not None and d == 1:
-                s1a0 = s1 * a0[None, :, 0]
-                return _contract_columns((s, s1a0 * X, s1a0), weights)
-            ga = np.zeros((n, m, d, self.dprime))
-            ga[:, :, :, :d] = s[:, :, None, None] * np.eye(d)
-            ga[:, :, :, d : 2 * d] = np.einsum("nm,mi,nj->nmij", s1, a0, X)
-            ga[:, :, :, 2 * d] = s1[:, :, None] * a0[None, :, :]
-        else:
-            a1m = A[:, : d * d].reshape(-1, d, d)
-            a2 = A[:, d * d :]
-            z = np.einsum("nk,mik->nmi", X, a1m)
-            z += a2[None, :, :]
-            s1 = np.empty_like(z)
-            _SIGMAS[self.sigma](z, s1)
-            if weights is not None and d == 1:
-                s1 = s1[:, :, 0]
-                # sigma itself is not needed here: its array takes s1 * x
-                return _contract_columns((np.multiply(s1, X, out=z[:, :, 0]), s1), weights)
-            ga = np.zeros((n, m, d, self.dprime))
-            for i in range(d):
-                ga[:, :, i, i * d : (i + 1) * d] = s1[:, :, i, None] * X[:, None, :]
-                ga[:, :, i, d * d + i] = s1[:, :, i]
-        if weights is None:
-            return ga
-        return np.einsum("nmip,ni->mp", ga, weights)
+        s = np.einsum("nk,mk->nm", X, A[:, 1:2] if ridge else A[:, :1])
+        s += A[:, 2] if ridge else A[:, 1]
+        s1 = np.empty_like(s)
+        _SIGMAS[self.sigma](s, s1)
+        if ridge:
+            s1a0 = s1 * A[None, :, 0]
+            return _contract_columns((s, s1a0 * X, s1a0), weights)
+        # sigma itself is not needed here: its array takes s1 * x
+        return _contract_columns((np.multiply(s1, X, out=s), s1), weights)
 
 
 def _contract_columns(columns, weights):
-    """Columns (n, m) of grad_a b for d1 = 1, each summed against weights."""
+    """Columns (n, m) of grad_a b, each summed against the (n, 1) weights."""
     return np.stack([np.einsum("nm,n->m", c, weights[:, 0]) for c in columns], axis=1)
 
 
@@ -282,55 +187,32 @@ class FieldQuadrature:
     kernel in row blocks written into the sweep's ``Workspace``, so no
     (n, m) tier array is allocated per call or held across positions. Only
     the reductions over particles (``bracket``, ``bracket_pair``) need a
-    tier in full; a call writes it into the workspace on request. For
-    d1 = 1 the folds carry the parameter columns in their weights and never
-    materialize (n, m, d1, d1) arrays. Fields with d1 > 1 take the same
-    call through ``field.batch``; the tier-array form (no folds) serves only
-    the reference loops of the tests.
+    tier in full; a call writes it into the workspace on request. The folds
+    carry the parameter columns in their weights, so every contraction is
+    one (n, m) by (m,) product.
     """
 
     def __init__(self, field: ActivationField, support: np.ndarray):
         self.field = field
         self.support = np.atleast_2d(np.asarray(support, dtype=float))
-        self.fast = field.d1 == 1
-        if self.fast:
-            # contiguous parameter columns keep the outer products on the
-            # fast ufunc path
-            if field.family == RIDGE_OUTER:
-                self._a0 = np.ascontiguousarray(self.support[:, 0])
-                self._a1 = np.ascontiguousarray(self.support[:, 1])
-                self._a2 = np.ascontiguousarray(self.support[:, 2])
-            else:
-                self._a1 = np.ascontiguousarray(self.support[:, 0])
-                self._a2 = np.ascontiguousarray(self.support[:, 1])
-                self._a0 = None
+        # contiguous parameter columns keep the outer products on the fast
+        # ufunc path; the componentwise family has no outer weight a0
+        columns = [np.ascontiguousarray(c) for c in self.support.T]
+        self._a0 = columns[0] if field.family == RIDGE_OUTER else None
+        self._a1, self._a2 = columns[-2:]
 
-    def tiers(self, X, order: int, folds=None, work: Optional[Workspace] = None, keep: int = 0):
-        """Activation tiers at the given states; order in {0, 1, 2}.
+    def tiers(self, X, order: int, folds, work: Optional[Workspace] = None, keep: int = 0):
+        """Fold contractions of the activation tiers at states X (n, 1).
 
-        Without ``folds``, returns the tier arrays: a tuple of order + 1 (n, m)
-        arrays for d1 = 1, the ``field.batch`` dict otherwise. With ``folds``,
-        returns a tuple of order + 1 lists holding each fold's drift (n, d1),
-        grad_x (n, d1, d1) and, at order 2, grad_xx (n,), evaluated in row
-        blocks through the buffers of ``work``. The first ``keep`` tiers are
-        also written in full and left in ``work.kept``.
+        ``order`` is in {0, 1, 2}. Returns a tuple of order + 1 lists holding
+        each fold's drift (n, 1), grad_x (n,) and, at order 2, grad_xx (n,),
+        evaluated in row blocks through the buffers of ``work``. The first
+        ``keep`` tiers are also written in full and left in ``work.kept``.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         work = work if work is not None else Workspace()
-        if not self.fast:
-            tiers = self.field.batch(X, self.support, derivatives=order)
-            if folds is None:
-                return tiers
-            if keep:
-                work.kept = tiers
-            names = ("drift", "grad_x", "grad_xx")[: order + 1]
-            return tuple([getattr(f, name)(tiers) for f in folds] for name in names)
         x = np.ascontiguousarray(X[:, 0])
         n, m = x.shape[0], self.support.shape[0]
-        if folds is None:
-            tiers = tuple(np.empty((n, m)) for _ in range(order + 1))
-            self._fill(x, tiers)
-            return tiers
         rows = max(1, _BLOCK_CELLS // m)
         full = [work.buffer(("full", j), n, m) for j in range(keep)]
         block = [work.buffer(("block", j), min(rows, n), m) for j in range(keep, order + 1)]
@@ -346,11 +228,10 @@ class FieldQuadrature:
                     np.einsum("nm,m->n", tiers[j], w, out=out[j, f, r0:r1])
         if keep:
             work.kept = tuple(full)
-        shapes = ((n, 1), (n, 1, 1), (n,))
-        return tuple([c.reshape(shapes[j]) for c in out[j]] for j in range(order + 1))
+        return ([c[:, None] for c in out[0]],) + tuple(list(c) for c in out[1:])
 
     def _fill(self, x, tiers):
-        """Tiers of the states x (d1 = 1) into the given (rows, m) buffers."""
+        """Tiers of the states x (n,) into the given (n, m) buffers."""
         z = np.multiply.outer(x, self._a1, out=tiers[0])
         z += self._a2
         _SIGMAS[self.field.sigma](*tiers)
@@ -359,43 +240,27 @@ class FieldQuadrature:
         return WeightFold(self, np.asarray(weights, dtype=float))
 
     def bracket(self, tiers, z_ens: np.ndarray) -> np.ndarray:
-        """Support samples of mean_i b(x_i, .) . z_i from precomputed tiers."""
-        n = z_ens.shape[0]
-        if self.fast:
-            out = np.einsum("nm,n->m", tiers[0], z_ens[:, 0]) / n
-            if self._a0 is not None:
-                out = out * self._a0
-            return out
-        return np.einsum("nmi,ni->m", tiers["b"], z_ens) / n
+        """Support samples of mean_i b(x_i, .) z_i from kept tiers."""
+        out = np.einsum("nm,n->m", tiers[0], z_ens[:, 0]) / z_ens.shape[0]
+        return out if self._a0 is None else out * self._a0
 
     def bracket_pair(self, tiers, vec_dx: np.ndarray, vec_b: np.ndarray) -> np.ndarray:
-        """Support samples of mean_i [grad_x b . vec_dx_i + b . vec_b_i].
-
-        Both vectors are per-ensemble scalars (d1 = 1); used to assemble the
-        linearized bracket on the measure grid.
-        """
+        """Support samples of mean_i [grad_x b vec_dx_i + b vec_b_i] from kept
+        tiers; used to assemble the linearized bracket on the measure grid."""
         n = vec_b.shape[0]
-        if self.fast:
-            term_b = np.einsum("nm,n->m", tiers[0], vec_b)
-            term_dx = np.einsum("nm,n->m", tiers[1], vec_dx)
-            if self._a0 is not None:
-                return (term_b * self._a0 + term_dx * self._a0 * self._a1) / n
-            return (term_b + term_dx * self._a1) / n
-        if self.field.d1 != 1:
-            raise ConfigError("bracket_pair is implemented for d1 = 1")
-        b = tiers["b"][:, :, 0]
-        bx = tiers["bx"][:, :, 0, 0]
-        return (
-            np.einsum("nm,n->m", b, vec_b) + np.einsum("nm,n->m", bx, vec_dx)
-        ) / n
+        term_b = np.einsum("nm,n->m", tiers[0], vec_b)
+        term_dx = np.einsum("nm,n->m", tiers[1], vec_dx)
+        if self._a0 is not None:
+            return (term_b * self._a0 + term_dx * self._a0 * self._a1) / n
+        return (term_b + term_dx * self._a1) / n
 
 
 class WeightFold:
-    """Contractions of one weight vector against FieldQuadrature tiers.
+    """One weight vector over a FieldQuadrature's support.
 
-    For d1 = 1 the weights are multiplied into the parameter columns of each
-    tier on first use and kept for the fold's lifetime, so a sweep that
-    never asks for grad_x or grad_xx never forms their weights.
+    The weights are multiplied into the parameter columns of each tier on
+    first use and kept for the fold's lifetime, so a sweep that never asks
+    for grad_x or grad_xx never forms their weights.
     """
 
     def __init__(self, quad: FieldQuadrature, weights: np.ndarray):
@@ -414,21 +279,6 @@ class WeightFold:
     @cached_property
     def _w_gxx(self) -> np.ndarray:
         return self._w_gx * self.quad._a1
-
-    def drift(self, tiers) -> np.ndarray:
-        if self.quad.fast:
-            return np.einsum("nm,m->n", tiers[0], self._w_drift)[:, None]
-        return np.einsum("nmi,m->ni", tiers["b"], self.w)
-
-    def grad_x(self, tiers) -> np.ndarray:
-        if self.quad.fast:
-            return np.einsum("nm,m->n", tiers[1], self._w_gx)[:, None, None]
-        return np.einsum("nmij,m->nij", tiers["bx"], self.w)
-
-    def grad_xx(self, tiers) -> np.ndarray:
-        if self.quad.fast:
-            return np.einsum("nm,m->n", tiers[2], self._w_gxx)
-        return np.einsum("nm,m->n", tiers["bxx"], self.w)
 
 
 @dataclass(frozen=True)
@@ -468,7 +318,8 @@ class ConfinementPotential:
 
 @dataclass(frozen=True)
 class TerminalLoss:
-    """Quadratic regression loss L(x, y) = |x - y|^2 / 2."""
+    """Quadratic regression loss L(x, y) = (x - y)^2 / 2. ``d1`` and ``d2``
+    are kept for the configuration document; their only legal value is 1."""
 
     kind: str = "quadratic"
     d1: int = 1
@@ -477,8 +328,8 @@ class TerminalLoss:
     def __post_init__(self):
         if self.kind != "quadratic":
             raise ConfigError(f"unsupported loss kind {self.kind!r}")
-        if self.d1 != self.d2:
-            raise ConfigError("quadratic loss requires d1 == d2")
+        if (self.d1, self.d2) != (1, 1):
+            raise ConfigError("loss.d1 and loss.d2 must be 1")
 
     def value(self, x, y):
         diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
@@ -487,16 +338,13 @@ class TerminalLoss:
     def grad_x(self, x, y):
         return np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
 
-    def hess_x(self, x, y):
-        return np.eye(self.d1)
-
 
 @dataclass(frozen=True)
 class Dataset:
     """Finite sample of (feature, label) pairs with uniform weights 1/N."""
 
-    x: np.ndarray  # (N, d1)
-    y: np.ndarray  # (N, d2)
+    x: np.ndarray  # (N, 1)
+    y: np.ndarray  # (N, 1)
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
@@ -522,15 +370,10 @@ class Dataset:
             raise ConfigError("dataset points must be lists of numbers") from None
         if not pts:
             raise ConfigError("dataset must contain at least one point")
-        width = pts[0].size
-        if width < 2 or any(p.size != width for p in pts):
-            raise ConfigError("dataset points must share a common (x, y) width")
+        if any(p.size != 2 for p in pts):
+            raise ConfigError("configuration key 'dataset.points' expects [x, y] pairs")
         arr = np.vstack(pts)
-        # without explicit dimensions, split evenly (d1 == d2)
-        if width % 2:
-            raise ConfigError("cannot infer d1/d2 from odd-width points")
-        half = width // 2
-        return cls(arr[:, :half], arr[:, half:])
+        return cls(arr[:, :1], arr[:, 1:])
 
 
 @dataclass(frozen=True)
@@ -575,12 +418,8 @@ class ProblemConfig:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ConfigError("epsilon must be positive")
-        if self.loss.d1 != self.field.d1:
-            raise ConfigError("loss and field disagree on d1")
-        if self.dataset.x.shape[1] != self.field.d1:
-            raise ConfigError("dataset features do not match field dimension d1")
-        if self.dataset.y.shape[1] != self.loss.d2:
-            raise ConfigError("dataset labels do not match loss dimension d2")
+        if self.dataset.x.shape[1] != 1 or self.dataset.y.shape[1] != 1:
+            raise ConfigError("dataset features and labels must be scalars")
         if not -(2**63) <= int(self.seed) < 2**64:
             raise ConfigError("seed must fit in 64 bits")
 
@@ -643,6 +482,15 @@ def config_value(kind, value, key: str):
         raise ConfigError(message) from None
 
 
+def _unit_dimension(section: dict, name: str, key: str) -> int:
+    """The value of a dimension key, which must be 1: features and labels
+    are scalars throughout the package."""
+    value = config_value(int, section.get(key, 1), f"{name}.{key}")
+    if value != 1:
+        raise ConfigError(f"configuration key '{name}.{key}' must be 1, got {value}")
+    return value
+
+
 def load_problem_config(doc: dict) -> ProblemConfig:
     """Build a ProblemConfig from a parsed JSON document; unknown keys fail."""
     if not isinstance(doc, dict):
@@ -656,7 +504,7 @@ def load_problem_config(doc: dict) -> ProblemConfig:
     field = ActivationField(
         family=fsec.get("family", COMPONENTWISE),
         sigma=fsec.get("sigma", "tanh"),
-        d1=config_value(int, fsec.get("d1", 1), "field.d1"),
+        d1=_unit_dimension(fsec, "field", "d1"),
     )
 
     psec = config_section(doc, "potential", _POTENTIAL_KEYS)
@@ -668,8 +516,8 @@ def load_problem_config(doc: dict) -> ProblemConfig:
     lsec = config_section(doc, "loss", _LOSS_KEYS)
     loss = TerminalLoss(
         kind=lsec.get("kind", "quadratic"),
-        d1=config_value(int, lsec.get("d1", field.d1), "loss.d1"),
-        d2=config_value(int, lsec.get("d2", field.d1), "loss.d2"),
+        d1=_unit_dimension(lsec, "loss", "d1"),
+        d2=_unit_dimension(lsec, "loss", "d2"),
     )
 
     dsec = config_section(doc, "dataset", _DATASET_KEYS)
@@ -703,10 +551,10 @@ def problem_config_to_doc(config: ProblemConfig) -> dict:
         "field": {
             "family": config.field.family,
             "sigma": config.field.sigma,
-            "d1": config.field.d1,
+            "d1": 1,
         },
         "potential": {"c1": config.potential.c1, "c2": config.potential.c2},
-        "loss": {"kind": config.loss.kind, "d1": config.loss.d1, "d2": config.loss.d2},
+        "loss": {"kind": config.loss.kind, "d1": 1, "d2": 1},
         "dataset": {"points": [list(map(float, row)) for row in pts]},
         "grid": {
             "t0": config.grid.t0,

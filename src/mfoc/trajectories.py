@@ -30,8 +30,10 @@ and both cross terms) reads its stage data from one ``stage_pass``, which
 contracts the control fold and the folds of any number of perturbations in
 the same call. ``duality_residual`` and ``meanfield_drift`` pass their folds
 to the kernel in the same way, so no sweep of the package builds tier
-arrays; fields with d1 > 1 go through ``field.batch`` inside ``tiers``, and
-the tier-array form (no folds) serves only the reference loops of the tests.
+arrays.
+
+Features and labels are scalars: states are (n, 1) arrays, and the kernel
+hands back drifts as (n, 1) and their x-derivatives as (n,) vectors.
 """
 
 from __future__ import annotations
@@ -59,10 +61,10 @@ class DivergenceError(RuntimeError):
 class EnsembleFlow:
     """Per-node ensemble state along the time grid.
 
-    ``x`` always holds the forward features, shape (nt, n, d1). ``y`` is the
-    constant label block (n, d2). ``z`` holds the backward adjoints when
+    ``x`` always holds the forward features, shape (nt, n, 1). ``y`` is the
+    constant label block (n, 1). ``z`` holds the backward adjoints when
     populated; ``hess`` the second x-derivative of the value function along
-    characteristics (d1 = 1 only); ``bracket`` the per-node grid samples of
+    characteristics, (nt, n); ``bracket`` the per-node grid samples of
     the mean b . z coupling when a Gibbs grid was supplied to the backward
     pass.
     """
@@ -81,16 +83,12 @@ class EnsembleFlow:
     def n(self) -> int:
         return self.x.shape[1]
 
-    @property
-    def has_z(self) -> bool:
-        return self.z is not None
-
 
 @dataclass(frozen=True)
 class TangentFlow:
     """Tangent particles dX realizing the linearized push-forward."""
 
-    dx: np.ndarray  # (nt, n, d1)
+    dx: np.ndarray  # (nt, n, 1)
     flow: EnsembleFlow
     eta: Optional[PerturbationPath] = None
 
@@ -104,11 +102,8 @@ class ProbeFunction:
     grad_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def default_test_functions(d1: int = 1, d2: int = 1):
+def default_test_functions():
     """Small C^1 family used by the push-forward and duality diagnostics."""
-    if d1 != 1 or d2 != 1:
-        raise ConfigError("default test functions are provided for d1 = d2 = 1")
-
     def _col(fn):
         return lambda x, y: fn(x[:, 0], y[:, 0])
 
@@ -153,7 +148,7 @@ def meanfield_drift(field: ActivationField, x, m) -> np.ndarray:
     """Mean drift int b(x, a) dm(a) for a single state x."""
     support, weights = _measure_arrays(m)
     quad = FieldQuadrature(field, support)
-    x = np.asarray(x, dtype=float).reshape(1, field.d1)
+    x = np.asarray(x, dtype=float).reshape(1, 1)
     return quad.tiers(x, 0, (quad.fold(weights),))[0][0][0]
 
 
@@ -172,8 +167,7 @@ def forward_solve(
     if substeps < 1:
         raise ConfigError("substeps must be >= 1")
     grid = path.grid
-    n, d1 = config.dataset.n, config.field.d1
-    X = np.empty((grid.nt, n, d1))
+    X = np.empty((grid.nt, config.dataset.n, 1))
     X[0] = config.dataset.x
     nodes = _node_quadratures(config.field, path)
     work = Workspace()
@@ -231,13 +225,9 @@ def backward_solve(
     ``bracket_grid`` is given, the per-node grid samples of the averaged
     b . Z coupling are assembled from the same activation evaluations and
     stored on the returned flow. ``with_hessian`` additionally transports the
-    second x-derivative of the value function along characteristics
-    (d1 = 1 only).
+    second x-derivative of the value function along characteristics.
     """
-    grid = path.grid
-    n, d1 = flow.n, config.field.d1
-    if with_hessian and d1 != 1:
-        raise ConfigError("hessian transport is implemented for d1 = 1 only")
+    grid, n = path.grid, flow.n
     if bracket_grid is not None and not path.is_grid:
         raise ConfigError("bracket assembly requires a grid path")
     order = 2 if with_hessian else 1
@@ -290,15 +280,15 @@ def backward_solve(
                 x_fine[s - 1], x_fine[s], stages[s - 1][0], stages[s][0], dt
             )
             mid = _first(quad.tiers(x_mid, order, (fold,), work))
-            state = _pack_state(z, h, with_hessian, d1)
+            state = _pack_state(z, h, with_hessian)
             state = _rk4_between(
                 state,
                 -dt,
-                _adjoint_rhs(stages[s], with_hessian, d1),
-                _adjoint_rhs(mid, with_hessian, d1),
-                _adjoint_rhs(stages[s - 1], with_hessian, d1),
+                _adjoint_rhs(stages[s], with_hessian),
+                _adjoint_rhs(mid, with_hessian),
+                _adjoint_rhs(stages[s - 1], with_hessian),
             )
-            z, h = _unpack_state(state, with_hessian, d1)
+            z, h = _unpack_state(state, with_hessian)
         if not np.all(np.isfinite(z)):
             raise DivergenceError(f"backward state diverged at node {k}")
         Z[k] = z
@@ -315,29 +305,29 @@ def _first(contractions):
     return tuple(c[0] for c in contractions)
 
 
-def _pack_state(z, h, with_hessian, d1):
+def _pack_state(z, h, with_hessian):
     if with_hessian:
         return np.concatenate([z, h[:, None]], axis=-1)
     return z
 
 
-def _unpack_state(state, with_hessian, d1):
+def _unpack_state(state, with_hessian):
     if with_hessian:
-        return state[..., :d1], state[..., d1]
+        return state[..., :1], state[..., 1]
     return state, None
 
 
-def _adjoint_rhs(stage, with_hessian, d1):
-    bx = stage[1]
+def _adjoint_rhs(stage, with_hessian):
+    bx = stage[1][:, None]
     bxx = stage[2] if with_hessian else None
 
     def f(state):
         if with_hessian:
-            zz, hh = state[..., :d1], state[..., d1]
-            dz = -np.einsum("nij,ni->nj", bx, zz)
-            dh = -2.0 * bx[:, 0, 0] * hh - bxx * zz[:, 0]
+            zz, hh = state[..., :1], state[..., 1]
+            dz = -bx * zz
+            dh = -2.0 * bx[:, 0] * hh - bxx * zz[:, 0]
             return np.concatenate([dz, dh[:, None]], axis=-1)
-        return -np.einsum("nij,ni->nj", bx, state)
+        return -bx * state
 
     return f
 
@@ -349,8 +339,9 @@ class StagePass:
     Interval k takes its RK4 stages at s = 0, 1, 2: the left node, the cubic
     Hermite midpoint ``x_mid[k]`` and the right node. Indexed [k, s], ``bx`` and
     ``bxx`` (order-2 passes only) are grad_x and grad_xx of the drift of the
-    control frozen at node k. Indexed [p, k, s], ``s_eta`` and ``sx_eta`` are
-    the drift of the p-th perturbation and its grad_x. No tier array is kept.
+    control frozen at node k, (n,) each. Indexed [p, k, s], ``s_eta`` (n, 1)
+    and ``sx_eta`` (n,) are the drift of the p-th perturbation and its
+    grad_x. No tier array is kept.
     """
 
     quad: FieldQuadrature
@@ -377,21 +368,21 @@ def stage_pass(
     ``stages`` of the same path and flow, an order-1 pass at the stored
     positions contracts only the folds of ``etas``.
     """
-    grid, n, d1 = path.grid, flow.n, config.field.d1
+    grid = path.grid
     if not path.is_grid:
         raise ConfigError("linearized sweeps require the grid backend")
     if any(eta.grid.nt != grid.nt or not eta.matches(path.measures[0]) for eta in etas):
         raise ConfigError("perturbation must live on the control path's grid")
-    shape = (grid.nt - 1, 3, n)
+    shape = (grid.nt - 1, 3, flow.n)
     if stages is None:
         nodes = _node_quadratures(config.field, path)
         quad = nodes[0][0]
-        drift, bx = np.empty(shape + (d1,)), np.empty(shape + (d1, d1))
+        drift, bx = np.empty(shape + (1,)), np.empty(shape)
         bxx = np.empty(shape) if order == 2 else None
     else:
         quad, order, nodes = stages.quad, 1, None
-    s_eta = np.empty((len(etas),) + shape + (d1,))
-    sx_eta = np.empty((len(etas),) + shape + (d1, d1))
+    s_eta = np.empty((len(etas),) + shape + (1,))
+    sx_eta = np.empty((len(etas),) + shape)
 
     # per interval: the control's fold when building, then one per perturbation
     folds = [
@@ -430,8 +421,8 @@ def _tangent_dx(stages: StagePass, dt: float) -> np.ndarray:
     for k in range(dX.shape[0] - 1):
 
         def rhs(s):
-            bx, source = stages.bx[k, s], stages.s_eta[0, k, s]
-            return lambda v: np.einsum("nij,nj->ni", bx, v) + source
+            bx, source = stages.bx[k, s][:, None], stages.s_eta[0, k, s]
+            return lambda v: bx * v + source
 
         dX[k + 1] = _rk4_between(dX[k], dt, rhs(0), rhs(1), rhs(2))
         if not np.all(np.isfinite(dX[k + 1])):
@@ -493,7 +484,7 @@ def duality_residual(
             def f(state):
                 val_g = state[..., 1:]
                 dpsi = np.einsum("ni,ni->n", defect, val_g)
-                dg = -np.einsum("nij,ni->nj", bx, val_g)
+                dg = -bx[:, None] * val_g
                 return np.concatenate([dpsi[:, None], dg], axis=-1)
 
             return f

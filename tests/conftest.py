@@ -92,3 +92,37 @@ def relative_eta(base, grid, fn, profile=None):
         w = 1.0 if profile is None else float(profile(grid.nodes[k]))
         layers.append(w * base.values * g)
     return PerturbationPath(grid, base.halfwidth, base.res, np.stack(layers))
+
+
+# -- references for the activation kernel ---------------------------------------
+# The reference loops of the tests hold full tier arrays and contract them one
+# fold at a time, with the ufuncs and einsum contractions of the fused kernel.
+
+
+def tier_arrays(quad, X, order):
+    """Activation tiers at the states X (n, 1): order + 1 (n, m) arrays."""
+    x = np.ascontiguousarray(np.atleast_2d(X)[:, 0])
+    tiers = tuple(np.empty((x.shape[0], quad.support.shape[0])) for _ in range(order + 1))
+    quad._fill(x, tiers)
+    return tiers
+
+
+def fold_drift(fold, tiers):
+    return np.einsum("nm,m->n", tiers[0], fold._w_drift)[:, None]
+
+
+def fold_grad_x(fold, tiers):
+    return np.einsum("nm,m->n", tiers[1], fold._w_gx)
+
+
+def fold_grad_xx(fold, tiers):
+    return np.einsum("nm,m->n", tiers[2], fold._w_gxx)
+
+
+def sigma_triplet(name, z):
+    """sigma, sigma' and sigma'' of z as fresh arrays."""
+    from mfoc.model import _SIGMAS
+
+    out = (np.array(z, dtype=float), np.empty(np.shape(z)), np.empty(np.shape(z)))
+    _SIGMAS[name](*out)
+    return out

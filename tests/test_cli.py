@@ -450,6 +450,37 @@ def test_malformed_set_value_exits_1(tmp_path, capsys, setting, named):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "setting, named",
+    [
+        ("field.d1=2", "'field.d1'"),
+        ("loss.d1=2", "'loss.d1'"),
+        ("loss.d2=2", "'loss.d2'"),
+        (None, "'dataset.points'"),  # mini's points made 4 wide
+    ],
+)
+def test_dimensions_other_than_one_exit_1(tmp_path, capsys, setting, named):
+    config, args = FIXTURES / "mini.json", ["--set", setting]
+    if setting is None:
+        doc = json.loads(config.read_text())
+        doc["dataset"]["points"] = [p + p for p in doc["dataset"]["points"]]
+        config, args = tmp_path / "wide.json", []
+        config.write_text(json.dumps(doc))
+    code, out = run(tmp_path, "solve", "--config", str(config), *args)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("configuration error") and named in err
+    assert "Traceback" not in err and not (out / "manifest.json").exists()
+
+
+def test_fixtures_with_unit_dimensions_load():
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = json.loads(path.read_text())
+        assert doc["field"]["d1"] == doc["loss"]["d1"] == doc["loss"]["d2"] == 1
+        config, _, _ = load_run_document(str(path), [])
+        assert config.dataset.x.shape[1] == config.dataset.y.shape[1] == 1
+
+
 def test_set_on_a_non_object_document_exits_1(tmp_path, capsys):
     bad = tmp_path / "list.json"
     bad.write_text("[1, 2]")

@@ -18,7 +18,7 @@ from mfoc.linearization import (
     tilt_to_entropy,
 )
 from mfoc.measures import GridMeasure, relative_entropy
-from mfoc.model import rng_for
+from mfoc.model import FieldQuadrature, rng_for
 from mfoc.optimizer import picard_solve, total_cost
 from mfoc.trajectories import (
     backward_solve,
@@ -321,11 +321,9 @@ class TestStabilityProbe:
             * dt
             for k in range(config.grid.nt - 1)
         )
-        support = result.path.measures[0].midpoints()
-        out = config.field.batch(config.dataset.x, support, derivatives=0)
-        b_eta = np.einsum(
-            "nmi,m->ni", out["b"], eta.node(0).ravel() * vol
-        )[:, 0]
+        quad = FieldQuadrature(config.field, result.path.measures[0].midpoints())
+        fold = quad.fold(eta.node(0).ravel() * vol)
+        b_eta = quad.tiers(config.dataset.x, 0, (fold,))[0][0][:, 0]
         horizon = config.grid.horizon - config.grid.t0
         want = config.epsilon * l2 + horizon**2 * float(np.mean(b_eta**2))
         assert got == pytest.approx(want, rel=2e-2)

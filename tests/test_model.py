@@ -11,6 +11,7 @@ from mfoc.model import (
     ConfigError,
     ConfinementPotential,
     Dataset,
+    FieldQuadrature,
     TerminalLoss,
     TimeGrid,
     eval_field,
@@ -71,7 +72,7 @@ class TestActivationField:
         field = ActivationField(family=family, sigma=sigma)
         rng = np.random.default_rng(3)
         for _ in range(50):
-            x = rng.uniform(-2, 2, field.d1)
+            x = rng.uniform(-2, 2, 1)
             a = rng.uniform(-2, 2, field.dprime)
             gx, ga = grad_field(field, x, a)
             fd_x = central_diff(lambda xx: field.value(xx, a), x)
@@ -108,26 +109,30 @@ class TestActivationField:
             )
 
     def test_batch_matches_pointwise(self):
+        # unit folds pick single support points out of the fused kernel, and
+        # a unit weight on one state does the same for grad_a_batch
         for family in (RIDGE_OUTER, COMPONENTWISE):
             field = ActivationField(family=family)
             rng = np.random.default_rng(9)
             X = rng.uniform(-2, 2, (7, 1))
             A = rng.uniform(-3, 3, (11, field.dprime))
-            out = field.batch(X, A, derivatives=2)
-            ga = field.grad_a_batch(X, A)
+            quad = FieldQuadrature(field, A)
+            b, bx, _ = quad.tiers(X, 2, [quad.fold(e) for e in np.eye(11)])
             for i in range(7):
+                ga = field.grad_a_batch(X[i : i + 1], A, np.ones((1, 1)))
                 for j in range(11):
-                    assert np.allclose(out["b"][i, j], field.value(X[i], A[j]))
+                    assert np.allclose(b[j][i], field.value(X[i], A[j]))
                     gx_ij, ga_ij = field.jacobians(X[i], A[j])
-                    assert np.allclose(out["bx"][i, j], gx_ij)
-                    assert np.allclose(ga[i, j], ga_ij)
+                    assert np.allclose(bx[j][i], gx_ij)
+                    assert np.allclose(ga[j], ga_ij)
 
     def test_batch_second_derivative_matches_fd(self):
         field = ActivationField()
         rng = np.random.default_rng(13)
         X = rng.uniform(-2, 2, (5, 1))
         A = rng.uniform(-3, 3, (6, 2))
-        bxx = field.batch(X, A, derivatives=2)["bxx"]
+        quad = FieldQuadrature(field, A)
+        bxx = quad.tiers(X, 2, [quad.fold(e) for e in np.eye(6)])[2]
         step = 1e-4
         for i in range(5):
             for j in range(6):
@@ -136,7 +141,7 @@ class TestActivationField:
                     - 2 * field.value(X[i], A[j])
                     + field.value(X[i] - step, A[j])
                 )[0] / step**2
-                assert abs(bxx[i, j] - fd) < 1e-5
+                assert abs(bxx[j][i] - fd) < 1e-5
 
 
 class TestConfinementPotential:

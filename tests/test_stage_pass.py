@@ -32,7 +32,7 @@ from mfoc.trajectories import (
     tangent_solve,
 )
 
-from conftest import relative_eta
+from conftest import fold_drift, fold_grad_x, fold_grad_xx, relative_eta, tier_arrays
 
 MINI = Path(__file__).resolve().parent.parent / "fixtures" / "mini.json"
 
@@ -41,27 +41,26 @@ MINI = Path(__file__).resolve().parent.parent / "fixtures" / "mini.json"
 
 
 def reference_tangent_solve(config, path, flow, eta):
-    n, d1 = flow.n, config.field.d1
+    n = flow.n
     nodes = _node_quadratures(config.field, path)
     vol = eta.cell_volume
-    dX = np.zeros((path.grid.nt, n, d1))
-    dx = np.zeros((n, d1))
+    dX = np.zeros((path.grid.nt, n, 1))
+    dx = np.zeros((n, 1))
     dt = path.grid.dt
     tiers_left = None
     for k in range(path.grid.nt - 1):
         quad, fold = nodes[k]
         eta_fold = quad.fold(eta.node(k).ravel() * vol)
         if tiers_left is None:
-            tiers_left = quad.tiers(flow.x[k], 1)
-        tiers_right = quad.tiers(flow.x[k + 1], 1)
-        x_mid = _hermite_midpoint(
-            flow.x[k], flow.x[k + 1], fold.drift(tiers_left), fold.drift(tiers_right), dt
-        )
-        tiers_mid = quad.tiers(x_mid, 1)
+            tiers_left = tier_arrays(quad, flow.x[k], 1)
+        tiers_right = tier_arrays(quad, flow.x[k + 1], 1)
+        drifts = fold_drift(fold, tiers_left), fold_drift(fold, tiers_right)
+        x_mid = _hermite_midpoint(flow.x[k], flow.x[k + 1], *drifts, dt)
+        tiers_mid = tier_arrays(quad, x_mid, 1)
 
         def rhs(tiers):
-            bx = fold.grad_x(tiers)
-            source = eta_fold.drift(tiers)
+            bx = fold_grad_x(fold, tiers)[:, None, None]
+            source = fold_drift(eta_fold, tiers)
 
             def f(v):
                 return np.einsum("nij,nj->ni", bx, v) + source
@@ -95,18 +94,17 @@ def reference_solve_v(config, path, flow, eta):
         quad, fold = nodes[k]
         eta_fold = quad.fold(eta.node(k).ravel() * vol)
         if tiers_right is None:
-            tiers_right = quad.tiers(flow.x[k + 1], 2)
-        tiers_left = quad.tiers(flow.x[k], 2)
-        x_mid = _hermite_midpoint(
-            flow.x[k], flow.x[k + 1], fold.drift(tiers_left), fold.drift(tiers_right), dt
-        )
-        tiers_mid = quad.tiers(x_mid, 2)
+            tiers_right = tier_arrays(quad, flow.x[k + 1], 2)
+        tiers_left = tier_arrays(quad, flow.x[k], 2)
+        drifts = fold_drift(fold, tiers_left), fold_drift(fold, tiers_right)
+        x_mid = _hermite_midpoint(flow.x[k], flow.x[k + 1], *drifts, dt)
+        tiers_mid = tier_arrays(quad, x_mid, 2)
 
         def rhs(tiers):
-            bx = fold.grad_x(tiers)[:, 0, 0]
-            bxx = fold.grad_xx(tiers)
-            s_eta = eta_fold.drift(tiers)[:, 0]
-            sx_eta = eta_fold.grad_x(tiers)[:, 0, 0]
+            bx = fold_grad_x(fold, tiers)
+            bxx = fold_grad_xx(fold, tiers)
+            s_eta = fold_drift(eta_fold, tiers)[:, 0]
+            sx_eta = fold_grad_x(eta_fold, tiers)
 
             def f(s):
                 z, h, kk, _, _ = s.T
@@ -138,9 +136,9 @@ def reference_bracket_series(config, path, flow, eta, tangent):
     for k in range(path.grid.nt):
         quad, _ = nodes[k]
         eta_fold = quad.fold(eta.node(k).ravel() * vol)
-        tiers = quad.tiers(flow.x[k], 1)
-        s_eta = eta_fold.drift(tiers)[:, 0]
-        sx_eta = eta_fold.grad_x(tiers)[:, 0, 0]
+        tiers = tier_arrays(quad, flow.x[k], 1)
+        s_eta = fold_drift(eta_fold, tiers)[:, 0]
+        sx_eta = fold_grad_x(eta_fold, tiers)
         integrand = sx_eta * flow.z[k][:, 0] + s_eta * flow.hess[k]
         out[k] = float(np.mean(integrand * tangent.dx[k][:, 0]))
     return out
@@ -177,23 +175,22 @@ def reference_cross_term_via_tangent(config, path, flow, eta_bracket, tangent):
         e2_fold = quad.fold(eta_bracket.node(k).ravel() * vol)
         e1_fold = quad.fold(tangent.eta.node(k).ravel() * vol)
         if tiers_right is None:
-            tiers_right = quad.tiers(flow.x[k + 1], 2)
-        tiers_left = quad.tiers(flow.x[k], 2)
-        x_mid = _hermite_midpoint(
-            flow.x[k], flow.x[k + 1], fold.drift(tiers_left), fold.drift(tiers_right), dt
-        )
-        tiers_mid = quad.tiers(x_mid, 2)
+            tiers_right = tier_arrays(quad, flow.x[k + 1], 2)
+        tiers_left = tier_arrays(quad, flow.x[k], 2)
+        drifts = fold_drift(fold, tiers_left), fold_drift(fold, tiers_right)
+        x_mid = _hermite_midpoint(flow.x[k], flow.x[k + 1], *drifts, dt)
+        tiers_mid = tier_arrays(quad, x_mid, 2)
         dx_l = tangent.dx[k][:, 0]
         dx_r = tangent.dx[k + 1][:, 0]
-        ddx_l = fold.grad_x(tiers_left)[:, 0, 0] * dx_l + e1_fold.drift(tiers_left)[:, 0]
-        ddx_r = fold.grad_x(tiers_right)[:, 0, 0] * dx_r + e1_fold.drift(tiers_right)[:, 0]
+        ddx_l = fold_grad_x(fold, tiers_left) * dx_l + fold_drift(e1_fold, tiers_left)[:, 0]
+        ddx_r = fold_grad_x(fold, tiers_right) * dx_r + fold_drift(e1_fold, tiers_right)[:, 0]
         dx_m = _hermite_midpoint(dx_l, dx_r, ddx_l, ddx_r, dt)
 
         def rhs(tiers, dx_here):
-            bx = fold.grad_x(tiers)[:, 0, 0]
-            bxx = fold.grad_xx(tiers)
-            s2 = e2_fold.drift(tiers)[:, 0]
-            sx2 = e2_fold.grad_x(tiers)[:, 0, 0]
+            bx = fold_grad_x(fold, tiers)
+            bxx = fold_grad_xx(fold, tiers)
+            s2 = fold_drift(e2_fold, tiers)[:, 0]
+            sx2 = fold_grad_x(e2_fold, tiers)
 
             def f(s):
                 z, h = s[:, 0], s[:, 1]
@@ -226,19 +223,18 @@ def reference_cross_term_via_multiplier(config, path, flow, eta_drift, multiplie
         e1_fold = quad.fold(eta_drift.node(k).ravel() * vol)
         e2_fold = quad.fold(eta2.node(k).ravel() * vol)
         if tiers_right is None:
-            tiers_right = quad.tiers(flow.x[k + 1], 2)
-        tiers_left = quad.tiers(flow.x[k], 2)
-        x_mid = _hermite_midpoint(
-            flow.x[k], flow.x[k + 1], fold.drift(tiers_left), fold.drift(tiers_right), dt
-        )
-        tiers_mid = quad.tiers(x_mid, 2)
+            tiers_right = tier_arrays(quad, flow.x[k + 1], 2)
+        tiers_left = tier_arrays(quad, flow.x[k], 2)
+        drifts = fold_drift(fold, tiers_left), fold_drift(fold, tiers_right)
+        x_mid = _hermite_midpoint(flow.x[k], flow.x[k + 1], *drifts, dt)
+        tiers_mid = tier_arrays(quad, x_mid, 2)
 
         def rhs(tiers):
-            bx = fold.grad_x(tiers)[:, 0, 0]
-            bxx = fold.grad_xx(tiers)
-            s2 = e2_fold.drift(tiers)[:, 0]
-            sx2 = e2_fold.grad_x(tiers)[:, 0, 0]
-            s1 = e1_fold.drift(tiers)[:, 0]
+            bx = fold_grad_x(fold, tiers)
+            bxx = fold_grad_xx(fold, tiers)
+            s2 = fold_drift(e2_fold, tiers)[:, 0]
+            sx2 = fold_grad_x(e2_fold, tiers)
+            s1 = fold_drift(e1_fold, tiers)[:, 0]
 
             def f(s):
                 z, h, kk, rr = s[:, 0], s[:, 1], s[:, 2], s[:, 3]

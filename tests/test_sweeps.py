@@ -17,7 +17,6 @@ from mfoc.model import (
     FieldQuadrature,
     Workspace,
     _contract_columns,
-    _sigma_triplet,
     rng_for,
 )
 from mfoc.optimizer import picard_solve, sample_prior
@@ -36,6 +35,8 @@ from mfoc.trajectories import (
     meanfield_drift,
 )
 
+from conftest import fold_drift, fold_grad_x, fold_grad_xx, sigma_triplet, tier_arrays
+
 MINI = Path(__file__).resolve().parent.parent / "fixtures" / "mini.json"
 
 
@@ -44,7 +45,7 @@ MINI = Path(__file__).resolve().parent.parent / "fixtures" / "mini.json"
 
 def reference_forward_solve(config, path, substeps=1):
     grid = path.grid
-    X = np.empty((grid.nt, config.dataset.n, config.field.d1))
+    X = np.empty((grid.nt, config.dataset.n, 1))
     X[0] = config.dataset.x
     nodes = _node_quadratures(config.field, path)
     dt = grid.dt / substeps
@@ -58,10 +59,10 @@ def reference_forward_solve(config, path, substeps=1):
 
 
 def _reference_rk4_forward(quad, fold, x, dt):
-    k1 = fold.drift(quad.tiers(x, 0))
-    k2 = fold.drift(quad.tiers(x + 0.5 * dt * k1, 0))
-    k3 = fold.drift(quad.tiers(x + 0.5 * dt * k2, 0))
-    k4 = fold.drift(quad.tiers(x + dt * k3, 0))
+    k1 = fold_drift(fold, tier_arrays(quad, x, 0))
+    k2 = fold_drift(fold, tier_arrays(quad, x + 0.5 * dt * k1, 0))
+    k3 = fold_drift(fold, tier_arrays(quad, x + 0.5 * dt * k2, 0))
+    k4 = fold_drift(fold, tier_arrays(quad, x + dt * k3, 0))
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -74,13 +75,13 @@ def _reference_fine_forward_interval(quad, fold, x0, dt_interval, substeps):
     return out
 
 
-def _reference_adjoint_rhs(fold, tiers, with_hessian, d1):
-    bx = fold.grad_x(tiers)
-    bxx = fold.grad_xx(tiers) if with_hessian else None
+def _reference_adjoint_rhs(fold, tiers, with_hessian):
+    bx = fold_grad_x(fold, tiers)[:, None, None]
+    bxx = fold_grad_xx(fold, tiers) if with_hessian else None
 
     def f(state):
         if with_hessian:
-            zz, hh = state[..., :d1], state[..., d1]
+            zz, hh = state[..., :1], state[..., 1]
             dz = -np.einsum("nij,ni->nj", bx, zz)
             dh = -2.0 * bx[:, 0, 0] * hh - bxx * zz[:, 0]
             return np.concatenate([dz, dh[:, None]], axis=-1)
@@ -91,7 +92,7 @@ def _reference_adjoint_rhs(fold, tiers, with_hessian, d1):
 
 def reference_backward_solve(config, path, flow, substeps=1, with_hessian=False, bracket_grid=None):
     grid = path.grid
-    n, d1 = flow.n, config.field.d1
+    n = flow.n
     order = 2 if with_hessian else 1
     nodes = _node_quadratures(config.field, path)
     Z = np.empty_like(flow.x)
@@ -111,43 +112,42 @@ def reference_backward_solve(config, path, flow, substeps=1, with_hessian=False,
     for k in range(grid.nt - 2, -1, -1):
         quad, fold = nodes[k]
         if tiers_right is None or not path.is_grid:
-            tiers_right = quad.tiers(flow.x[k + 1], order)
+            tiers_right = tier_arrays(quad, flow.x[k + 1], order)
         if bracket is not None and k == grid.nt - 2:
             bracket[-1] = quad.bracket(tiers_right, Z[-1])
-        tiers_left = quad.tiers(flow.x[k], order)
+        tiers_left = tier_arrays(quad, flow.x[k], order)
         if substeps == 1:
-            x_mid = _hermite_midpoint(
-                flow.x[k], flow.x[k + 1], fold.drift(tiers_left), fold.drift(tiers_right), dt
-            )
-            tiers_mid = quad.tiers(x_mid, order)
-            state = _pack_state(z, h, with_hessian, d1)
+            drifts = fold_drift(fold, tiers_left), fold_drift(fold, tiers_right)
+            x_mid = _hermite_midpoint(flow.x[k], flow.x[k + 1], *drifts, dt)
+            tiers_mid = tier_arrays(quad, x_mid, order)
+            state = _pack_state(z, h, with_hessian)
             state = _rk4_between(
                 state,
                 -dt,
-                rhs(fold, tiers_right, with_hessian, d1),
-                rhs(fold, tiers_mid, with_hessian, d1),
-                rhs(fold, tiers_left, with_hessian, d1),
+                rhs(fold, tiers_right, with_hessian),
+                rhs(fold, tiers_mid, with_hessian),
+                rhs(fold, tiers_left, with_hessian),
             )
-            z, h = _unpack_state(state, with_hessian, d1)
+            z, h = _unpack_state(state, with_hessian)
         else:
             x_fine = _reference_fine_forward_interval(quad, fold, flow.x[k], dt, substeps)
             dt_f = dt / substeps
             for s in range(substeps, 0, -1):
-                t_r = quad.tiers(x_fine[s], order) if s < substeps else tiers_right
-                t_l = quad.tiers(x_fine[s - 1], order) if s > 1 else tiers_left
+                t_r = tier_arrays(quad, x_fine[s], order) if s < substeps else tiers_right
+                t_l = tier_arrays(quad, x_fine[s - 1], order) if s > 1 else tiers_left
                 x_mid = _hermite_midpoint(
-                    x_fine[s - 1], x_fine[s], fold.drift(t_l), fold.drift(t_r), dt_f
+                    x_fine[s - 1], x_fine[s], fold_drift(fold, t_l), fold_drift(fold, t_r), dt_f
                 )
-                t_m = quad.tiers(x_mid, order)
-                state = _pack_state(z, h, with_hessian, d1)
+                t_m = tier_arrays(quad, x_mid, order)
+                state = _pack_state(z, h, with_hessian)
                 state = _rk4_between(
                     state,
                     -dt_f,
-                    rhs(fold, t_r, with_hessian, d1),
-                    rhs(fold, t_m, with_hessian, d1),
-                    rhs(fold, t_l, with_hessian, d1),
+                    rhs(fold, t_r, with_hessian),
+                    rhs(fold, t_m, with_hessian),
+                    rhs(fold, t_l, with_hessian),
                 )
-                z, h = _unpack_state(state, with_hessian, d1)
+                z, h = _unpack_state(state, with_hessian)
         Z[k] = z
         if with_hessian:
             H[k] = h
@@ -168,14 +168,14 @@ def reference_duality_residual(config, path, probe, flow):
         chord = (flow.x[k + 1] - flow.x[k]) / dt
         x_mid = 0.5 * (flow.x[k] + flow.x[k + 1])
         stage_tiers = [
-            quad.tiers(flow.x[k + 1], 1),
-            quad.tiers(x_mid, 1),
-            quad.tiers(flow.x[k], 1),
+            tier_arrays(quad, flow.x[k + 1], 1),
+            tier_arrays(quad, x_mid, 1),
+            tier_arrays(quad, flow.x[k], 1),
         ]
 
         def rhs(tiers):
-            bx = fold.grad_x(tiers)
-            defect = chord - fold.drift(tiers)
+            bx = fold_grad_x(fold, tiers)[:, None, None]
+            defect = chord - fold_drift(fold, tiers)
 
             def f(state):
                 val_g = state[..., 1:]
@@ -196,8 +196,8 @@ def reference_duality_residual(config, path, probe, flow):
 def reference_meanfield_drift(field, x, m):
     support, weights = _measure_arrays(m)
     quad = FieldQuadrature(field, support)
-    x = np.asarray(x, dtype=float).reshape(1, field.d1)
-    return quad.fold(weights).drift(quad.tiers(x, 0))[0]
+    x = np.asarray(x, dtype=float).reshape(1, 1)
+    return fold_drift(quad.fold(weights), tier_arrays(quad, x, 0))[0]
 
 
 # -- fixtures ------------------------------------------------------------------
@@ -289,13 +289,13 @@ def test_fused_contractions_equal_folds(family, sigma, n):
     folds = [quad.fold(rng.random(4096)), quad.fold(rng.normal(size=4096))]
     work = Workspace()
     for order in (0, 1, 2):
-        tiers = quad.tiers(X, order)
+        tiers = tier_arrays(quad, X, order)
         assert np.array_equal(tiers[0], _reference_sigma(sigma, X[:, 0], quad))
         fused = quad.tiers(X, order, folds, work, keep=min(order + 1, 2))
         assert len(fused) == order + 1
-        for j, name in enumerate(("drift", "grad_x", "grad_xx")[: order + 1]):
+        for j, contract in enumerate((fold_drift, fold_grad_x, fold_grad_xx)[: order + 1]):
             for f, fold in enumerate(folds):
-                ref = getattr(fold, name)(tiers)
+                ref = contract(fold, tiers)
                 assert fused[j][f].shape == ref.shape
                 assert np.array_equal(fused[j][f], ref)
         assert all(np.array_equal(a, b) for a, b in zip(work.kept, tiers))
@@ -320,29 +320,39 @@ def _reference_sigma(sigma, x, quad):
 
 
 @pytest.mark.parametrize(
-    "family,sigma,d1",
-    [(COMPONENTWISE, "tanh", 1), (RIDGE_OUTER, "tanh", 1), (RIDGE_OUTER, "logistic", 1),
-     (COMPONENTWISE, "tanh", 2)],
+    "family,sigma,seed",
+    [(COMPONENTWISE, "tanh", 1), (RIDGE_OUTER, "tanh", 1), (RIDGE_OUTER, "logistic", 1)],
 )
-def test_grad_a_contraction_equals_four_index_form(family, sigma, d1):
-    field = ActivationField(family, sigma, d1)
-    rng = np.random.default_rng(d1)
-    X, Z = rng.normal(size=(64, d1)), rng.normal(size=(64, d1))
+def test_grad_a_contraction_equals_four_index_form(family, sigma, seed):
+    field = ActivationField(family, sigma)
+    rng = np.random.default_rng(seed)
+    X, Z = rng.normal(size=(64, 1)), rng.normal(size=(64, 1))
     A = rng.normal(size=(2000, field.dprime))
-    ref = np.einsum("nmip,ni->mp", field.grad_a_batch(X, A), Z)
+    ref = np.einsum("nmip,ni->mp", four_index_grad_a(field, X, A), Z)
     assert np.array_equal(field.grad_a_batch(X, A, Z), ref)
-    if d1 == 1:
-        assert np.array_equal(field.grad_a_batch(X, A, Z), reference_grad_a_contraction(field, X, A, Z))
+    assert np.array_equal(field.grad_a_batch(X, A, Z), reference_grad_a_contraction(field, X, A, Z))
+
+
+def four_index_grad_a(field, X, A):
+    """grad_a b on all pairs as an (n, m, 1, dprime) array."""
+    if field.family == RIDGE_OUTER:
+        s, s1, _ = sigma_triplet(field.sigma, np.einsum("nk,mk->nm", X, A[:, 1:2]) + A[:, 2])
+        columns = (s, np.einsum("nm,m,n->nm", s1, A[:, 0], X[:, 0]), s1 * A[None, :, 0])
+    else:
+        _, s1, _ = sigma_triplet(field.sigma, np.einsum("nk,mk->nm", X, A[:, :1]) + A[:, 1])
+        columns = (s1 * X, s1)
+    return np.stack(columns, axis=-1)[:, :, None, :]
 
 
 def reference_grad_a_contraction(field, X, A, Z):
-    """The d1 = 1 contraction with sigma, sigma' and sigma'' as fresh arrays."""
-    sig = _sigma_triplet(field.sigma)
+    """The contraction with sigma, sigma' and sigma'' as fresh arrays."""
     if field.family == RIDGE_OUTER:
-        s, s1, _ = sig(np.einsum("nk,mk->nm", X, A[:, 1:2]) + A[:, 2])
+        s, s1, _ = sigma_triplet(field.sigma, np.einsum("nk,mk->nm", X, A[:, 1:2]) + A[:, 2])
         s1a0 = s1 * A[None, :, 0]
         return _contract_columns((s, s1a0 * X, s1a0), Z)
-    _, s1, _ = sig(np.einsum("nk,mik->nmi", X, A[:, :1].reshape(-1, 1, 1)) + A[None, :, 1:])
+    _, s1, _ = sigma_triplet(
+        field.sigma, np.einsum("nk,mik->nmi", X, A[:, :1].reshape(-1, 1, 1)) + A[None, :, 1:]
+    )
     return _contract_columns((s1[:, :, 0] * X, s1[:, :, 0]), Z)
 
 

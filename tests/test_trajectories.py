@@ -11,7 +11,7 @@ from mfoc.measures import (
     PerturbationPath,
     normalize,
 )
-from mfoc.model import ActivationField, ConfinementPotential, Dataset, TimeGrid
+from mfoc.model import ActivationField, ConfinementPotential, Dataset, FieldQuadrature, TimeGrid
 from mfoc.trajectories import (
     DivergenceError,
     backward_solve,
@@ -107,8 +107,6 @@ class TestForwardSolve:
         assert min(orders) >= 3.7, (errs, orders)
 
     def test_divergence_detected(self, monkeypatch):
-        from mfoc.model import FieldQuadrature
-
         config = make_config(n=2, nt=5)
         path, _ = prior_path(config, res=16)
         original = FieldQuadrature.tiers
@@ -304,13 +302,9 @@ class TestTangentSolve:
         tangent = tangent_solve(config, path, flow, eta)
         from mfoc.trajectories import _measure_arrays
 
-        support = base.midpoints()
+        quad = FieldQuadrature(config.field, base.midpoints())
         w_eta = eta.node(0).ravel() * eta.cell_volume
-        b_eta = np.einsum(
-            "nmi,m->ni",
-            config.field.batch(flow.x[0], support, derivatives=0)["b"],
-            w_eta,
-        )
+        b_eta = quad.tiers(flow.x[0], 0, (quad.fold(w_eta),))[0][0]
         horizon = config.grid.horizon - config.grid.t0
         # the a1-variance is tiny but not zero; tolerance reflects that
         assert np.max(np.abs(tangent.dx[-1] - horizon * b_eta)) < 5e-4
