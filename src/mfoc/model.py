@@ -162,8 +162,9 @@ class Workspace:
     """Scratch buffers of one sweep, reused by every kernel call it makes.
 
     A sweep creates one and drops it when it returns, so its buffers live
-    exactly as long as the sweep. ``kept`` holds the full tiers of the
-    latest call that asked to keep them.
+    exactly as long as the sweep. ``kept`` holds the tiers, over all states
+    of the call and the h evaluated cells, of the latest call that asked to
+    keep them.
     """
 
     def __init__(self):
@@ -189,7 +190,15 @@ class FieldQuadrature:
     the reductions over particles (``bracket``, ``bracket_pair``) need a
     tier in full; a call writes it into the workspace on request. The folds
     carry the parameter columns in their weights, so every contraction is
-    one (n, m) by (m,) product.
+    one (n, h) by (h,) product.
+
+    A tanh support that is its own mirror image (``support[::-1] ==
+    -support`` exactly, as on a grid over a centred box whose midpoints are
+    exact) is mirrored: tanh is odd, so the pre-activation, sigma and sigma''
+    change sign and sigma' is unchanged between a cell and its partner. The
+    kernel then evaluates only the first h = ceil(M / 2) cells, the folds
+    fold their weights onto them and the particle reductions extend their h
+    samples by parity. Any other support has h = M and no fold.
     """
 
     def __init__(self, field: ActivationField, support: np.ndarray):
@@ -200,6 +209,10 @@ class FieldQuadrature:
         columns = [np.ascontiguousarray(c) for c in self.support.T]
         self._a0 = columns[0] if field.family == RIDGE_OUTER else None
         self._a1, self._a2 = columns[-2:]
+        m = self.support.shape[0]
+        mirrored = field.sigma == "tanh" and np.array_equal(self.support[::-1], -self.support)
+        # support cells the kernel evaluates; the last M - h mirror the first
+        self.h = (m + 1) // 2 if mirrored else m
 
     def tiers(self, X, order: int, folds, work: Optional[Workspace] = None, keep: int = 0):
         """Fold contractions of the activation tiers at states X (n, 1).
@@ -207,12 +220,13 @@ class FieldQuadrature:
         ``order`` is in {0, 1, 2}. Returns a tuple of order + 1 lists holding
         each fold's drift (n, 1), grad_x (n,) and, at order 2, grad_xx (n,),
         evaluated in row blocks through the buffers of ``work``. The first
-        ``keep`` tiers are also written in full and left in ``work.kept``.
+        ``keep`` tiers are also written over all n states and the h evaluated
+        cells and left in ``work.kept``.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         work = work if work is not None else Workspace()
         x = np.ascontiguousarray(X[:, 0])
-        n, m = x.shape[0], self.support.shape[0]
+        n, m = x.shape[0], self.h
         rows = max(1, _BLOCK_CELLS // m)
         full = [work.buffer(("full", j), n, m) for j in range(keep)]
         block = [work.buffer(("block", j), min(rows, n), m) for j in range(keep, order + 1)]
@@ -231,25 +245,43 @@ class FieldQuadrature:
         return ([c[:, None] for c in out[0]],) + tuple(list(c) for c in out[1:])
 
     def _fill(self, x, tiers):
-        """Tiers of the states x (n,) into the given (n, m) buffers."""
-        z = np.multiply.outer(x, self._a1, out=tiers[0])
-        z += self._a2
+        """Tiers of the states x (n,) into the given (n, h) buffers."""
+        z = np.multiply.outer(x, self._a1[: self.h], out=tiers[0])
+        z += self._a2[: self.h]
         _SIGMAS[self.field.sigma](*tiers)
+
+    def _fold(self, w, odd: bool) -> np.ndarray:
+        """Weights (M,) of one tier folded onto the h evaluated cells; the
+        tier at a mirror cell is minus (odd) or equal to (even) its partner's.
+        A centre cell (odd M) keeps its weight."""
+        r = self.support.shape[0] - self.h
+        if not r:
+            return w  # no copy: a particle path holds one fold per node
+        mirror = w[::-1][:r]
+        head = w[:r] - mirror if odd else w[:r] + mirror
+        return np.concatenate((head, w[r : self.h]))
+
+    def _unfold(self, v, odd: bool) -> np.ndarray:
+        """Samples (M,) of a particle reduction from its (h,) samples; the
+        negation is exact, so they equal the reduction over all M cells."""
+        mirror = v[: self.support.shape[0] - self.h][::-1]
+        return np.concatenate((v, -mirror if odd else mirror))
 
     def fold(self, weights: np.ndarray) -> "WeightFold":
         return WeightFold(self, np.asarray(weights, dtype=float))
 
     def bracket(self, tiers, z_ens: np.ndarray) -> np.ndarray:
         """Support samples of mean_i b(x_i, .) z_i from kept tiers."""
-        out = np.einsum("nm,n->m", tiers[0], z_ens[:, 0]) / z_ens.shape[0]
+        out = self._unfold(np.einsum("nm,n->m", tiers[0], z_ens[:, 0]), odd=True)
+        out /= z_ens.shape[0]
         return out if self._a0 is None else out * self._a0
 
     def bracket_pair(self, tiers, vec_dx: np.ndarray, vec_b: np.ndarray) -> np.ndarray:
         """Support samples of mean_i [grad_x b vec_dx_i + b vec_b_i] from kept
         tiers; used to assemble the linearized bracket on the measure grid."""
         n = vec_b.shape[0]
-        term_b = np.einsum("nm,n->m", tiers[0], vec_b)
-        term_dx = np.einsum("nm,n->m", tiers[1], vec_dx)
+        term_b = self._unfold(np.einsum("nm,n->m", tiers[0], vec_b), odd=True)
+        term_dx = self._unfold(np.einsum("nm,n->m", tiers[1], vec_dx), odd=False)
         if self._a0 is not None:
             return (term_b * self._a0 + term_dx * self._a0 * self._a1) / n
         return (term_b + term_dx * self._a1) / n
@@ -260,25 +292,33 @@ class WeightFold:
 
     The weights are multiplied into the parameter columns of each tier on
     first use and kept for the fold's lifetime, so a sweep that never asks
-    for grad_x or grad_xx never forms their weights.
+    for grad_x or grad_xx never forms their weights. On a mirrored support
+    (see ``FieldQuadrature``) they are folded onto the h evaluated cells by
+    the parity of their tier: sigma and sigma'' are odd, sigma' is even.
     """
 
     def __init__(self, quad: FieldQuadrature, weights: np.ndarray):
         self.quad = quad
         self.w = weights
 
+    def _weights(self, j: int) -> np.ndarray:
+        """Unfolded weights (M,) of tier j: w a0 a1^j."""
+        w = self.w if self.quad._a0 is None else self.w * self.quad._a0
+        for _ in range(j):
+            w = w * self.quad._a1
+        return w
+
     @cached_property
     def _w_drift(self) -> np.ndarray:
-        a0 = self.quad._a0
-        return self.w if a0 is None else self.w * a0
+        return self.quad._fold(self._weights(0), odd=True)
 
     @cached_property
     def _w_gx(self) -> np.ndarray:
-        return self._w_drift * self.quad._a1
+        return self.quad._fold(self._weights(1), odd=False)
 
     @cached_property
     def _w_gxx(self) -> np.ndarray:
-        return self._w_gx * self.quad._a1
+        return self.quad._fold(self._weights(2), odd=True)
 
 
 @dataclass(frozen=True)

@@ -95,14 +95,18 @@ def relative_eta(base, grid, fn, profile=None):
 
 
 # -- references for the activation kernel ---------------------------------------
-# The reference loops of the tests hold full tier arrays and contract them one
-# fold at a time, with the ufuncs and einsum contractions of the fused kernel.
+# The reference loops of the tests hold tier arrays and contract them one fold at
+# a time, with the arithmetic of the fused kernel: tiers on the quadrature's h
+# evaluated cells, weights folded onto them, and its ufuncs and einsum
+# contractions. The full_* helpers evaluate every support cell against the
+# unfolded weights instead, as the kernel does on a support that is not
+# mirrored.
 
 
 def tier_arrays(quad, X, order):
-    """Activation tiers at the states X (n, 1): order + 1 (n, m) arrays."""
+    """Activation tiers at the states X (n, 1): order + 1 (n, h) arrays."""
     x = np.ascontiguousarray(np.atleast_2d(X)[:, 0])
-    tiers = tuple(np.empty((x.shape[0], quad.support.shape[0])) for _ in range(order + 1))
+    tiers = tuple(np.empty((x.shape[0], quad.h)) for _ in range(order + 1))
     quad._fill(x, tiers)
     return tiers
 
@@ -117,6 +121,18 @@ def fold_grad_x(fold, tiers):
 
 def fold_grad_xx(fold, tiers):
     return np.einsum("nm,m->n", tiers[2], fold._w_gxx)
+
+
+def full_tier_arrays(quad, X, order):
+    """Activation tiers at the states X (n, 1) on all M support cells."""
+    support = quad.support
+    z = np.multiply.outer(np.atleast_2d(X)[:, 0], support[:, -2]) + support[:, -1]
+    return sigma_triplet(quad.field.sigma, z)[: order + 1]
+
+
+def full_contraction(fold, tiers, j):
+    """Tier j on all M cells contracted against the unfolded weights, (n,)."""
+    return np.einsum("nm,m->n", tiers[j], fold._weights(j))
 
 
 def sigma_triplet(name, z):

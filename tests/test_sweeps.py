@@ -1,6 +1,7 @@
 """Forward, backward and duality sweeps and the mean-field drift on the fused
-kernel against the tier-holding loops they replaced, and the fused kernel
-against the weight folds."""
+kernel against the tier-holding loops they replaced, the fused kernel against
+the weight folds, and the kernel's mirrored route against sums over every
+support cell."""
 
 from pathlib import Path
 
@@ -9,11 +10,13 @@ import pytest
 
 from mfoc import cli, optimizer
 from mfoc.cli import _initial_grid_path, load_run_document
-from mfoc.measures import ControlPath, ParticleMeasure
+from mfoc.measures import ControlPath, GridMeasure, ParticleMeasure
 from mfoc.model import (
     COMPONENTWISE,
     RIDGE_OUTER,
+    _BLOCK_CELLS,
     ActivationField,
+    ConfinementPotential,
     FieldQuadrature,
     Workspace,
     _contract_columns,
@@ -35,9 +38,19 @@ from mfoc.trajectories import (
     meanfield_drift,
 )
 
-from conftest import fold_drift, fold_grad_x, fold_grad_xx, sigma_triplet, tier_arrays
+from conftest import (
+    fold_drift,
+    fold_grad_x,
+    fold_grad_xx,
+    full_contraction,
+    full_tier_arrays,
+    sigma_triplet,
+    tier_arrays,
+)
 
-MINI = Path(__file__).resolve().parent.parent / "fixtures" / "mini.json"
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+MINI = FIXTURES / "mini.json"
+EPS = np.finfo(float).eps
 
 
 # -- reference: the loops that hold tier arrays per stage position --------------
@@ -354,6 +367,143 @@ def reference_grad_a_contraction(field, X, A, Z):
         field.sigma, np.einsum("nk,mik->nmi", X, A[:, :1].reshape(-1, 1, 1)) + A[None, :, 1:]
     )
     return _contract_columns((s1[:, :, 0] * X, s1[:, :, 0]), Z)
+
+
+# -- the mirrored route: half the cells on a support that is its own mirror ----
+
+
+def grid_support(field, res):
+    """Midpoints of a centred grid with cell width 1/8, which are exact, so
+    the support satisfies support[::-1] == -support bit for bit."""
+    return GridMeasure(res / 16.0, res, np.zeros((res,) * field.dprime)).midpoints()
+
+
+def full_bracket(quad, tiers, z):
+    """``bracket`` as a reduction over all M cells."""
+    out = np.einsum("nm,n->m", tiers[0], z[:, 0]) / z.shape[0]
+    return out if quad._a0 is None else out * quad._a0
+
+
+def full_bracket_pair(quad, tiers, vec_dx, vec_b):
+    """``bracket_pair`` as reductions over all M cells."""
+    term_b = np.einsum("nm,n->m", tiers[0], vec_b)
+    term_dx = np.einsum("nm,n->m", tiers[1], vec_dx)
+    if quad._a0 is not None:
+        return (term_b * quad._a0 + term_dx * quad._a0 * quad._a1) / vec_b.shape[0]
+    return (term_b + term_dx * quad._a1) / vec_b.shape[0]
+
+
+# (family, res): even M, and odd M with a centre cell
+MIRRORED_GRIDS = [(COMPONENTWISE, 64), (COMPONENTWISE, 61), (RIDGE_OUTER, 16), (RIDGE_OUTER, 17)]
+
+
+@pytest.mark.parametrize("family,res", MIRRORED_GRIDS)
+@pytest.mark.parametrize("n", [37, 5])
+def test_mirrored_contractions_match_full_arrays(family, res, n):
+    field = ActivationField(family, "tanh", 1)
+    quad = FieldQuadrature(field, grid_support(field, res))
+    m = quad.support.shape[0]
+    assert quad.h == (m + 1) // 2
+    # n = 37 ends on a partial block and n = 5 fits in less than one
+    rows = _BLOCK_CELLS // quad.h
+    assert 5 < rows < 37 < 2 * rows
+    rng = np.random.default_rng(res + n)
+    X = 2.0 * rng.normal(size=(n, 1))
+    folds = [quad.fold(rng.random(m)), quad.fold(rng.normal(size=m))]
+    full = full_tier_arrays(quad, X, 2)
+    work = Workspace()
+    for order in (0, 1, 2):
+        fused = quad.tiers(X, order, folds, work, keep=min(order + 1, 2))
+        tiers = tier_arrays(quad, X, order)
+        assert all(np.array_equal(a, b) for a, b in zip(work.kept, tiers))
+        for j, contract in enumerate((fold_drift, fold_grad_x, fold_grad_xx)[: order + 1]):
+            for f, fold in enumerate(folds):
+                # bitwise against the folded reference loop, and within a
+                # rounding bound of the unfolded sum over all M cells
+                assert np.array_equal(fused[j][f], contract(fold, tiers))
+                ref = full_contraction(fold, full, j)
+                scale = np.einsum("nm,m->n", np.abs(full[j]), np.abs(fold._weights(j)))
+                assert np.all(np.abs(fused[j][f].reshape(n) - ref) <= 16 * EPS * scale)
+
+
+@pytest.mark.parametrize("family,res", MIRRORED_GRIDS)
+def test_mirrored_brackets_equal_full_reductions(family, res):
+    field = ActivationField(family, "tanh", 1)
+    quad = FieldQuadrature(field, grid_support(field, res))
+    rng = np.random.default_rng(res)
+    X, z = 2.0 * rng.normal(size=(37, 1)), rng.normal(size=(37, 1))
+    vec_dx, vec_b = rng.normal(size=37), rng.normal(size=37)
+    kept, full = tier_arrays(quad, X, 1), full_tier_arrays(quad, X, 1)
+    pairs = [
+        (quad.bracket(kept, z), full_bracket(quad, full, z)),
+        (quad.bracket_pair(kept, vec_dx, vec_b), full_bracket_pair(quad, full, vec_dx, vec_b)),
+    ]
+    for new, ref in pairs:
+        if family == RIDGE_OUTER and res % 2:
+            # the cells with a1 = a2 = 0 and a0 != 0 sum a column of exact
+            # zeros; the full array forms x * -0 + -0 on one side of the
+            # mirror, so that sum may carry the other sign of zero
+            assert np.array_equal(new, ref)
+            new, ref = new[ref != 0.0], ref[ref != 0.0]
+        assert new.tobytes() == ref.tobytes()
+
+
+def _unmirrored_cases():
+    rng = np.random.default_rng(7)
+    logistic = ActivationField(RIDGE_OUTER, "logistic", 1)
+    tanh = ActivationField(COMPONENTWISE, "tanh", 1)
+    ridge = ActivationField(RIDGE_OUTER, "tanh", 1)
+    off_grid = GridMeasure(3.7, 50, np.zeros((50, 50))).midpoints()
+    return {
+        "logistic-mirrored-grid": (logistic, grid_support(logistic, 16)),
+        "particles-componentwise": (tanh, sample_prior(ConfinementPotential(), 2, 2000, rng)),
+        "particles-ridge": (ridge, sample_prior(ConfinementPotential(), 3, 2000, rng)),
+        "halfwidth-3.7-res-50": (tanh, off_grid),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_unmirrored_cases()))
+def test_supports_without_mirror_keep_full_arithmetic(case):
+    field, support = _unmirrored_cases()[case]
+    quad = FieldQuadrature(field, support)
+    m = quad.support.shape[0]
+    assert quad.h == m
+    rng = np.random.default_rng(m)
+    X, z = 2.0 * rng.normal(size=(37, 1)), rng.normal(size=(37, 1))
+    vec_dx, vec_b = rng.normal(size=37), rng.normal(size=37)
+    folds = [quad.fold(rng.random(m)), quad.fold(rng.normal(size=m))]
+    full = full_tier_arrays(quad, X, 2)
+    work = Workspace()
+    fused = quad.tiers(X, 2, folds, work, keep=2)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(work.kept, full))
+    for j in range(3):
+        for f, fold in enumerate(folds):
+            assert fused[j][f].reshape(37).tobytes() == full_contraction(fold, full, j).tobytes()
+    assert quad.bracket(work.kept, z).tobytes() == full_bracket(quad, full, z).tobytes()
+    new = quad.bracket_pair(work.kept, vec_dx, vec_b)
+    assert new.tobytes() == full_bracket_pair(quad, full, vec_dx, vec_b).tobytes()
+
+
+def test_tanh_is_odd_to_the_bit():
+    # the mirrored route takes sigma and sigma'' at a mirror cell as the exact
+    # negatives, and sigma' as an exact copy, of its partner's
+    tiny = np.finfo(float).smallest_subnormal
+    rng = np.random.default_rng(0)
+    spread = np.ldexp(1.0 + rng.random(200_000), rng.integers(-1075, 1024, 200_000))
+    z = np.concatenate(([0.0, tiny, np.finfo(float).tiny, np.inf], np.logspace(-323, 308, 100_000), spread))
+    assert np.tanh(-z).tobytes() == np.negative(np.tanh(z)).tobytes()
+    plus, minus = sigma_triplet("tanh", z), sigma_triplet("tanh", -z)
+    assert minus[0].tobytes() == np.negative(plus[0]).tobytes()
+    assert minus[1].tobytes() == plus[1].tobytes()
+    assert minus[2].tobytes() == np.negative(plus[2]).tobytes()
+
+
+@pytest.mark.parametrize("name", ["desk", "mini"])
+def test_fixture_quadratures_take_the_mirrored_route(name):
+    config, tools, _ = load_run_document(str(FIXTURES / f"{name}.json"), [])
+    path, _ = _initial_grid_path(config, tools)
+    quad = _node_quadratures(config.field, path)[0][0]
+    assert quad.h == quad.support.shape[0] // 2
 
 
 # -- satellites of the sweep engine ----------------------------------------------
