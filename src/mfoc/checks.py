@@ -30,6 +30,7 @@ from .model import Dataset, ProblemConfig, rng_for
 from .optimizer import fp_descent_step, gibbs_map, picard_solve, total_cost
 from .trajectories import (
     backward_solve,
+    curvature_solve,
     default_test_functions,
     duality_residual,
     forward_solve,
@@ -350,8 +351,7 @@ def check_linearized_map_mass(config) -> CheckResult:
     fixture = _fixture(config)
     path, prior = _prior_path(fixture)
     result = picard_solve(fixture, path, tol=1e-9, max_iters=200)
-    flow = forward_solve(fixture, result.path)
-    flow = backward_solve(fixture, result.path, flow, with_hessian=True)
+    flow = curvature_solve(fixture, result.path, result.flow)
     base = result.path.measures[0]
     mids = base.midpoints()
     g = np.cos(1.1 * mids[:, 0]).reshape(base.values.shape)

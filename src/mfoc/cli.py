@@ -38,6 +38,7 @@ from .checks import run_battery
 from .linearization import pl_scan, stability_probe
 from .measures import (
     MIN_RES,
+    AdmissibilityError,
     ControlPath,
     DegenerateMeasureError,
     ParticleMeasure,
@@ -54,7 +55,7 @@ from .optimizer import (
     sample_prior,
     total_cost,
 )
-from .trajectories import DivergenceError, backward_solve
+from .trajectories import DivergenceError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -348,9 +349,8 @@ def _descent_particle(config, tools, writer, steps, h, tilt) -> int:
     return EXIT_OK
 
 
-def _solved_state(config, tools, with_hessian=True):
-    """Picard solution, prior and, when asked, the solution's flow with its
-    transported curvature; (None, None, None) if Picard did not converge."""
+def _solved_state(config, tools):
+    """Picard solution and prior; (None, None) if Picard did not converge."""
     path, prior = _initial_grid_path(config, tools)
     result = picard_solve(
         config,
@@ -360,21 +360,18 @@ def _solved_state(config, tools, with_hessian=True):
         max_iters=_tool(tools, "solve", "max_iters", 500),
     )
     if not result.converged:
-        return None, None, None
-    flow = None
-    if with_hessian:
-        flow = backward_solve(config, result.path, result.flow, with_hessian=True)
-    return result, prior, flow
+        return None, None
+    return result, prior
 
 
 def cmd_stability(config, tools, writer) -> int:
-    result, prior, flow = _solved_state(config, tools)
+    result, _ = _solved_state(config, tools)
     if result is None:
         return EXIT_NO_CONVERGENCE
     report = stability_probe(
         config,
         result.path,
-        flow,
+        result.flow,
         iters=_tool(tools, "stability", "iters", 10),
         margin=_tool(tools, "stability", "margin", 0.1),
         rng=rng_for(config.seed, "stability-probe"),
@@ -397,7 +394,7 @@ def cmd_stability(config, tools, writer) -> int:
 
 
 def cmd_pl_scan(config, tools, writer) -> int:
-    result, prior, _ = _solved_state(config, tools, with_hessian=False)
+    result, prior = _solved_state(config, tools)
     if result is None:
         return EXIT_NO_CONVERGENCE
     report = pl_scan(
@@ -530,7 +527,7 @@ def _run(command, config, tools, writer) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DivergenceError, DegenerateMeasureError, PositivityError) as exc:
+    except (DivergenceError, DegenerateMeasureError, PositivityError, AdmissibilityError) as exc:
         reason = f"{type(exc).__name__}: {exc}"
         print(f"numerical failure: {reason}", file=sys.stderr)
         writer.write_json("summary.json", {"status": "numerical-failure", "reason": reason})

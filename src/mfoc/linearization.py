@@ -33,9 +33,10 @@ from .trajectories import (
     EnsembleFlow,
     StagePass,
     TangentFlow,
+    _curvature_sweep,
     _hermite_midpoint,
-    _rk4_between,
     _tangent_dx,
+    curvature_solve,
     forward_solve,
     stage_pass,
 )
@@ -138,41 +139,20 @@ def solve_v(
 
 def _multiplier(config, path, flow, eta, stages: StagePass) -> LinearizedMultiplier:
     """``solve_v`` on stage data whose first perturbation is ``eta``."""
-    nt, n, dt = path.grid.nt, flow.n, path.grid.dt
-    V = np.empty((nt, n))
-    DV = np.empty((nt, n))
-    # state columns: z, h, K, V, R
-    state = np.zeros((n, 5))
-    state[:, 0] = config.loss.grad_x(flow.x[-1], flow.y)[:, 0]
-    state[:, 1] = 1.0  # quadratic loss curvature
-    state[:, 2] = 1.0  # Jacobian at the terminal time
-    V[-1] = 0.0
-    DV[-1] = 0.0
-    for k in range(nt - 2, -1, -1):
+    V = np.empty((flow.nt, flow.n))
+    DV = np.empty((flow.nt, flow.n))
 
-        def rhs(i):
-            bx = stages.bx[k, i]
-            bxx = stages.bxx[k, i]
-            s_eta = stages.s_eta[0, k, i][:, 0]
-            sx_eta = stages.sx_eta[0, k, i]
+    def columns(k, i, s):
+        # K, V, R after z and h
+        bx = stages.bx[k, i]
+        s_eta = stages.s_eta[0, k, i][:, 0]
+        sx_eta = stages.sx_eta[0, k, i]
+        z, h, kk = s[:, 0], s[:, 1], s[:, 2]
+        gp = sx_eta * z + s_eta * h  # x-derivative of the source
+        return -bx * kk, -s_eta * z, -gp / kk
 
-            def f(s):
-                z, h, kk, _, _ = s.T
-                gp = sx_eta * z + s_eta * h  # x-derivative of the source
-                return np.stack(
-                    [
-                        -bx * z,
-                        -2.0 * bx * h - bxx * z,
-                        -bx * kk,
-                        -s_eta * z,
-                        -gp / kk,
-                    ],
-                    axis=1,
-                )
-
-            return f
-
-        state = _rk4_between(state, -dt, rhs(2), rhs(1), rhs(0))
+    # the flow Jacobian K is the identity at the terminal time
+    for k, state in _curvature_sweep(config, flow, stages, path.grid.dt, (1.0, 0.0, 0.0), columns):
         V[k] = state[:, 3]
         DV[k] = state[:, 2] * state[:, 4]
     return LinearizedMultiplier(v=V, dv=DV, config=config, path=path, eta=eta)
@@ -257,31 +237,14 @@ def cross_term_via_tangent(config, path, flow, eta_bracket, tangent) -> float:
     ends = np.stack([dx[:-1], dx[1:]], axis=1)
     ddx = stages.bx[:, ::2] * ends + stages.s_eta[0, :, ::2, :, 0]
     dx_stage = [dx[:-1], _hermite_midpoint(dx[:-1], dx[1:], ddx[:, 0], ddx[:, 1], dt), dx[1:]]
-    # state columns: z, h, P (accumulated integrand)
-    state = np.zeros((flow.n, 3))
-    state[:, 0] = config.loss.grad_x(flow.x[-1], flow.y)[:, 0]
-    state[:, 1] = 1.0
-    for k in range(path.grid.nt - 2, -1, -1):
 
-        def rhs(i):
-            bx, bxx = stages.bx[k, i], stages.bxx[k, i]
-            s2, sx2 = stages.s_eta[1, k, i][:, 0], stages.sx_eta[1, k, i]
-            dx_here = dx_stage[i][k]
+    def columns(k, i, s):
+        # P, the accumulated integrand, after z and h
+        s2, sx2 = stages.s_eta[1, k, i][:, 0], stages.sx_eta[1, k, i]
+        return (-(sx2 * s[:, 0] + s2 * s[:, 1]) * dx_stage[i][k],)
 
-            def f(s):
-                z, h = s[:, 0], s[:, 1]
-                return np.stack(
-                    [
-                        -bx * z,
-                        -2.0 * bx * h - bxx * z,
-                        -(sx2 * z + s2 * h) * dx_here,
-                    ],
-                    axis=1,
-                )
-
-            return f
-
-        state = _rk4_between(state, -dt, rhs(2), rhs(1), rhs(0))
+    for _, state in _curvature_sweep(config, flow, stages, dt, (0.0,), columns):
+        pass
     return float(np.mean(state[:, 2]))
 
 
@@ -294,36 +257,18 @@ def cross_term_via_multiplier(config, path, flow, eta_drift, multiplier) -> floa
     order-2 stage pass holds the stage data of both perturbations.
     """
     stages = stage_pass(config, path, flow, (multiplier.eta, eta_drift))
-    dt = path.grid.dt
-    # state columns: z, h, K, R, W
-    state = np.zeros((flow.n, 5))
-    state[:, 0] = config.loss.grad_x(flow.x[-1], flow.y)[:, 0]
-    state[:, 1] = 1.0
-    state[:, 2] = 1.0
-    for k in range(path.grid.nt - 2, -1, -1):
 
-        def rhs(i):
-            bx, bxx = stages.bx[k, i], stages.bxx[k, i]
-            s2, sx2 = stages.s_eta[0, k, i][:, 0], stages.sx_eta[0, k, i]
-            s1 = stages.s_eta[1, k, i][:, 0]
+    def columns(k, i, s):
+        # K, R, W after z and h
+        bx = stages.bx[k, i]
+        s2, sx2 = stages.s_eta[0, k, i][:, 0], stages.sx_eta[0, k, i]
+        s1 = stages.s_eta[1, k, i][:, 0]
+        z, h, kk, rr = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
+        gp = sx2 * z + s2 * h
+        return -bx * kk, -gp / kk, -s1 * kk * rr
 
-            def f(s):
-                z, h, kk, rr = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
-                gp = sx2 * z + s2 * h
-                return np.stack(
-                    [
-                        -bx * z,
-                        -2.0 * bx * h - bxx * z,
-                        -bx * kk,
-                        -gp / kk,
-                        -s1 * kk * rr,
-                    ],
-                    axis=1,
-                )
-
-            return f
-
-        state = _rk4_between(state, -dt, rhs(2), rhs(1), rhs(0))
+    for _, state in _curvature_sweep(config, flow, stages, path.grid.dt, (1.0, 0.0, 0.0), columns):
+        pass
     return float(np.mean(state[:, 4]))
 
 
@@ -445,7 +390,9 @@ def stability_probe(
     the map, so spectral distance of the sampled Ritz values from one is
     evidence (not proof) of stability. Reports the dominant eigenvalue
     estimate, the sup-node total-variation distance between the last iterate
-    and its image, and the sampled spectrum.
+    and its image, and the sampled spectrum. ``flow`` needs only the forward
+    features: the adjoint and curvature come from the probe's own order-2
+    stage pass, which every Krylov step shares.
     """
     rng = rng or np.random.default_rng(config.seed)
     template = path.measures[0]
@@ -472,6 +419,7 @@ def stability_probe(
     history = []
     breakdown = False
     stages = stage_pass(config, path, flow)
+    flow = curvature_solve(config, path, flow, stages)
     for j in range(iters):
         image = linear_map_image(config, path, flow, basis[j], stages=stages)
         last_image = image

@@ -33,6 +33,12 @@ the same call. ``duality_residual`` and ``meanfield_drift`` pass their folds
 to the kernel in the same way, so no sweep of the package builds tier
 arrays.
 
+``backward_solve`` is the order-1 adjoint sweep of the Gibbs map and the
+Langevin step. The pair (z, h) of adjoint and curvature h = grad_xx u has
+one backward RK4 driver, ``_curvature_sweep``, on an order-2 stage pass:
+``curvature_solve`` stores its node states on the flow, and the multiplier
+and both cross terms add their accumulator columns to the same state.
+
 Features and labels are scalars: states are (n, 1) arrays, and the kernel
 hands back drifts as (n, 1) and their x-derivatives as (n,) vectors.
 """
@@ -65,9 +71,9 @@ class EnsembleFlow:
     ``x`` always holds the forward features, shape (nt, n, 1). ``y`` is the
     constant label block (n, 1). ``z`` holds the backward adjoints when
     populated; ``hess`` the second x-derivative of the value function along
-    characteristics, (nt, n); ``bracket`` the per-node grid samples of
-    the mean b . z coupling when a Gibbs grid was supplied to the backward
-    pass.
+    characteristics, (nt, n), when ``curvature_solve`` filled it;
+    ``bracket`` the per-node grid samples of the mean b . z coupling when a
+    Gibbs grid was supplied to the backward pass.
     """
 
     x: np.ndarray
@@ -217,7 +223,6 @@ def backward_solve(
     path: ControlPath,
     flow: EnsembleFlow,
     substeps: int = 1,
-    with_hessian: bool = False,
     bracket_grid: Optional[GridMeasure] = None,
 ) -> EnsembleFlow:
     """Transport the adjoint Z backward along the stored features.
@@ -225,29 +230,20 @@ def backward_solve(
     The terminal condition is assigned exactly from the loss gradient. When
     ``bracket_grid`` is given, the per-node grid samples of the averaged
     b . Z coupling are assembled from the same activation evaluations and
-    stored on the returned flow. ``with_hessian`` additionally transports the
-    second x-derivative of the value function along characteristics.
+    stored on the returned flow. The sweep is order 1; ``curvature_solve``
+    transports the curvature.
     """
-    grid, n = path.grid, flow.n
+    grid = path.grid
     if bracket_grid is not None and not path.is_grid:
         raise ConfigError("bracket assembly requires a grid path")
-    order = 2 if with_hessian else 1
     nodes = _node_quadratures(config.field, path)
     work = Workspace()
     # the bracket reduces over particles, so node calls keep the order-0 tier
     keep = 0 if bracket_grid is None else 1
 
     Z = np.empty_like(flow.x)
-    z = config.loss.grad_x(flow.x[-1], flow.y)
-    if faults.active("adjoint-sign"):
-        z = -z
+    z = _terminal_adjoint(config, flow)
     Z[-1] = z
-    H = None
-    h = None
-    if with_hessian:
-        H = np.empty((grid.nt, n))
-        h = np.ones(n)  # quadratic loss: terminal curvature is the identity
-        H[-1] = h
     bracket = None
     if bracket_grid is not None:
         bracket = np.empty((grid.nt, bracket_grid.res**bracket_grid.dprime))
@@ -257,14 +253,14 @@ def backward_solve(
     for k in range(grid.nt - 2, -1, -1):
         quad, fold = nodes[k]
         if right is None:
-            right = _first(quad.tiers(flow.x[k + 1], order, (fold,), work, keep))
+            right = _first(quad.tiers(flow.x[k + 1], 1, (fold,), work, keep))
             if bracket is not None:
                 bracket[-1] = quad.bracket(work.kept, Z[-1])
         # grid paths share one support, so the left node's call also serves
         # interval k - 1, whose right node it is (each node is evaluated once)
         roll = path.is_grid and k > 0
         folds = (fold, nodes[k - 1][1]) if roll else (fold,)
-        node = quad.tiers(flow.x[k], order, folds, work, keep)
+        node = quad.tiers(flow.x[k], 1, folds, work, keep)
         # RK4 substeps take their positions from a fine forward solve; the
         # stage data at its ends are those of the stored nodes
         if substeps == 1:
@@ -274,31 +270,23 @@ def backward_solve(
             for _ in range(substeps):
                 x_fine.append(_rk4_forward(quad, fold, x_fine[-1], dt, work))
         stages = [_first(node)]
-        stages += [_first(quad.tiers(x, order, (fold,), work)) for x in x_fine[1:-1]]
+        stages += [_first(quad.tiers(x, 1, (fold,), work)) for x in x_fine[1:-1]]
         stages.append(right)
         for s in range(substeps, 0, -1):
             x_mid = _hermite_midpoint(
                 x_fine[s - 1], x_fine[s], stages[s - 1][0], stages[s][0], dt
             )
-            mid = _first(quad.tiers(x_mid, order, (fold,), work))
-            state = _pack_state(z, h, with_hessian)
-            state = _rk4_between(
-                state,
-                -dt,
-                _adjoint_rhs(stages[s], with_hessian),
-                _adjoint_rhs(mid, with_hessian),
-                _adjoint_rhs(stages[s - 1], with_hessian),
+            mid = _first(quad.tiers(x_mid, 1, (fold,), work))
+            z = _rk4_between(
+                z, -dt, _adjoint_rhs(stages[s]), _adjoint_rhs(mid), _adjoint_rhs(stages[s - 1])
             )
-            z, h = _unpack_state(state, with_hessian)
         if not np.all(np.isfinite(z)):
             raise DivergenceError(f"backward state diverged at node {k}")
         Z[k] = z
-        if with_hessian:
-            H[k] = h
         if bracket is not None:
             bracket[k] = quad.bracket(work.kept, z)
         right = tuple(c[1] for c in node) if roll else None
-    return replace(flow, z=Z, hess=H, bracket=bracket)
+    return replace(flow, z=Z, bracket=bracket)
 
 
 def _first(contractions):
@@ -306,31 +294,17 @@ def _first(contractions):
     return tuple(c[0] for c in contractions)
 
 
-def _pack_state(z, h, with_hessian):
-    if with_hessian:
-        return np.concatenate([z, h[:, None]], axis=-1)
+def _terminal_adjoint(config, flow):
+    """Loss gradient at the terminal features, (n, 1)."""
+    z = config.loss.grad_x(flow.x[-1], flow.y)
+    if faults.active("adjoint-sign"):
+        z = -z
     return z
 
 
-def _unpack_state(state, with_hessian):
-    if with_hessian:
-        return state[..., :1], state[..., 1]
-    return state, None
-
-
-def _adjoint_rhs(stage, with_hessian):
+def _adjoint_rhs(stage):
     bx = stage[1][:, None]
-    bxx = stage[2] if with_hessian else None
-
-    def f(state):
-        if with_hessian:
-            zz, hh = state[..., :1], state[..., 1]
-            dz = -bx * zz
-            dh = -2.0 * bx[:, 0] * hh - bxx * zz[:, 0]
-            return np.concatenate([dz, dh[:, None]], axis=-1)
-        return -bx * state
-
-    return f
+    return lambda z: -bx * z
 
 
 @dataclass(frozen=True)
@@ -364,10 +338,10 @@ def stage_pass(
     """One kernel evaluation per stage position of the linearized sweeps.
 
     Without ``stages`` a pass of the given tier order builds the midpoints and
-    contracts the control folds there (grad_xx only at order 2, which only the
-    multiplier needs), and the folds of every perturbation in ``etas``. With
-    ``stages`` of the same path and flow, an order-1 pass at the stored
-    positions contracts only the folds of ``etas``.
+    contracts the control folds there (grad_xx only at order 2, which only
+    the curvature sweeps need), and the folds of every perturbation in
+    ``etas``. With ``stages`` of the same path and flow, an order-1 pass at
+    the stored positions contracts only the folds of ``etas``.
     """
     grid = path.grid
     if not path.is_grid:
@@ -414,6 +388,60 @@ def stage_pass(
     for k in range(shape[0]):
         contract(stages.x_mid[k], [(k, 1)])
     return replace(stages, s_eta=s_eta, sx_eta=sx_eta) if etas else stages
+
+
+def _curvature_sweep(config, flow, stages: StagePass, dt, terminal=(), columns=None):
+    """Backward RK4 transport of the adjoint z and the curvature h on an
+    order-2 stage pass, with any accumulator columns of the caller.
+
+    The state is (n, 2 + len(terminal)): z, h, then one column per
+    accumulator, which starts at its ``terminal`` value. ``columns(k, i, s)``
+    gives the accumulators' derivatives at stage i of interval k for state s.
+    Yields (k, state) from the terminal node down to node 0.
+    """
+    state = np.empty((flow.n, 2 + len(terminal)))
+    state[:, 0] = _terminal_adjoint(config, flow)[:, 0]
+    state[:, 1] = 1.0  # quadratic loss: terminal curvature is the identity
+    state[:, 2:] = terminal
+    yield flow.nt - 1, state
+    for k in range(flow.nt - 2, -1, -1):
+
+        def rhs(i):
+            bx, bxx = stages.bx[k, i], stages.bxx[k, i]
+
+            def f(s):
+                z, h = s[:, 0], s[:, 1]
+                extra = columns(k, i, s) if columns else ()
+                return np.stack([-bx * z, -2.0 * bx * h - bxx * z, *extra], axis=1)
+
+            return f
+
+        state = _rk4_between(state, -dt, rhs(2), rhs(1), rhs(0))
+        yield k, state
+
+
+def curvature_solve(
+    config: ProblemConfig,
+    path: ControlPath,
+    flow: EnsembleFlow,
+    stages: Optional[StagePass] = None,
+) -> EnsembleFlow:
+    """The flow with its adjoint Z and curvature h = grad_xx u filled in.
+
+    Both are transported backward along the stored features on ``stages``,
+    an order-2 ``stage_pass`` of the same path and flow, which is built when
+    not given.
+    """
+    if stages is None:
+        stages = stage_pass(config, path, flow)
+    Z = np.empty_like(flow.x)
+    H = np.empty((flow.nt, flow.n))
+    for k, state in _curvature_sweep(config, flow, stages, path.grid.dt):
+        if not np.all(np.isfinite(state[:, 0])):
+            raise DivergenceError(f"backward state diverged at node {k}")
+        Z[k, :, 0] = state[:, 0]
+        H[k] = state[:, 1]
+    return replace(flow, z=Z, hess=H)
 
 
 def _tangent_dx(stages: StagePass, dt: float) -> np.ndarray:

@@ -47,6 +47,7 @@ from mfoc.optimizer import (
 )
 from mfoc.trajectories import (
     backward_solve,
+    curvature_solve,
     default_test_functions,
     duality_residual,
     forward_solve,
@@ -70,9 +71,7 @@ def _report(num, name, ok, detail, elapsed, budget):
 @pytest.fixture(scope="module")
 def desk_flow(desk_solution):
     config, prior, result = desk_solution
-    flow = forward_solve(config, result.path)
-    flow = backward_solve(config, result.path, flow, with_hessian=True)
-    return flow
+    return curvature_solve(config, result.path, result.flow)
 
 
 def test_criterion_01_gradient_exactness(desk_config):

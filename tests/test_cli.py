@@ -349,7 +349,7 @@ def reference_path_to_csv(path):
 class TestPathCsv:
     def test_solved_mini_path_matches_reference(self):
         config, tools, _ = load_run_document(str(FIXTURES / "mini.json"), [])
-        result, _, _ = _solved_state(config, tools)
+        result, _ = _solved_state(config, tools)
         assert result is not None
         text = "".join(_path_to_csv(result.path))
         assert text == reference_path_to_csv(result.path)
@@ -507,6 +507,22 @@ def test_numerical_failure_exits_2_with_reason(tmp_path, capsys, monkeypatch, er
     monkeypatch.setattr(optimizer, "gibbs_map_with_flow", failing)
     code, out = run(tmp_path, "solve", "--config", str(FIXTURES / "mini.json"))
     assert_numerical_failure(code, out, capsys.readouterr().err, error.__name__)
+
+
+def test_inadmissible_krylov_direction_exits_2_with_reason(tmp_path, capsys):
+    # Gram-Schmidt round-off leaves a Krylov direction of mini_zero with a
+    # node mass above the perturbation tolerance
+    code, out = run(
+        tmp_path,
+        "stability",
+        "--config",
+        str(FIXTURES / "mini_zero.json"),
+        "--set",
+        "stability.iters=10",
+    )
+    err = capsys.readouterr().err
+    assert_numerical_failure(code, out, err, "AdmissibilityError")
+    assert "node mass" in read_summary(out)["reason"]
 
 
 def test_fp_step_out_of_halvings_exits_2_with_reason(tmp_path, capsys):

@@ -21,7 +21,7 @@ from mfoc.measures import GridMeasure, relative_entropy
 from mfoc.model import FieldQuadrature, rng_for
 from mfoc.optimizer import picard_solve, total_cost
 from mfoc.trajectories import (
-    backward_solve,
+    curvature_solve,
     default_test_functions,
     forward_solve,
     tangent_solve,
@@ -34,7 +34,7 @@ def solved(desk_solution):
     """Desk solution with a curvature-transporting flow attached."""
     config, prior, result = desk_solution
     flow = forward_solve(config, result.path)
-    flow = backward_solve(config, result.path, flow, with_hessian=True)
+    flow = curvature_solve(config, result.path, flow)
     return config, prior, result, flow
 
 
@@ -291,7 +291,7 @@ class TestStabilityProbe:
         path, prior = prior_path(config)
         result = picard_solve(config, path, tol=1e-10)
         flow = forward_solve(config, result.path)
-        flow = backward_solve(config, result.path, flow, with_hessian=True)
+        flow = curvature_solve(config, result.path, flow)
         report = stability_probe(
             config, result.path, flow, iters=4, rng=rng_for(0, "probe")
         )
@@ -304,7 +304,7 @@ class TestStabilityProbe:
         path, prior = prior_path(config)
         result = picard_solve(config, path, tol=1e-10)
         flow = forward_solve(config, result.path)
-        flow = backward_solve(config, result.path, flow, with_hessian=True)
+        flow = curvature_solve(config, result.path, flow)
         eta = relative_eta(
             result.path.measures[0],
             config.grid,
@@ -346,7 +346,7 @@ class TestStabilityProbe:
             path, _ = prior_path(config)
             result = picard_solve(config, path, tol=1e-10)
             flow = forward_solve(config, result.path)
-            flow = backward_solve(config, result.path, flow, with_hessian=True)
+            flow = curvature_solve(config, result.path, flow)
             report = stability_probe(
                 config, result.path, flow, iters=5, rng=rng_for(2, "probe")
             )

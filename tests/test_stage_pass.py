@@ -2,12 +2,13 @@
 they replaced, and the number of activation-kernel calls they make."""
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mfoc import linearization
+from mfoc import cli, linearization, optimizer
 from mfoc.cli import _solved_state, load_run_document
 from mfoc.linearization import (
     LinearizedMultiplier,
@@ -28,6 +29,7 @@ from mfoc.trajectories import (
     _hermite_midpoint,
     _node_quadratures,
     _rk4_between,
+    curvature_solve,
     stage_pass,
     tangent_solve,
 )
@@ -257,9 +259,10 @@ def reference_cross_term_via_multiplier(config, path, flow, eta_drift, multiplie
 @pytest.fixture(scope="module")
 def mini():
     config, tools, _ = load_run_document(str(MINI), [])
-    result, _, flow = _solved_state(config, tools)
+    result, _ = _solved_state(config, tools)
     assert result is not None
     path = result.path
+    flow = curvature_solve(config, path, result.flow)
     base = path.measures[0]
     eta = relative_eta(
         base,
@@ -396,6 +399,39 @@ def test_stability_probe_builds_stage_data_once(mini, tiers_calls):
     assert len(tiers_calls) == 17 + 26 * steps
     assert tiers_calls[:17] == [2] * 17
     assert set(tiers_calls[17:]) == {1}
+
+
+def test_stability_probe_transports_the_curvature_itself(mini, tiers_calls):
+    config, tools, path, flow, _ = mini
+    forward = replace(flow, z=None, hess=None)
+    report = _probe(config, tools, path, forward)
+    calls = len(tiers_calls)
+    assert repr(report) == repr(_probe(config, tools, path, flow))
+    assert len(tiers_calls) == 2 * calls
+
+
+def test_stability_command_runs_no_backward_sweep_after_the_solve(
+    tmp_path, monkeypatch, tiers_calls
+):
+    backward, solved = [], []
+    original_backward, original_picard = optimizer.backward_solve, cli.picard_solve
+
+    def counting(*args, **kwargs):
+        backward.append(1)
+        return original_backward(*args, **kwargs)
+
+    def marking(*args, **kwargs):
+        result = original_picard(*args, **kwargs)
+        solved.append((len(backward), len(tiers_calls)))
+        return result
+
+    monkeypatch.setattr(optimizer, "backward_solve", counting)
+    monkeypatch.setattr(cli, "picard_solve", marking)
+    _, tools, _ = load_run_document(str(MINI), [])
+    assert cli.main(["stability", "--config", str(MINI), "--out", str(tmp_path / "o")]) == 0
+    [(sweeps, kernel)] = solved
+    assert sweeps > 0 and len(backward) == sweeps
+    assert len(tiers_calls) - kernel == 17 + int(tools["stability"]["iters"]) * 26
 
 
 def test_quadratic_form_makes_one_order_1_pass(mini, tiers_calls):

@@ -28,10 +28,9 @@ from mfoc.trajectories import (
     _hermite_midpoint,
     _measure_arrays,
     _node_quadratures,
-    _pack_state,
     _rk4_between,
-    _unpack_state,
     backward_solve,
+    curvature_solve,
     default_test_functions,
     duality_residual,
     forward_solve,
@@ -86,6 +85,18 @@ def _reference_fine_forward_interval(quad, fold, x0, dt_interval, substeps):
     for s in range(substeps):
         out[s + 1] = _reference_rk4_forward(quad, fold, out[s], dt)
     return out
+
+
+def _pack_state(z, h, with_hessian):
+    if with_hessian:
+        return np.concatenate([z, h[:, None]], axis=-1)
+    return z
+
+
+def _unpack_state(state, with_hessian):
+    if with_hessian:
+        return state[..., :1], state[..., 1]
+    return state, None
 
 
 def _reference_adjoint_rhs(fold, tiers, with_hessian):
@@ -234,20 +245,30 @@ def _same(a, b):
 
 
 @pytest.mark.parametrize("substeps", [1, 2])
-@pytest.mark.parametrize("with_hessian", [False, True])
-def test_grid_sweeps_match_reference_loops(mini, substeps, with_hessian):
+def test_grid_sweeps_match_reference_loops(mini, substeps):
     config, path = mini
     flow = forward_solve(config, path, substeps=substeps)
     assert np.array_equal(flow.x, reference_forward_solve(config, path, substeps))
     grid = path.measures[0]
-    new = backward_solve(config, path, flow, substeps, with_hessian, bracket_grid=grid)
-    ref = reference_backward_solve(config, path, flow, substeps, with_hessian, grid)
+    new = backward_solve(config, path, flow, substeps, bracket_grid=grid)
+    ref = reference_backward_solve(config, path, flow, substeps, bracket_grid=grid)
     assert np.abs(new.z).max() > 0.0
     assert all(_same(a, b) for a, b in zip((new.z, new.hess, new.bracket), ref))
-    if with_hessian:
-        plain = backward_solve(config, path, flow, substeps, with_hessian)
-        assert plain.bracket is None
-        assert np.array_equal(plain.z, ref[0]) and np.array_equal(plain.hess, ref[1])
+
+
+@pytest.mark.parametrize("family", [COMPONENTWISE, RIDGE_OUTER])
+def test_curvature_solve_matches_reference_hessian_loop(mini, family):
+    config, path = mini
+    if family != config.field.family:
+        overrides = [f"field.family={family}", "measure.res=16"]
+        config, tools, _ = load_run_document(str(MINI), overrides)
+        path = picard_solve(config, _initial_grid_path(config, tools)[0], max_iters=3).path
+    flow = forward_solve(config, path)
+    new = curvature_solve(config, path, flow)
+    z, hess, _ = reference_backward_solve(config, path, flow, with_hessian=True)
+    assert np.abs(new.z).max() > 0.0 and np.abs(new.hess - 1.0).max() > 0.0
+    assert np.array_equal(new.x, flow.x) and new.bracket is None
+    assert np.array_equal(new.z, z) and np.array_equal(new.hess, hess)
 
 
 def test_particle_sweeps_match_reference_loops(mini):
@@ -535,17 +556,18 @@ def test_picard_result_carries_the_flow_of_its_path(mini):
 
 
 def test_pl_scan_runs_no_sweep_after_the_solve(tmp_path, monkeypatch):
-    calls = []
-    original = cli.backward_solve
+    # only the curvature sweeps evaluate the kernel at order 2
+    orders = []
+    original = FieldQuadrature.tiers
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(self, X, order, *args, **kwargs):
+        orders.append(order)
+        return original(self, X, order, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "backward_solve", counting)
+    monkeypatch.setattr(FieldQuadrature, "tiers", counting)
     code = cli.main(["pl-scan", "--config", str(MINI), "--out", str(tmp_path / "o")])
     assert code == 0
-    assert calls == []
+    assert orders and 2 not in orders
 
 
 def test_divergence_in_backward_sweep_names_the_node(mini, monkeypatch):
@@ -560,3 +582,5 @@ def test_divergence_in_backward_sweep_names_the_node(mini, monkeypatch):
     monkeypatch.setattr(FieldQuadrature, "tiers", poisoned)
     with pytest.raises(DivergenceError, match=f"node {config.grid.nt - 2}"):
         backward_solve(config, path, flow)
+    with pytest.raises(DivergenceError, match=f"diverged at node {config.grid.nt - 2}"):
+        curvature_solve(config, path, flow)

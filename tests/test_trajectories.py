@@ -15,6 +15,7 @@ from mfoc.model import ActivationField, ConfinementPotential, Dataset, FieldQuad
 from mfoc.trajectories import (
     DivergenceError,
     backward_solve,
+    curvature_solve,
     default_test_functions,
     duality_residual,
     forward_solve,
@@ -187,9 +188,7 @@ class TestBackwardSolve:
     def test_hessian_transport_matches_fd(self):
         config = make_config(n=6, nt=33)
         path = tilted_path(config, res=48)
-        flow = backward_solve(
-            config, path, forward_solve(config, path), with_hessian=True
-        )
+        flow = curvature_solve(config, path, forward_solve(config, path))
         k = 16
         h = 1e-3
         tail_grid = config.grid.tail(k)
