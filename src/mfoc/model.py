@@ -267,8 +267,8 @@ class FieldQuadrature:
         mirror = v[: self.support.shape[0] - self.h][::-1]
         return np.concatenate((v, -mirror if odd else mirror))
 
-    def fold(self, weights: np.ndarray) -> "WeightFold":
-        return WeightFold(self, np.asarray(weights, dtype=float))
+    def fold(self, values: np.ndarray, scale: float = 1.0) -> "WeightFold":
+        return WeightFold(self, np.asarray(values, dtype=float), scale)
 
     def bracket(self, tiers, z_ens: np.ndarray) -> np.ndarray:
         """Support samples of mean_i b(x_i, .) z_i from kept tiers."""
@@ -288,7 +288,9 @@ class FieldQuadrature:
 
 
 class WeightFold:
-    """One weight vector over a FieldQuadrature's support.
+    """One weight vector over a FieldQuadrature's support: the samples ``w``
+    (M,), such as a grid node's density, times ``scale``, such as its cell
+    volume. The fold holds the samples as given, not a scaled copy.
 
     The weights are multiplied into the parameter columns of each tier on
     first use and kept for the fold's lifetime, so a sweep that never asks
@@ -297,13 +299,16 @@ class WeightFold:
     the parity of their tier: sigma and sigma'' are odd, sigma' is even.
     """
 
-    def __init__(self, quad: FieldQuadrature, weights: np.ndarray):
+    def __init__(self, quad: FieldQuadrature, values: np.ndarray, scale: float = 1.0):
         self.quad = quad
-        self.w = weights
+        self.w = values
+        self.scale = scale
 
     def _weights(self, j: int) -> np.ndarray:
-        """Unfolded weights (M,) of tier j: w a0 a1^j."""
-        w = self.w if self.quad._a0 is None else self.w * self.quad._a0
+        """Unfolded weights (M,) of tier j: (w scale) a0 a1^j."""
+        w = self.w if self.scale == 1.0 else self.w * self.scale
+        if self.quad._a0 is not None:
+            w = w * self.quad._a0
         for _ in range(j):
             w = w * self.quad._a1
         return w

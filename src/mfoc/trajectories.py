@@ -142,7 +142,7 @@ def _node_quadratures(field: ActivationField, path: ControlPath):
     """Per-node (quadrature, control fold); grid paths share one support."""
     if path.is_grid:
         quad = FieldQuadrature(field, path.measures[0].midpoints())
-        return [(quad, quad.fold(m.values.ravel() * m.cell_volume)) for m in path.measures]
+        return [(quad, quad.fold(m.values.ravel(), m.cell_volume)) for m in path.measures]
     out = []
     for m in path.measures:
         support, weights = _measure_arrays(m)
@@ -181,6 +181,7 @@ def forward_solve(
     dt = grid.dt / substeps
     for k in range(grid.nt - 1):
         quad, fold = nodes[k]
+        nodes[k] = None  # the sweep has passed node k: its weights can go
         xk = X[k]
         for _ in range(substeps):
             xk = _rk4_forward(quad, fold, xk, dt, work)
@@ -286,6 +287,7 @@ def backward_solve(
         if bracket is not None:
             bracket[k] = quad.bracket(work.kept, z)
         right = tuple(c[1] for c in node) if roll else None
+        nodes[k] = None  # interval k - 1 needs only node k - 1's fold
     return replace(flow, z=Z, bracket=bracket)
 
 
@@ -362,7 +364,7 @@ def stage_pass(
     # per interval: the control's fold when building, then one per perturbation
     folds = [
         ([nodes[k][1]] if nodes is not None else [])
-        + [quad.fold(eta.node(k).ravel() * eta.cell_volume) for eta in etas]
+        + [quad.fold(eta.node(k).ravel(), eta.cell_volume) for eta in etas]
         for k in range(shape[0])
     ]
     work = Workspace()

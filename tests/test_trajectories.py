@@ -382,4 +382,4 @@ class TestNodeQuadratures:
         for (quad, fold), m in zip(nodes, path.measures):
             support, weights = _measure_arrays(m)
             assert np.array_equal(quad.support, support)
-            assert np.array_equal(fold.w, weights)
+            assert np.array_equal(fold._weights(0), weights)
