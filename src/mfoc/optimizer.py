@@ -1,12 +1,13 @@
-"""Cost evaluation, Gibbs map, damped Picard iteration and the two descent
-flows (grid Fokker-Planck, particle Langevin).
+"""Cost evaluation, Gibbs map, Anderson-accelerated Picard iteration and the
+two descent flows (grid Fokker-Planck, particle Langevin).
 
 The Gibbs map sends a control path to the family of measures proportional to
 exp(-ell - Phi_t / epsilon), where Phi_t is the ensemble average of b . Z
 along the flow driven by the path; its fixed points are exactly the
 first-order optimal controls. All normalizers are computed with log-sum-exp
-and the Picard update mixes log-densities (geometric damping), which
-preserves both positivity and the Gibbs form.
+and the Picard update combines log-densities (Anderson mixing over the last
+two steps, the damped geometric mixture without history) before each node is
+renormalized, which preserves positivity.
 """
 
 from __future__ import annotations
@@ -181,6 +182,23 @@ def picard_residual(path: ControlPath, snapshots) -> float:
     )
 
 
+# past steps whose differences the Anderson fit uses
+_DEPTH = 2
+
+
+def _log_density(m: GridMeasure) -> np.ndarray:
+    return np.log(np.maximum(m.values, LOG_FLOOR))
+
+
+def _mixing_coefficients(gram, rhs):
+    """Least-squares solution of the normal equations of the Anderson fit, or
+    None when it is not finite."""
+    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
+        return None
+    coeffs = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+    return coeffs if np.all(np.isfinite(coeffs)) else None
+
+
 def picard_solve(
     config: ProblemConfig,
     init_path: ControlPath,
@@ -188,10 +206,21 @@ def picard_solve(
     tol: float = 1e-8,
     max_iters: int = 500,
 ) -> PicardResult:
-    """Damped fixed-point iteration for the first-order system.
+    """Anderson-accelerated fixed-point iteration for the first-order system.
 
-    The update is the geometric mixture nu^{1-tau} Gamma[nu]^tau computed in
-    log space and renormalized, so densities stay positive and Gibbs-form.
+    It works on the per-node log-densities x = log nu and the fixed-point
+    residual f = log Gamma[nu] - x. The update is type-II Anderson mixing of
+    depth 2 (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) with mixing weight
+    beta = ``damping``: x+ = x + beta f - sum_i c_i (dx_i + beta df_i), where
+    dx_i and df_i are the differences of x and f over the last two steps and
+    c solves the least-squares fit of f by the df_i. Each node is then
+    renormalized, so densities stay positive, and dx is the step so taken.
+    With an empty history the step is the damped geometric mixture
+    nu^{1-beta} Gamma[nu]^beta; a non-finite coefficient clears the history
+    and takes that step. The history is held in float32: it only steers the
+    extrapolation, while the iterate, the map, the residual and the stopping
+    test stay float64.
+
     The converged cost is the value of the control problem at (t0, gamma_0).
     A non-finite residual stops the iteration at once, unconverged.
     """
@@ -201,6 +230,13 @@ def picard_solve(
     template = init_path.measures[0]
     prior = _prior_for(config, template)
     path = init_path
+    nt = path.grid.nt
+    # slot j holds a history column (dx, df) or the last step's pending dx
+    # and f, which the next residual turns into a column
+    dx = np.empty((_DEPTH, nt) + template.values.shape, dtype=np.float32)
+    df = np.empty_like(dx)
+    columns = []  # slots of the complete columns, oldest first
+    pending = None
     history = []
     iterations = 0
     converged = False
@@ -213,19 +249,41 @@ def picard_solve(
             break
         if iterations >= max_iters or not math.isfinite(residual):
             break
+        # drop the flow now and each snapshot once its node is mixed, so two
+        # maps are never held at once
+        flow = None
+        coeffs = ()
+        if pending is not None:
+            columns.append(pending)
+            gram = np.zeros((len(columns), len(columns)))
+            rhs = np.zeros(len(columns))
+            for k in range(nt):
+                f = _log_density(snapshots[k].gamma) - _log_density(path.measures[k])
+                df[pending, k] = f - df[pending, k]
+                d = df[columns, k].reshape(len(columns), -1).astype(float)
+                gram += np.einsum("im,jm->ij", d, d)
+                rhs += np.einsum("im,m->i", d, f.ravel())
+            coeffs = _mixing_coefficients(gram, rhs)
+            if coeffs is None:
+                columns, coeffs = [], ()
+        slot = iterations % _DEPTH  # the oldest column's slot, or a free one
+        snapshots = list(snapshots)
         new_measures = []
-        for k in range(path.grid.nt):
-            log_nu = np.log(np.maximum(path.measures[k].values, LOG_FLOOR))
-            log_gamma = np.log(np.maximum(snapshots[k].gamma.values, LOG_FLOOR))
-            mixed = (1.0 - damping) * log_nu + damping * log_gamma
-            new_measures.append(
-                GridMeasure.from_log_values(template.halfwidth, template.res, mixed)
-            )
+        for k in range(nt):
+            x = _log_density(path.measures[k])
+            f = _log_density(snapshots[k].gamma) - x
+            snapshots[k] = None
+            x_new = x + damping * f
+            for c, j in zip(coeffs, columns):
+                x_new -= c * (dx[j, k].astype(float) + damping * df[j, k].astype(float))
+            new = GridMeasure.from_log_values(template.halfwidth, template.res, x_new)
+            dx[slot, k] = _log_density(new) - x
+            df[slot, k] = f
+            new_measures.append(new)
+        columns = [j for j in columns if j != slot]
+        pending = slot
         path = path.replace_measures(new_measures)
         iterations += 1
-        # drop the previous map's snapshots and flow before the next map is
-        # built, so the two are never held at once
-        snapshots = flow = None
         snapshots, flow = gibbs_map_with_flow(config, path)
     terminal = terminal_cost(config, flow)
     entropy = path_entropy(path, prior)

@@ -346,6 +346,16 @@ def reference_path_to_csv(path):
     return "\n".join(lines) + "\n"
 
 
+def test_solve_converges_on_mini_at_small_epsilon(tmp_path):
+    code, out = run(
+        tmp_path, "solve", "--config", str(FIXTURES / "mini.json"), "--set", "epsilon=0.02"
+    )
+    assert code == 0
+    summary = read_summary(out)
+    assert summary["converged"] is True
+    assert summary["residual"] <= 1e-8
+
+
 class TestPathCsv:
     def test_solved_mini_path_matches_reference(self):
         config, tools, _ = load_run_document(str(FIXTURES / "mini.json"), [])

@@ -1,9 +1,11 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mfoc.cli import _initial_grid_path, load_run_document
 from mfoc.measures import (
     ControlPath,
     GridMeasure,
@@ -25,6 +27,26 @@ from mfoc.optimizer import (
 )
 from mfoc.trajectories import forward_solve
 from conftest import make_config, make_prior, prior_path, relative_eta
+
+MINI = Path(__file__).resolve().parent.parent / "fixtures" / "mini.json"
+
+
+def mini_start(*sets):
+    """Configuration and prior path of fixtures/mini.json with overrides."""
+    config, tools, _ = load_run_document(str(MINI), list(sets))
+    return config, _initial_grid_path(config, tools)[0]
+
+
+def damped_step(config, path, damping):
+    """Reference damped Picard step: the geometric mixture
+    nu^{1-damping} Gamma[nu]^damping of each node, renormalized."""
+    measures = []
+    for nu, snap in zip(path.measures, gibbs_map(config, path)):
+        log_nu = np.log(np.maximum(nu.values, 1e-300))
+        log_gamma = np.log(np.maximum(snap.gamma.values, 1e-300))
+        mixed = (1.0 - damping) * log_nu + damping * log_gamma
+        measures.append(GridMeasure.from_log_values(nu.halfwidth, nu.res, mixed))
+    return path.replace_measures(measures)
 
 
 def tilted_path_from(base_measure, grid, fn, scale=1.0):
@@ -234,6 +256,54 @@ class TestPicardSolve:
             for j in range(tail_grid.nt)
         )
         assert worst < 1e-6
+
+
+class TestAndersonMixing:
+    @pytest.mark.parametrize("epsilon", [0.05, 0.02])
+    def test_default_solve_converges_at_small_epsilon_on_mini(self, epsilon):
+        # damped Picard alone does not converge here: its default 500
+        # iterations leave residuals of 0.99 (eps 0.05) and 6.4 (eps 0.02)
+        config, path = mini_start(f"epsilon={epsilon}")
+        result = picard_solve(config, path)
+        assert result.converged
+        assert result.report.picard_residual <= 1e-8
+        assert result.iterations <= 25
+
+    def test_first_step_is_the_damped_mixture(self):
+        config, path = mini_start()
+        result = picard_solve(config, path, damping=0.3, max_iters=1)
+        assert result.iterations == 1
+        expected = damped_step(config, path, 0.3)
+        for got, want in zip(result.path.measures, expected.measures):
+            np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0.0)
+
+    def test_non_finite_coefficients_clear_the_history(self, monkeypatch):
+        config, path = mini_start()
+        one = picard_solve(config, path, max_iters=1)
+        fresh = picard_solve(config, one.path, max_iters=2)
+        fits = []
+        lstsq = np.linalg.lstsq
+
+        def first_fit_fails(a, b, rcond=None):
+            fits.append(a.shape)
+            if len(fits) == 1:
+                return (np.full(b.shape, np.nan),)
+            return lstsq(a, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", first_fit_fails)
+        two = picard_solve(config, path, max_iters=2)
+        # the second step found no usable fit: it is the damped step
+        expected = damped_step(config, one.path, 0.5)
+        for got, want in zip(two.path.measures, expected.measures):
+            np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0.0)
+        fits.clear()
+        three = picard_solve(config, path, max_iters=3)
+        # the cleared history holds only the second step when the third is
+        # fitted, so the run continues as one restarted from the first iterate
+        assert fits == [(1, 1), (1, 1)]
+        assert three.residual_history[1:] == fresh.residual_history
+        for got, want in zip(three.path.measures, fresh.path.measures):
+            assert np.array_equal(got.values, want.values)
 
 
 class TestFpDescent:
