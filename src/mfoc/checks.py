@@ -84,12 +84,12 @@ def check_field_gradients(config) -> CheckResult:
         gx, ga = field.jacobians(x, a)
         step = 1e-5
         fd = (field.value(x + step, a) - field.value(x - step, a)) / (2 * step)
-        worst = max(worst, float(np.max(np.abs(gx[:, 0] - fd))))
+        worst = max(worst, float(np.max(abs(gx[:, 0] - fd))))
         for j in range(field.dprime):
             e = np.zeros(field.dprime)
             e[j] = step
             fd = (field.value(x, a + e) - field.value(x, a - e)) / (2 * step)
-            worst = max(worst, float(np.max(np.abs(ga[:, j] - fd))))
+            worst = max(worst, float(np.max(abs(ga[:, j] - fd))))
     return CheckResult(
         "field-gradients-vs-fd", worst < 1e-6, f"max abs deviation {worst:.2e}"
     )
@@ -166,7 +166,7 @@ def check_normalize_idempotent(config) -> CheckResult:
     prior = _prior(config)
     once, _ = normalize(prior.measure)
     twice, log_z = normalize(once)
-    dev = float(np.max(np.abs(twice.values - once.values)))
+    dev = float(np.max(abs(twice.values - once.values)))
     return CheckResult(
         "normalize-idempotent",
         dev < 1e-15 and abs(log_z) < 1e-12,
@@ -234,7 +234,7 @@ def check_forward_exactness(config) -> CheckResult:
     frozen = ParticleMeasure(np.zeros((1, fixture.field.dprime)))
     path = ControlPath.constant(fixture.grid, frozen)
     flow = forward_solve(fixture, path)
-    drift_dev = float(np.max(np.abs(flow.x[-1] - flow.x[0])))
+    drift_dev = float(np.max(abs(flow.x[-1] - flow.x[0])))
     a2 = 0.9
     if fixture.field.dprime == 2:
         pt = np.array([[0.0, a2]])
@@ -245,7 +245,7 @@ def check_forward_exactness(config) -> CheckResult:
     path_c = ControlPath.constant(fixture.grid, ParticleMeasure(pt))
     flow_c = forward_solve(fixture, path_c)
     want = flow_c.x[0] + math.tanh(a2) * (fixture.grid.horizon - fixture.grid.t0)
-    const_dev = float(np.max(np.abs(flow_c.x[-1] - want)))
+    const_dev = float(np.max(abs(flow_c.x[-1] - want)))
     ok = drift_dev == 0.0 and const_dev < 1e-12
     return CheckResult(
         "forward-solve-exact-cases",
@@ -295,8 +295,8 @@ def check_tangent_linearity(config) -> CheckResult:
         fixture.grid, base.halfwidth, base.res, 2.0 * e1.values - 0.5 * e2.values
     )
     tc = tangent_solve(fixture, path, flow, combo).dx
-    scale = max(float(np.max(np.abs(tc))), 1e-30)
-    dev = float(np.max(np.abs(tc - (2.0 * t1 - 0.5 * t2)))) / scale
+    scale = max(float(np.max(abs(tc))), 1e-30)
+    dev = float(np.max(abs(tc - (2.0 * t1 - 0.5 * t2)))) / scale
     return CheckResult(
         "tangent-superposition", dev < 1e-10, f"relative defect {dev:.1e}"
     )
@@ -379,7 +379,7 @@ def check_zero_problem_gibbs(config) -> CheckResult:
     path, prior = _prior_path(fixture)
     snaps = gibbs_map(fixture, path)
     worst = max(
-        float(np.max(np.abs(s.gamma.values - prior.measure.values))) for s in snaps
+        float(np.max(abs(s.gamma.values - prior.measure.values))) for s in snaps
     )
     report = total_cost(fixture, path, prior=prior)
     ok = worst < 1e-12 and abs(report.cost) < 1e-12

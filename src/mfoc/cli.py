@@ -74,6 +74,17 @@ _TOOL_SECTIONS = {
     "stability": _STABILITY_KEYS,
     "pl_scan": _PL_KEYS,
 }
+# admissible range of a tool setting: the test and the rule it states
+_RANGES = {
+    "measure.res": (lambda v: v >= MIN_RES, f">= {MIN_RES}"),
+    "solve.tol": (lambda v: v > 0.0, "> 0"),
+    "solve.max_iters": (lambda v: v >= 0, ">= 0"),
+    "descent.steps": (lambda v: v >= 0, ">= 0"),
+    "descent.step_size": (lambda v: math.isfinite(v) and v > 0.0, "finite and > 0"),
+    "stability.iters": (lambda v: v >= 1, ">= 1"),
+    "pl_scan.samples": (lambda v: v >= 1, ">= 1"),
+    "pl_scan.radius": (lambda v: v >= 0.0, ">= 0"),  # 0 is the degenerate scan
+}
 
 
 def _fmt(x) -> str:
@@ -174,15 +185,18 @@ class RunWriter:
 
 
 def _tool(tools, section, key, default):
-    """A tool setting, converted to the type of its default."""
-    value = tools.get(section, {}).get(key, default)
-    return config_value(type(default), value, f"{section}.{key}")
+    """A tool setting, converted to the type of its default and checked
+    against its range in ``_RANGES``."""
+    dotted = f"{section}.{key}"
+    value = config_value(type(default), tools.get(section, {}).get(key, default), dotted)
+    if dotted in _RANGES and not _RANGES[dotted][0](value):
+        rule = _RANGES[dotted][1]
+        raise ConfigError(f"configuration key '{dotted}' must be {rule}, got {value}")
+    return value
 
 
 def _initial_grid_path(config, tools):
     res = _tool(tools, "measure", "res", 64)
-    if res < MIN_RES:
-        raise ConfigError(f"configuration key 'measure.res' must be >= {MIN_RES}, got {res}")
     halfwidth = _tool(tools, "measure", "box_halfwidth", 4.0)
     prior = PriorMeasure.build(config.potential, halfwidth, res, config.field.dprime)
     return ControlPath.constant(config.grid, prior.measure), prior
@@ -199,7 +213,13 @@ def _path_to_csv(path: ControlPath) -> Iterator[str]:
         yield "".join(f"{k},{c},{v:.17g}\n" for c, v in zip(coords, vals))
 
 
-def cmd_solve(config, tools, writer) -> int:
+def _json_float(x):
+    """``x`` as a JSON number, or None where it is not finite."""
+    return x if math.isfinite(x) else None
+
+
+def _solved_state(config, tools):
+    """Picard solution from the prior path, and the prior."""
     path, prior = _initial_grid_path(config, tools)
     result = picard_solve(
         config,
@@ -208,24 +228,40 @@ def cmd_solve(config, tools, writer) -> int:
         tol=_tool(tools, "solve", "tol", 1e-8),
         max_iters=_tool(tools, "solve", "max_iters", 500),
     )
+    return result, prior
+
+
+def _not_converged(result) -> dict:
+    """Status and reason of a solve that did not converge, also printed to
+    stderr; empty when it converged."""
+    if result.converged:
+        return {}
+    residual = result.report.picard_residual
+    reason = "max-iters" if math.isfinite(residual) else "non-finite"
+    print(f"not converged: {reason} after {result.iterations} iterations", file=sys.stderr)
+    return {"status": "not-converged", "reason": reason}
+
+
+def cmd_solve(config, tools, writer) -> int:
+    result, _ = _solved_state(config, tools)
+    failure = _not_converged(result)
     lines = ["iteration,residual"]
     for i, r in enumerate(result.residual_history):
         lines.append(f"{i},{_fmt(r)}")
     writer.write_text("residuals.csv", "\n".join(lines) + "\n")
     writer.write_text("nu_star.csv", _path_to_csv(result.path))
-    writer.write_json(
-        "summary.json",
-        {
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "residual": result.report.picard_residual,
-            "cost": result.report.cost,
-            "terminal": result.report.terminal,
-            "entropy": result.report.entropy,
-            "fisher": result.report.fisher,
-        },
-    )
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    report = result.report
+    summary = {
+        "converged": result.converged,
+        "iterations": result.iterations,
+        "residual": _json_float(report.picard_residual),
+        "cost": report.cost,
+        "terminal": report.terminal,
+        "entropy": report.entropy,
+        "fisher": _json_float(report.fisher),
+    }
+    writer.write_json("summary.json", {**summary, **failure})
+    return EXIT_NO_CONVERGENCE if failure else EXIT_OK
 
 
 def _tilted_start(config, prior, path, amplitude=0.3):
@@ -263,26 +299,20 @@ def cmd_descent(config, tools, writer) -> int:
 def _descent_grid(config, tools, writer, steps, h, tilt) -> int:
     base, prior = _initial_grid_path(config, tools)
     path = _tilted_start(config, prior, base, amplitude=tilt)
-    # dj_over_h uses the requested step; the halvings column flags steps the
-    # positivity guard shortened, where that quotient is not meaningful
-    rows = ["step,cost,terminal,entropy,fisher,dj_over_h,halvings"]
-    prev_cost = None
-    for k in range(steps):
-        out = fp_descent_step(config, path, h, prior=prior)
-        report = out.report
-        dj = "" if prev_cost is None else _fmt((report.cost - prev_cost) / h)
+    rows = ["step,cost,terminal,entropy,fisher,dj_over_h"]
+    # row k holds the cost at the start of step k; the last, the final cost
+    for k in range(steps + 1):
+        if k < steps:
+            out = fp_descent_step(config, path, h, prior=prior)
+            report, path = out.report, out.path
+        else:
+            report = total_cost(config, path, with_fisher=True, prior=prior)
+        dj = "" if k == 0 else _fmt((report.cost - prev_cost) / h)
         rows.append(
             f"{k},{_fmt(report.cost)},{_fmt(report.terminal)},"
-            f"{_fmt(report.entropy)},{_fmt(report.fisher)},{dj},{out.halvings}"
+            f"{_fmt(report.entropy)},{_fmt(report.fisher)},{dj}"
         )
         prev_cost = report.cost
-        path = out.path
-    final = total_cost(config, path, with_fisher=True, prior=prior)
-    dj = "" if prev_cost is None else _fmt((final.cost - prev_cost) / h)
-    rows.append(
-        f"{steps},{_fmt(final.cost)},{_fmt(final.terminal)},"
-        f"{_fmt(final.entropy)},{_fmt(final.fisher)},{dj},0"
-    )
     writer.write_text("series.csv", "\n".join(rows) + "\n")
     writer.write_text("final_state.csv", _path_to_csv(path))
     writer.write_json(
@@ -291,8 +321,8 @@ def _descent_grid(config, tools, writer, steps, h, tilt) -> int:
             "backend": "grid",
             "steps": steps,
             "step_size": h,
-            "final_cost": final.cost,
-            "final_fisher": final.fisher,
+            "final_cost": report.cost,
+            "final_fisher": report.fisher,
         },
     )
     return EXIT_OK
@@ -349,24 +379,11 @@ def _descent_particle(config, tools, writer, steps, h, tilt) -> int:
     return EXIT_OK
 
 
-def _solved_state(config, tools):
-    """Picard solution and prior; (None, None) if Picard did not converge."""
-    path, prior = _initial_grid_path(config, tools)
-    result = picard_solve(
-        config,
-        path,
-        damping=_tool(tools, "solve", "damping", 0.5),
-        tol=_tool(tools, "solve", "tol", 1e-8),
-        max_iters=_tool(tools, "solve", "max_iters", 500),
-    )
-    if not result.converged:
-        return None, None
-    return result, prior
-
-
 def cmd_stability(config, tools, writer) -> int:
     result, _ = _solved_state(config, tools)
-    if result is None:
+    failure = _not_converged(result)
+    if failure:
+        writer.write_json("summary.json", failure)
         return EXIT_NO_CONVERGENCE
     report = stability_probe(
         config,
@@ -395,7 +412,9 @@ def cmd_stability(config, tools, writer) -> int:
 
 def cmd_pl_scan(config, tools, writer) -> int:
     result, prior = _solved_state(config, tools)
-    if result is None:
+    failure = _not_converged(result)
+    if failure:
+        writer.write_json("summary.json", failure)
         return EXIT_NO_CONVERGENCE
     report = pl_scan(
         config,

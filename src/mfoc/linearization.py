@@ -291,7 +291,7 @@ def quadratic_form(
     for k in range(path.grid.nt - 1):
         nu = path.measures[k].values
         e = eta.node(k)
-        charged = np.abs(e) > 0.0
+        charged = abs(e) > 0.0
         if np.any(charged & (nu <= 10.0 * LOG_FLOOR)):
             return math.inf
         ratio = np.zeros_like(e)
@@ -371,7 +371,7 @@ def _w_dot(path: ControlPath, a: PerturbationPath, b: PerturbationPath) -> float
 def _tv_node_distance(a: PerturbationPath, b: PerturbationPath) -> float:
     vol = a.cell_volume
     return max(
-        float(np.sum(np.abs(a.node(k) - b.node(k)))) * vol
+        float(np.sum(abs(a.node(k) - b.node(k)))) * vol
         for k in range(a.grid.nt)
     )
 
@@ -448,8 +448,8 @@ def stability_probe(
             H[i, j] = val
     ritz = np.linalg.eigvals(H[:m, :m])
     ritz = np.real_if_close(ritz, tol=1e6)
-    dominant = float(np.real(ritz[np.argmax(np.abs(ritz))])) if m else math.nan
-    spectrum_margin = float(np.min(np.abs(1.0 - ritz))) if m else math.nan
+    dominant = float(np.real(ritz[np.argmax(abs(ritz))])) if m else math.nan
+    spectrum_margin = float(np.min(abs(1.0 - ritz))) if m else math.nan
     eta_residual = (
         _tv_node_distance(last_image, basis[m - 1]) if last_image else math.nan
     )
@@ -537,8 +537,7 @@ def pl_scan(
     fisher / (cost - optimal cost); samples with a vanishing cost gap are
     excluded.
     """
-    from .measures import path_entropy
-    from .optimizer import _fisher_from_snapshots, _prior_for, terminal_cost
+    from .optimizer import _fisher_from_snapshots, _prior_for, cost_report
 
     rng = rng or np.random.default_rng(config.seed)
     prior = prior or _prior_for(config, path.measures[0])
@@ -563,9 +562,7 @@ def pl_scan(
         snapshots, flow = gibbs_map_with_flow(config, candidate)
         fisher = _fisher_from_snapshots(config, candidate, snapshots)
         # the gibbs map's flow already carries the pushed-forward ensemble
-        cost = terminal_cost(config, flow) + config.epsilon * path_entropy(
-            candidate, prior
-        )
+        cost = cost_report(config, candidate, flow, prior).cost
         gap = cost - j_star
         row = {
             "sample": s,

@@ -183,12 +183,12 @@ class PerturbationPath:
         if v.shape[0] != self.grid.nt:
             raise ConfigError("need one signed layer per time node")
         cell_vol = (2.0 * self.halfwidth / self.res) ** (v.ndim - 1)
-        masses = np.sum(np.abs(v).reshape(self.grid.nt, -1), axis=1) * cell_vol
+        masses = np.sum(abs(v).reshape(self.grid.nt, -1), axis=1) * cell_vol
         net = np.sum(v.reshape(self.grid.nt, -1), axis=1) * cell_vol
         scale = max(float(np.max(masses)), 1.0)
-        if np.any(np.abs(net) > self.MASS_TOL * scale):
+        if np.any(abs(net) > self.MASS_TOL * scale):
             raise AdmissibilityError(
-                f"perturbation node mass {np.max(np.abs(net)):.3e} exceeds tolerance"
+                f"perturbation node mass {np.max(abs(net)):.3e} exceeds tolerance"
             )
         object.__setattr__(self, "values", v)
 
@@ -361,7 +361,7 @@ def pinsker_check(
         raise ConfigError("pinsker check requires a shared grid")
     r = np.sqrt(np.sum(mu.midpoints() ** 2, axis=1))
     phi = scale * (1.0 + r**k)
-    lhs = float(np.sum(phi * np.abs(mu.values - nu.values).ravel())) * mu.cell_volume
+    lhs = float(np.sum(phi * abs(mu.values - nu.values).ravel())) * mu.cell_volume
     ent = relative_entropy(mu, nu)
     log_expint = _logsumexp(
         2.0 * phi + np.log(np.maximum(nu.values.ravel(), LOG_FLOOR))

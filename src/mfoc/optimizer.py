@@ -8,6 +8,11 @@ first-order optimal controls. All normalizers are computed with log-sum-exp
 and the Picard update combines log-densities (Anderson mixing over the last
 two steps, the damped geometric mixture without history) before each node is
 renormalized, which preserves positivity.
+
+The grid descent takes the Fokker-Planck form of the measure-space gradient
+flow with an exponentially fitted (Scharfetter-Gummel) flux: every step it
+admits keeps each cell non-negative and each node's mass, with no repair;
+a step too long for that raises PositivityError.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ from .trajectories import EnsembleFlow, backward_solve, forward_solve
 
 
 class PositivityError(RuntimeError):
-    """A Fokker-Planck step kept a negative cell after every step halving."""
+    """A Fokker-Planck step needs more substeps than MAX_SUBSTEPS to keep
+    every cell non-negative."""
 
 
 @dataclass(frozen=True)
@@ -74,8 +80,6 @@ class PicardResult:
 class FpStepResult:
     path: ControlPath
     report: CostReport
-    dj_estimate: float  # first-order predicted change, -h * fisher
-    halvings: int
 
 
 @dataclass(frozen=True)
@@ -128,8 +132,12 @@ def gibbs_map_with_flow(config: ProblemConfig, path: ControlPath):
     return snapshots, flow
 
 
-def terminal_cost(config: ProblemConfig, flow: EnsembleFlow) -> float:
-    return float(np.mean(config.loss.value(flow.x[-1], flow.y)))
+def cost_report(config, path, flow, prior, **extra) -> CostReport:
+    """Terminal plus entropic running cost of ``path``, whose forward flow is
+    ``flow``; ``extra`` fills the report's optional fields."""
+    terminal = float(np.mean(config.loss.value(flow.x[-1], flow.y)))
+    entropy = path_entropy(path, prior)
+    return CostReport(terminal, entropy, terminal + config.epsilon * entropy, **extra)
 
 
 def total_cost(
@@ -147,14 +155,7 @@ def total_cost(
         fisher = _fisher_from_snapshots(config, path, snapshots)
     else:
         flow = forward_solve(config, path)
-    terminal = terminal_cost(config, flow)
-    entropy = path_entropy(path, prior)
-    return CostReport(
-        terminal=terminal,
-        entropy=entropy,
-        cost=terminal + config.epsilon * entropy,
-        fisher=fisher,
-    )
+    return cost_report(config, path, flow, prior, fisher=fisher)
 
 
 def _fisher_from_snapshots(config, path, snapshots) -> float:
@@ -285,18 +286,16 @@ def picard_solve(
         path = path.replace_measures(new_measures)
         iterations += 1
         snapshots, flow = gibbs_map_with_flow(config, path)
-    terminal = terminal_cost(config, flow)
-    entropy = path_entropy(path, prior)
-    report = CostReport(
-        terminal=terminal,
-        entropy=entropy,
-        cost=terminal + config.epsilon * entropy,
-        fisher=_fisher_from_snapshots(config, path, snapshots),
-        picard_residual=history[-1],
-    )
     return PicardResult(
         path=path,
-        report=report,
+        report=cost_report(
+            config,
+            path,
+            flow,
+            prior,
+            fisher=_fisher_from_snapshots(config, path, snapshots),
+            picard_residual=history[-1],
+        ),
         iterations=iterations,
         converged=converged,
         residual_history=tuple(history),
@@ -306,33 +305,63 @@ def picard_solve(
 
 # -- grid Fokker-Planck descent ---------------------------------------------------
 
-_NEGATIVITY_REL_TOL = 1e-13
-# relative scale of the Gibbs-shaped density floor inside the descent
-# potential's logarithm: below it the log term cancels the confinement
-# exactly, so clamped far-tail cells see only the smooth coupling gradient
-# instead of enormous artificial log walls (which would amplify sign noise
-# step over step)
-_XI_REL_FLOOR = 1e-20
+# most equal substeps one descent step is split into
+MAX_SUBSTEPS = 1024
 
 
-def _fv_step_node(values, xi, h_cell, step):
-    """Explicit conservative step of d(nu)/ds = div(nu grad(xi)).
+def _bernoulli(z):
+    """B(z) = z / (e^z - 1) with B(0) = 1; e^z overflows only where B is 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(z == 0.0, 1.0, z / np.expm1(z))
 
-    Centered two-point fluxes nu * dxi on interior faces, no-flux boundary.
-    Returns the updated cell values (same shape).
+
+def _fitted_rates(v, eps, h):
+    """Scharfetter-Gummel rates of d(nu)/ds = div(eps grad nu + nu grad v) on
+    the trailing axes of ``v``: per axis (moved to the front), mass crosses
+    each interior face rightward at (eps / h^2) B(delta) and leftward at
+    (eps / h^2) B(-delta), delta = (v_r - v_l) / eps, and none crosses the box
+    boundary. Also returns the largest exit rate of a cell."""
+    rates = []
+    exit_rate = np.zeros_like(v)
+    for axis in range(1, v.ndim):
+        delta = np.diff(np.moveaxis(v, axis, 0), axis=0) / eps
+        right, left = (eps / h**2) * _bernoulli(delta), (eps / h**2) * _bernoulli(-delta)
+        rates.append((right, left))
+        out = np.moveaxis(exit_rate, axis, 0)
+        out[:-1] += right
+        out[1:] += left
+    return rates, float(np.max(exit_rate))
+
+
+def fokker_planck_flow(nu, v, eps, h, step):
+    """Densities ``nu`` after time ``step`` of the flow of ``_fitted_rates``.
+
+    A substep s keeps a share 1 - s c of each cell, c its exit rate, and adds
+    non-negative inflows, so s <= 1 / max c keeps every cell non-negative and
+    exp(-v / eps) stationary, and the face fluxes conserve mass. The step is
+    taken in the fewest equal substeps under half that bound, so that rounding
+    cannot push a cell below zero; a step needing more than MAX_SUBSTEPS raises
+    PositivityError before any substep.
     """
-    new = values.copy()
-    d = values.ndim
-    for axis in range(d):
-        v_l = np.moveaxis(values, axis, 0)[:-1]
-        v_r = np.moveaxis(values, axis, 0)[1:]
-        xi_l = np.moveaxis(xi, axis, 0)[:-1]
-        xi_r = np.moveaxis(xi, axis, 0)[1:]
-        flux = 0.5 * (v_l + v_r) * (xi_r - xi_l) / h_cell  # on interior faces
-        upd = np.moveaxis(new, axis, 0)
-        upd[:-1] += (step / h_cell) * flux
-        upd[1:] -= (step / h_cell) * flux
-    return new
+    rates, max_exit = _fitted_rates(v, eps, h)
+    needed = 2.0 * step * max_exit
+    if not needed <= MAX_SUBSTEPS:
+        raise PositivityError(
+            f"fokker-planck step {step:g} would need {needed:.6g} substeps of at "
+            f"most half the positivity bound {1.0 / max_exit:.3e}; the cap is "
+            f"{MAX_SUBSTEPS}"
+        )
+    substeps = max(1, math.ceil(needed))
+    for _ in range(substeps):
+        new = nu.copy()
+        for axis, (right, left) in enumerate(rates, start=1):
+            cells = np.moveaxis(nu, axis, 0)
+            moved = (step / substeps) * (right * cells[:-1] - left * cells[1:])
+            upd = np.moveaxis(new, axis, 0)
+            upd[:-1] -= moved
+            upd[1:] += moved
+        nu = new
+    return nu
 
 
 def fp_descent_step(
@@ -341,70 +370,22 @@ def fp_descent_step(
     step: float,
     prior: Optional[PriorMeasure] = None,
 ) -> FpStepResult:
-    """One explicit finite-volume step of the measure-space gradient flow.
-
-    The descent potential at node k is xi = eps log(nu) + eps ell + Phi_k with
-    Phi assembled from a fresh flow solve, shared across all nodes of the
-    step. Fluxes are conservative, so total mass is preserved to rounding;
-    if a genuinely negative density appears the step is halved (up to 10
-    times). Sign noise in the far tail (below 1e-13 of the peak) is clamped
-    to zero instead, which perturbs mass far below the conservation
-    tolerance.
-    """
+    """One step of the measure-space gradient flow on the grid, with the cost
+    and Fisher functional at its start: at node k, ``fokker_planck_flow`` with
+    V_k = eps ell + Phi_k, Phi from a fresh flow solve."""
     _require_grid(path, "fokker-planck descent")
     template = path.measures[0]
     prior = prior or _prior_for(config, template)
     snapshots, flow = gibbs_map_with_flow(config, path)
     fisher = _fisher_from_snapshots(config, path, snapshots)
-    terminal = terminal_cost(config, flow)
-    entropy = path_entropy(path, prior)
-    report = CostReport(
-        terminal=terminal,
-        entropy=entropy,
-        cost=terminal + config.epsilon * entropy,
-        fisher=fisher,
-    )
-    ell_vals = config.potential.value(template.midpoints()).reshape(
-        template.values.shape
-    )
-    floor_shape = prior.measure.values / np.max(prior.measure.values)
-    h_cell = template.cell_width
+    report = cost_report(config, path, flow, prior, fisher=fisher)
     eps = config.epsilon
-
-    halvings = 0
-    current = step
-    while True:
-        new_measures = []
-        ok = True
-        for k in range(path.grid.nt):
-            nu = path.measures[k].values
-            floor = (_XI_REL_FLOOR * np.max(nu)) * floor_shape
-            xi = (
-                eps * np.log(np.maximum(nu, floor))
-                + eps * ell_vals
-                + snapshots[k].phi
-            )
-            new_vals = _fv_step_node(nu, xi, h_cell, current)
-            if np.min(new_vals) < -_NEGATIVITY_REL_TOL * float(np.max(new_vals)):
-                ok = False
-                break
-            # reflect far-tail sign noise instead of zeroing it: a zeroed
-            # cell forms a deep log hole whose refill overshoot amplifies,
-            # while reflection keeps the local scale and the noise decays
-            new_measures.append(path.measures[k].with_values(np.abs(new_vals)))
-        if ok:
-            break
-        halvings += 1
-        if halvings > 10:
-            raise PositivityError(
-                "fokker-planck step kept violating positivity after 10 halvings"
-            )
-        current *= 0.5
+    ell = config.potential.value(template.midpoints()).reshape(template.values.shape)
+    v = np.stack([eps * ell + snap.phi for snap in snapshots])
+    nu = np.stack([m.values for m in path.measures])
+    nu = fokker_planck_flow(nu, v, eps, template.cell_width, step)
     return FpStepResult(
-        path=path.replace_measures(new_measures),
-        report=report,
-        dj_estimate=-current * fisher,
-        halvings=halvings,
+        path.replace_measures(template.with_values(node) for node in nu), report
     )
 
 

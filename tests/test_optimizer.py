@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mfoc.cli import _initial_grid_path, load_run_document
 from mfoc.measures import (
@@ -16,7 +18,11 @@ from mfoc.measures import (
 )
 from mfoc.model import Dataset, rng_for
 from mfoc.optimizer import (
+    MAX_SUBSTEPS,
+    PositivityError,
+    _fitted_rates,
     fisher_functional,
+    fokker_planck_flow,
     fp_descent_step,
     gibbs_map,
     gibbs_map_with_flow,
@@ -382,15 +388,51 @@ class TestFpDescent:
         diffs = np.diff(costs)
         assert np.all(diffs <= 1e-12), f"{np.sum(diffs > 1e-12)} increases"
 
-    def test_unstable_step_raises_after_halvings(self, desk_solution):
+    def test_step_past_substep_cap_raises(self, desk_solution):
         config, prior, result = desk_solution
         start = tilted_path_from(
             result.path.measures[0],
             config.grid,
             lambda m: 0.3 * np.cos(m[:, 0]),
         )
-        with pytest.raises(RuntimeError, match="halvings"):
+        with pytest.raises(PositivityError, match="the cap is 1024"):
             fp_descent_step(config, start, 1e6, prior=prior)
+
+
+@st.composite
+def fitted_flow_problems(draw):
+    """A smooth potential and a non-negative density per node on a small 2-D
+    grid, and a step fraction of the substep cap."""
+    nodes = draw(st.integers(1, 3))
+    n1, n2 = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    eps = draw(st.floats(0.05, 1.0))
+    h = draw(st.floats(0.05, 0.5))
+    coeffs = draw(hnp.arrays(float, (nodes, 3, 3), elements=st.floats(-2.0, 2.0)))
+    # quadratic polynomials in the cell coordinates scaled to [-1, 1]
+    bx = np.vander(np.linspace(-1.0, 1.0, n1), 3, increasing=True).T
+    by = np.vander(np.linspace(-1.0, 1.0, n2), 3, increasing=True).T
+    v = np.einsum("kij,ia,jb->kab", coeffs, bx, by)
+    nu = draw(hnp.arrays(float, (nodes, n1, n2), elements=st.floats(0.0, 1.0)))
+    nu[:, 0, 0] += 0.1  # every node carries mass
+    fraction = draw(st.floats(0.0, 0.999))
+    return v, nu, eps, h, fraction
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(fitted_flow_problems())
+def test_fitted_flow_is_nonnegative_conservative_and_gibbs_stationary(problem):
+    v, nu, eps, h, fraction = problem
+    _, max_exit = _fitted_rates(v, eps, h)
+    step = fraction * MAX_SUBSTEPS / (2.0 * max_exit)
+    after = fokker_planck_flow(nu, v, eps, h, step)
+    assert np.min(after) >= 0.0
+    mass = np.sum(nu, axis=(1, 2))
+    assert np.all(np.abs(np.sum(after, axis=(1, 2)) - mass) <= 1e-12 * mass)
+    gibbs = np.exp(-(v - np.min(v, axis=(1, 2), keepdims=True)) / eps)
+    moved = fokker_planck_flow(gibbs, v, eps, h, step) - gibbs
+    assert np.max(np.abs(moved)) <= 1e-12 * np.max(gibbs)
+    with pytest.raises(PositivityError, match="the cap is 1024"):
+        fokker_planck_flow(nu, v, eps, h, 1.001 * MAX_SUBSTEPS / (2.0 * max_exit))
 
 
 class TestLangevin:
