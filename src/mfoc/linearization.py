@@ -357,23 +357,36 @@ def second_derivative_check(
     return SecondOrderReport(jform=jform, fd2=fd2, details=details)
 
 
-def _w_dot(path: ControlPath, a: PerturbationPath, b: PerturbationPath) -> float:
-    """L^2(1/nu) inner product in which the linearized map is symmetric."""
-    vol = a.cell_volume
-    dt = path.grid.dt
-    total = 0.0
-    for k in range(path.grid.nt - 1):
-        nu = np.maximum(path.measures[k].values, LOG_FLOOR)
-        total += float(np.sum(a.node(k) * b.node(k) / nu)) * vol * dt
-    return total
+def _arnoldi(apply, v0, dot, iters):
+    """Arnoldi iteration of a linear map on plain arrays.
 
-
-def _tv_node_distance(a: PerturbationPath, b: PerturbationPath) -> float:
-    vol = a.cell_volume
-    return max(
-        float(np.sum(abs(a.node(k) - b.node(k)))) * vol
-        for k in range(a.grid.nt)
-    )
+    Builds an orthonormal basis of the Krylov space of ``v0`` under ``apply``
+    in the inner product ``dot``, by modified Gram-Schmidt. Returns the basis,
+    the m x m Hessenberg matrix of the map on its first m vectors, the
+    Rayleigh quotients <q_j, apply(q_j)> taken before Gram-Schmidt, the image
+    of the last applied vector and whether the basis broke down, which stops
+    the iteration after m <= ``iters`` steps. Only the basis is held; each
+    image is dropped once it is orthogonalized.
+    """
+    basis = [(1.0 / math.sqrt(dot(v0, v0))) * v0]
+    H = np.zeros((iters + 1, iters))
+    rayleigh = []
+    image = None
+    breakdown = False
+    for j in range(iters):
+        image = apply(basis[j])
+        rayleigh.append(dot(basis[j], image))
+        vec = image.copy()
+        for i, q in enumerate(basis):
+            H[i, j] = dot(q, vec)
+            vec = vec - H[i, j] * q
+        H[j + 1, j] = math.sqrt(max(dot(vec, vec), 0.0))
+        if H[j + 1, j] < 1e-12:
+            breakdown = True
+            break
+        basis.append((1.0 / H[j + 1, j]) * vec)
+    m = len(rayleigh)
+    return basis, H[:m, :m], rayleigh, image, breakdown
 
 
 def stability_probe(
@@ -403,55 +416,41 @@ def stability_probe(
         + 0.5 * np.sin(0.6 * mids[:, 1] + 0.3)
         + 0.2 * rng.standard_normal(mids.shape[0])
     ).reshape(shape)
-    layers = []
-    for k in range(path.grid.nt):
-        nu = path.measures[k].values
-        g = seedfn - float(np.sum(seedfn * nu)) * template.cell_volume
-        layers.append(nu * g)
-    eta = PerturbationPath(path.grid, template.halfwidth, template.res, np.stack(layers))
+    v0 = np.stack(
+        [
+            nu.values * (seedfn - float(np.sum(seedfn * nu.values)) * template.cell_volume)
+            for nu in path.measures
+        ]
+    )
+    vol, dt = template.cell_volume, path.grid.dt
+    # the L^2(1/nu) inner product over the nodes that enter the cost, in
+    # which the linearized map is symmetric
+    inv_weight = [np.maximum(nu.values, LOG_FLOOR) for nu in path.measures[:-1]]
 
-    basis = []
-    h_entries = {}
-    norm0 = math.sqrt(_w_dot(path, eta, eta))
-    eta = eta.scaled(1.0 / norm0)
-    basis.append(eta)
-    last_image = None
-    history = []
-    breakdown = False
+    def dot(a, b):
+        total = 0.0
+        for k, nu in enumerate(inv_weight):
+            total += float(np.sum(a[k] * b[k] / nu)) * vol * dt
+        return total
+
     stages = stage_pass(config, path, flow)
     flow = curvature_solve(config, path, flow, stages)
-    for j in range(iters):
-        image = linear_map_image(config, path, flow, basis[j], stages=stages)
-        last_image = image
-        rayleigh = _w_dot(path, basis[j], image)
-        history.append(rayleigh)
-        vec = image.values.copy()
-        for i in range(len(basis)):
-            coef = _w_dot(
-                path,
-                basis[i],
-                PerturbationPath(path.grid, eta.halfwidth, eta.res, vec),
-            )
-            h_entries[(i, j)] = coef
-            vec = vec - coef * basis[i].values
-        rem = PerturbationPath(path.grid, eta.halfwidth, eta.res, vec)
-        rem_norm = math.sqrt(max(_w_dot(path, rem, rem), 0.0))
-        h_entries[(j + 1, j)] = rem_norm
-        if rem_norm < 1e-12:
-            breakdown = True
-            break
-        basis.append(rem.scaled(1.0 / rem_norm))
+
+    def apply(v):
+        eta = PerturbationPath(path.grid, template.halfwidth, template.res, v)
+        return linear_map_image(config, path, flow, eta, stages=stages).values
+
+    basis, H, history, image, breakdown = _arnoldi(apply, v0, dot, iters)
     m = len(history)
-    H = np.zeros((m, m))
-    for (i, j), val in h_entries.items():
-        if i < m and j < m:
-            H[i, j] = val
-    ritz = np.linalg.eigvals(H[:m, :m])
+    ritz = np.linalg.eigvals(H)
     ritz = np.real_if_close(ritz, tol=1e6)
     dominant = float(np.real(ritz[np.argmax(abs(ritz))])) if m else math.nan
     spectrum_margin = float(np.min(abs(1.0 - ritz))) if m else math.nan
+    # sup-node total-variation distance between the last iterate and its image
     eta_residual = (
-        _tv_node_distance(last_image, basis[m - 1]) if last_image else math.nan
+        max(float(np.sum(abs(image[k] - basis[m - 1][k]))) * vol for k in range(len(image)))
+        if m
+        else math.nan
     )
     return SecondOrderReport(
         dominant_eig=dominant,
