@@ -28,6 +28,7 @@ from .measures import (
     relative_entropy,
 )
 from .model import ConfigError, Dataset, FieldQuadrature, ProblemConfig, Workspace
+from .optimizer import _fisher_from_snapshots, _prior_for, cost_report
 from .optimizer import gibbs_map_with_flow, total_cost
 from .trajectories import (
     EnsembleFlow,
@@ -361,12 +362,12 @@ def _arnoldi(apply, v0, dot, iters):
     """Arnoldi iteration of a linear map on plain arrays.
 
     Builds an orthonormal basis of the Krylov space of ``v0`` under ``apply``
-    in the inner product ``dot``, by modified Gram-Schmidt. Returns the basis,
-    the m x m Hessenberg matrix of the map on its first m vectors, the
-    Rayleigh quotients <q_j, apply(q_j)> taken before Gram-Schmidt, the image
-    of the last applied vector and whether the basis broke down, which stops
-    the iteration after m <= ``iters`` steps. Only the basis is held; each
-    image is dropped once it is orthogonalized.
+    in the inner product ``dot`` by modified Gram-Schmidt, and returns it with
+    the m x m Hessenberg matrix, the Rayleigh quotients <q_j, apply(q_j)>
+    taken before Gram-Schmidt, the last image and whether the basis broke
+    down, which ends the iteration after m <= ``iters`` steps. ``apply`` may
+    correct its argument in place; the basis holds the vector as applied.
+    Images are not held.
     """
     basis = [(1.0 / math.sqrt(dot(v0, v0))) * v0]
     H = np.zeros((iters + 1, iters))
@@ -403,29 +404,27 @@ def stability_probe(
     the map, so spectral distance of the sampled Ritz values from one is
     evidence (not proof) of stability. Reports the dominant eigenvalue
     estimate, the sup-node total-variation distance between the last iterate
-    and its image, and the sampled spectrum. ``flow`` needs only the forward
+    and its image, and the sampled spectrum, which has fewer than ``iters``
+    values when the Krylov basis breaks down. ``flow`` needs only the forward
     features: the adjoint and curvature come from the probe's own order-2
     stage pass, which every Krylov step shares.
     """
+    if iters < 1:
+        raise ConfigError("the stability probe needs iters >= 1")
     rng = rng or np.random.default_rng(config.seed)
     template = path.measures[0]
     mids = template.midpoints()
-    shape = template.values.shape
     seedfn = (
         np.cos(1.1 * mids[:, 0] - 0.7 * mids[:, 1])
         + 0.5 * np.sin(0.6 * mids[:, 1] + 0.3)
         + 0.2 * rng.standard_normal(mids.shape[0])
-    ).reshape(shape)
-    v0 = np.stack(
-        [
-            nu.values * (seedfn - float(np.sum(seedfn * nu.values)) * template.cell_volume)
-            for nu in path.measures
-        ]
-    )
+    ).reshape(template.values.shape)
     vol, dt = template.cell_volume, path.grid.dt
+    nus = [nu.values for nu in path.measures]
+    v0 = np.stack([nu * (seedfn - float(np.sum(seedfn * nu)) * vol) for nu in nus])
     # the L^2(1/nu) inner product over the nodes that enter the cost, in
     # which the linearized map is symmetric
-    inv_weight = [np.maximum(nu.values, LOG_FLOOR) for nu in path.measures[:-1]]
+    inv_weight = [np.maximum(nu, LOG_FLOOR) for nu in nus[:-1]]
 
     def dot(a, b):
         total = 0.0
@@ -437,21 +436,20 @@ def stability_probe(
     flow = curvature_solve(config, path, flow, stages)
 
     def apply(v):
+        # project out the node mass Gram-Schmidt round-off leaves, along nu:
+        # the L^2(1/nu)-orthogonal projection, so orthogonality is kept
+        for k, nu in enumerate(nus):
+            v[k] -= nu * (np.sum(v[k]) / np.sum(nu))
         eta = PerturbationPath(path.grid, template.halfwidth, template.res, v)
         return linear_map_image(config, path, flow, eta, stages=stages).values
 
     basis, H, history, image, breakdown = _arnoldi(apply, v0, dot, iters)
-    m = len(history)
-    ritz = np.linalg.eigvals(H)
-    ritz = np.real_if_close(ritz, tol=1e6)
-    dominant = float(np.real(ritz[np.argmax(abs(ritz))])) if m else math.nan
-    spectrum_margin = float(np.min(abs(1.0 - ritz))) if m else math.nan
+    ritz = np.real_if_close(np.linalg.eigvals(H), tol=1e6)
+    dominant = float(np.real(ritz[np.argmax(abs(ritz))]))
+    spectrum_margin = float(np.min(abs(1.0 - ritz)))
     # sup-node total-variation distance between the last iterate and its image
-    eta_residual = (
-        max(float(np.sum(abs(image[k] - basis[m - 1][k]))) * vol for k in range(len(image)))
-        if m
-        else math.nan
-    )
+    last = basis[len(history) - 1]
+    eta_residual = max(float(np.sum(abs(image[k] - last[k]))) * vol for k in range(len(image)))
     return SecondOrderReport(
         dominant_eig=dominant,
         eta_residual=eta_residual,
@@ -536,8 +534,6 @@ def pl_scan(
     fisher / (cost - optimal cost); samples with a vanishing cost gap are
     excluded.
     """
-    from .optimizer import _fisher_from_snapshots, _prior_for, cost_report
-
     rng = rng or np.random.default_rng(config.seed)
     prior = prior or _prior_for(config, path.measures[0])
     template = path.measures[0]

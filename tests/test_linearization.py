@@ -5,6 +5,7 @@ import pytest
 
 from mfoc.linearization import (
     PerturbationPath,
+    _arnoldi,
     cross_term_via_multiplier,
     cross_term_via_tangent,
     eta_from,
@@ -278,6 +279,42 @@ class TestCrossTermDuality:
             lhs = cross_term_via_tangent(config, result.path, flow, e2, tangent1)
             rhs = cross_term_via_multiplier(config, result.path, flow, e1, mult2)
             assert abs(lhs - rhs) <= 1e-4 * max(abs(lhs), abs(rhs), 1e-6), (lhs, rhs)
+
+
+class TestArnoldi:
+    # A = W^-1 S with S symmetric is symmetric in <a, b> = a . W b, as the
+    # linearized map is in L^2(1/nu); its eigenvalues are real
+    N = 7
+
+    def weighted(self, rank=None):
+        rng = np.random.default_rng(5)
+        w = rng.uniform(0.5, 2.0, self.N)
+        u = rng.standard_normal((self.N, rank or self.N))
+        s = u @ u.T if rank else u + u.T
+        return (lambda v: (s @ v) / w), (lambda a, b: float(a @ (w * b))), s / w[:, None]
+
+    def test_basis_is_orthonormal_and_ritz_values_are_the_spectrum(self):
+        apply, dot, dense = self.weighted()
+        v0 = np.linspace(1.0, 2.0, self.N)
+        basis, H, rayleigh, image, _ = _arnoldi(apply, v0, dot, self.N)
+        assert H.shape == (self.N, self.N) and len(rayleigh) == self.N
+        gram = np.array([[dot(a, b) for b in basis] for a in basis])
+        assert np.max(np.abs(gram - np.eye(len(basis)))) < 1e-12
+        want = np.sort(np.linalg.eigvals(dense).real)
+        got = np.sort(np.linalg.eigvals(H).real)
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+        assert np.allclose(rayleigh, np.diag(H), rtol=0.0, atol=1e-12)
+        assert np.array_equal(image, apply(basis[self.N - 1]))
+
+    def test_breakdown_below_iters_on_a_low_rank_map(self):
+        # the Krylov space of v0 under a rank-2 map has dimension at most 3
+        apply, dot, _ = self.weighted(rank=2)
+        v0 = np.linspace(1.0, 2.0, self.N)
+        basis, H, rayleigh, _, breakdown = _arnoldi(apply, v0, dot, 5)
+        assert breakdown
+        assert len(rayleigh) == len(basis) == H.shape[0] <= 3
+        gram = np.array([[dot(a, b) for b in basis] for a in basis])
+        assert np.max(np.abs(gram - np.eye(len(basis)))) < 1e-12
 
 
 class TestStabilityProbe:
