@@ -18,6 +18,7 @@ from .measures import (
     ControlPath,
     GridMeasure,
     ParticleMeasure,
+    PerturbationPath,
     PriorMeasure,
     fisher_divergence,
     moment,
@@ -26,7 +27,7 @@ from .measures import (
     pinsker_check,
     relative_entropy,
 )
-from .model import Dataset, ProblemConfig, rng_for
+from .model import Dataset, ProblemConfig, TimeGrid, rng_for
 from .optimizer import fp_descent_step, gibbs_map, picard_solve, total_cost
 from .trajectories import (
     backward_solve,
@@ -54,7 +55,6 @@ def _fixture(config: ProblemConfig, n=12, nt=9, zero_problem=False):
     rng = rng_for(config.seed, "check-fixture")
     x = np.sort(rng.uniform(-2.0, 2.0, n))[:, None]
     y = x.copy() if zero_problem else x - 0.6 * np.tanh(x)
-    from .model import TimeGrid
 
     return replace(
         config,
@@ -275,7 +275,6 @@ def check_tangent_linearity(config) -> CheckResult:
     flow = forward_solve(fixture, path)
     base = path.measures[0]
     mids = base.midpoints()
-    from .measures import PerturbationPath
 
     def eta_for(fn):
         g = np.asarray(fn(mids)).reshape(base.values.shape)
@@ -356,7 +355,6 @@ def check_linearized_map_mass(config) -> CheckResult:
     mids = base.midpoints()
     g = np.cos(1.1 * mids[:, 0]).reshape(base.values.shape)
     g = g - float(np.sum(g * base.values)) * base.cell_volume
-    from .measures import PerturbationPath
 
     eta = PerturbationPath(
         fixture.grid,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -41,6 +42,7 @@ from .measures import (
     AdmissibilityError,
     ControlPath,
     DegenerateMeasureError,
+    GridMeasure,
     ParticleMeasure,
     PriorMeasure,
     measure_to_csv,
@@ -77,11 +79,16 @@ _TOOL_SECTIONS = {
 # admissible range of a tool setting: the test and the rule it states
 _RANGES = {
     "measure.res": (lambda v: v >= MIN_RES, f">= {MIN_RES}"),
+    "measure.box_halfwidth": (lambda v: math.isfinite(v) and v > 0.0, "finite and > 0"),
+    "solve.damping": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     "solve.tol": (lambda v: v > 0.0, "> 0"),
     "solve.max_iters": (lambda v: v >= 0, ">= 0"),
     "descent.steps": (lambda v: v >= 0, ">= 0"),
     "descent.step_size": (lambda v: math.isfinite(v) and v > 0.0, "finite and > 0"),
+    "descent.init_tilt": (math.isfinite, "finite"),
+    "descent.particles": (lambda v: v >= 1, ">= 1"),
     "stability.iters": (lambda v: v >= 1, ">= 1"),
+    "stability.margin": (lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"),
     "pl_scan.samples": (lambda v: v >= 1, ">= 1"),
     "pl_scan.radius": (lambda v: v >= 0.0, ">= 0"),  # 0 is the degenerate scan
 }
@@ -266,8 +273,6 @@ def cmd_solve(config, tools, writer) -> int:
 
 def _tilted_start(config, prior, path, amplitude=0.3):
     """Deterministic perturbed start for descent runs."""
-    from .measures import GridMeasure
-
     template = path.measures[0]
     mids = template.midpoints()
     psi = (np.cos(mids[:, 0]) - 0.4 * np.sin(0.7 * mids[:, 1])).reshape(
@@ -361,8 +366,6 @@ def _descent_particle(config, tools, writer, steps, h, tilt) -> int:
         path = out.path
         emit(s + 1, out.resampled)
     writer.write_text("series.csv", "\n".join(rows) + "\n")
-    import io
-
     buf = io.StringIO()
     measure_to_csv(path.measures[-1], buf)
     writer.write_text("final_particles.csv", buf.getvalue())

@@ -13,7 +13,10 @@ Integrator conventions (shared by the whole package):
   which keeps the passes deterministic and fourth-order without re-solving,
 * the transported-test comparison in ``duality_residual`` deliberately uses
   the cruder linear in-interval reconstruction; its second-order defect is the
-  quantity being reported.
+  quantity being reported,
+* a sweep takes one RK4 step per interval of its path's grid; a finer step
+  is a refined path, whose grid splits each interval into s equal ones and
+  holds the node's measure over all of them.
 
 Kernel work (shared by the forward, backward and stage passes): each stage
 position costs one ``FieldQuadrature.tiers`` call, which contracts the tiers
@@ -162,29 +165,18 @@ def meanfield_drift(field: ActivationField, x, m) -> np.ndarray:
 # -- forward pass ---------------------------------------------------------------
 
 
-def forward_solve(
-    config: ProblemConfig, path: ControlPath, substeps: int = 1
-) -> EnsembleFlow:
-    """Push the dataset features through the mean-field ODE.
-
-    The control is piecewise constant on the path's grid regardless of
-    ``substeps``; refining substeps only refines the integrator, which is what
-    the step-convergence diagnostics rely on.
-    """
-    if substeps < 1:
-        raise ConfigError("substeps must be >= 1")
+def forward_solve(config: ProblemConfig, path: ControlPath) -> EnsembleFlow:
+    """Push the dataset features through the mean-field ODE, one RK4 step per
+    interval of the path's grid with the control frozen at its left node."""
     grid = path.grid
     X = np.empty((grid.nt, config.dataset.n, 1))
     X[0] = config.dataset.x
     nodes = _node_quadratures(config.field, path)
     work = Workspace()
-    dt = grid.dt / substeps
     for k in range(grid.nt - 1):
         quad, fold = nodes[k]
         nodes[k] = None  # the sweep has passed node k: its weights can go
-        xk = X[k]
-        for _ in range(substeps):
-            xk = _rk4_forward(quad, fold, xk, dt, work)
+        xk = _rk4_forward(quad, fold, X[k], grid.dt, work)
         if not np.all(np.isfinite(xk)):
             raise DivergenceError(f"forward state diverged at node {k + 1}")
         X[k + 1] = xk
@@ -223,7 +215,6 @@ def backward_solve(
     config: ProblemConfig,
     path: ControlPath,
     flow: EnsembleFlow,
-    substeps: int = 1,
     bracket_grid: Optional[GridMeasure] = None,
 ) -> EnsembleFlow:
     """Transport the adjoint Z backward along the stored features.
@@ -249,7 +240,6 @@ def backward_solve(
     if bracket_grid is not None:
         bracket = np.empty((grid.nt, bracket_grid.res**bracket_grid.dprime))
 
-    dt = grid.dt / substeps
     right = None
     for k in range(grid.nt - 2, -1, -1):
         quad, fold = nodes[k]
@@ -262,25 +252,10 @@ def backward_solve(
         roll = path.is_grid and k > 0
         folds = (fold, nodes[k - 1][1]) if roll else (fold,)
         node = quad.tiers(flow.x[k], 1, folds, work, keep)
-        # RK4 substeps take their positions from a fine forward solve; the
-        # stage data at its ends are those of the stored nodes
-        if substeps == 1:
-            x_fine = [flow.x[k], flow.x[k + 1]]
-        else:
-            x_fine = [flow.x[k]]
-            for _ in range(substeps):
-                x_fine.append(_rk4_forward(quad, fold, x_fine[-1], dt, work))
-        stages = [_first(node)]
-        stages += [_first(quad.tiers(x, 1, (fold,), work)) for x in x_fine[1:-1]]
-        stages.append(right)
-        for s in range(substeps, 0, -1):
-            x_mid = _hermite_midpoint(
-                x_fine[s - 1], x_fine[s], stages[s - 1][0], stages[s][0], dt
-            )
-            mid = _first(quad.tiers(x_mid, 1, (fold,), work))
-            z = _rk4_between(
-                z, -dt, _adjoint_rhs(stages[s]), _adjoint_rhs(mid), _adjoint_rhs(stages[s - 1])
-            )
+        left = _first(node)
+        x_mid = _hermite_midpoint(flow.x[k], flow.x[k + 1], left[0], right[0], grid.dt)
+        mid = _first(quad.tiers(x_mid, 1, (fold,), work))
+        z = _rk4_between(z, -grid.dt, _adjoint_rhs(right), _adjoint_rhs(mid), _adjoint_rhs(left))
         if not np.all(np.isfinite(z)):
             raise DivergenceError(f"backward state diverged at node {k}")
         Z[k] = z

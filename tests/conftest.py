@@ -48,6 +48,17 @@ def prior_path(config, res=DESK_RES, halfwidth=DESK_HALFWIDTH):
     return ControlPath.constant(config.grid, prior.measure), prior
 
 
+def refined(path, s):
+    """The path on a grid s times finer, each node measure held over the s
+    fine intervals of its coarse one: one RK4 step per fine interval is s
+    steps of dt / s per coarse interval, and coarse node k is fine node k s.
+    For s a power of two, dt / s is exact."""
+    grid = path.grid
+    fine = TimeGrid(grid.t0, grid.horizon, (grid.nt - 1) * s + 1)
+    measures = [m for m in path.measures[:-1] for _ in range(s)]
+    return ControlPath(fine, measures + [path.measures[-1]])
+
+
 def gaussian_grid(halfwidth, res, mean, sigma):
     """1D discretized normal density (not renormalized)."""
     m = GridMeasure(halfwidth, res, np.zeros(res))

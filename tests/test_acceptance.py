@@ -53,7 +53,7 @@ from mfoc.trajectories import (
     forward_solve,
     tangent_solve,
 )
-from conftest import make_config, make_prior, prior_path, relative_eta
+from conftest import make_config, make_prior, prior_path, refined, relative_eta
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -246,14 +246,16 @@ def test_criterion_05_ode_order(desk_solution):
         ).reshape(template.values.shape),
     )
     path = ControlPath.constant(config.grid, tilted)
-    oracle_fwd = forward_solve(config, path, substeps=16)
-    oracle = backward_solve(config, path, oracle_fwd, substeps=16)
+    fine = refined(path, 16)
+    oracle_fwd = forward_solve(config, fine)
+    oracle = backward_solve(config, fine, oracle_fwd)
     fwd_errs = []
     bwd_errs = []
     for s in (1, 2, 4):
-        flow = forward_solve(config, path, substeps=s)
+        fine = refined(path, s)
+        flow = forward_solve(config, fine)
         fwd_errs.append(float(np.max(np.abs(flow.x[-1] - oracle_fwd.x[-1]))))
-        back = backward_solve(config, path, flow, substeps=s)
+        back = backward_solve(config, fine, flow)
         bwd_errs.append(float(np.max(np.abs(back.z[0] - oracle.z[0]))))
     orders = [math.log2(fwd_errs[i] / fwd_errs[i + 1]) for i in range(2)]
     orders += [math.log2(bwd_errs[i] / bwd_errs[i + 1])for i in range(2)]

@@ -590,6 +590,11 @@ def test_unconverged_solve_exits_2_with_reason(
         ("stability", ["stability.iters=0"]),
         ("pl-scan", ["pl_scan.samples=0"]),
         ("pl-scan", ["pl_scan.radius=-0.1"]),
+        ("solve", ["measure.box_halfwidth=-4"]),
+        ("solve", ["solve.damping=1.5"]),
+        ("stability", ["stability.margin=nan"]),
+        ("descent", ["descent.init_tilt=nan"]),
+        ("descent", ["descent.backend=particle", "descent.particles=0"]),
     ],
 )
 def test_out_of_range_tool_setting_exits_1(tmp_path, capsys, command, settings):

@@ -32,7 +32,7 @@ from mfoc.optimizer import (
     total_cost,
 )
 from mfoc.trajectories import forward_solve
-from conftest import make_config, make_prior, prior_path, relative_eta
+from conftest import make_config, make_prior, prior_path, refined, relative_eta
 
 MINI = Path(__file__).resolve().parent.parent / "fixtures" / "mini.json"
 
@@ -114,11 +114,12 @@ class TestGibbsMap:
 
         template = path.measures[0]
         snaps = gibbs_map(config, path)
-        flow = forward_solve(config, path, substeps=4)
-        flow = backward_solve(config, path, flow, substeps=4, bracket_grid=template)
+        fine = refined(path, 4)
+        flow = forward_solve(config, fine)
+        flow = backward_solve(config, fine, flow, bracket_grid=template)
         ell = config.potential.value(template.midpoints())
         for k in (0, config.grid.nt // 2, config.grid.nt - 1):
-            log_un = -ell - flow.bracket[k] / config.epsilon
+            log_un = -ell - flow.bracket[4 * k] / config.epsilon
             log_z = _logsumexp(log_un) + 2 * math.log(template.cell_width)
             gamma_fine = np.exp(log_un - log_z).reshape(template.values.shape)
             rel = np.max(np.abs(snaps[k].gamma.values - gamma_fine)) / np.max(

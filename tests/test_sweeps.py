@@ -43,6 +43,7 @@ from conftest import (
     fold_grad_xx,
     full_contraction,
     full_tier_arrays,
+    refined,
     sigma_triplet,
     tier_arrays,
 )
@@ -55,18 +56,14 @@ EPS = np.finfo(float).eps
 # -- reference: the loops that hold tier arrays per stage position --------------
 
 
-def reference_forward_solve(config, path, substeps=1):
+def reference_forward_solve(config, path):
     grid = path.grid
     X = np.empty((grid.nt, config.dataset.n, 1))
     X[0] = config.dataset.x
     nodes = _node_quadratures(config.field, path)
-    dt = grid.dt / substeps
     for k in range(grid.nt - 1):
         quad, fold = nodes[k]
-        xk = X[k]
-        for _ in range(substeps):
-            xk = _reference_rk4_forward(quad, fold, xk, dt)
-        X[k + 1] = xk
+        X[k + 1] = _reference_rk4_forward(quad, fold, X[k], grid.dt)
     return X
 
 
@@ -76,15 +73,6 @@ def _reference_rk4_forward(quad, fold, x, dt):
     k3 = fold_drift(fold, tier_arrays(quad, x + 0.5 * dt * k2, 0))
     k4 = fold_drift(fold, tier_arrays(quad, x + dt * k3, 0))
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _reference_fine_forward_interval(quad, fold, x0, dt_interval, substeps):
-    dt = dt_interval / substeps
-    out = np.empty((substeps + 1,) + x0.shape)
-    out[0] = x0
-    for s in range(substeps):
-        out[s + 1] = _reference_rk4_forward(quad, fold, out[s], dt)
-    return out
 
 
 def _pack_state(z, h, with_hessian):
@@ -114,7 +102,7 @@ def _reference_adjoint_rhs(fold, tiers, with_hessian):
     return f
 
 
-def reference_backward_solve(config, path, flow, substeps=1, with_hessian=False, bracket_grid=None):
+def reference_backward_solve(config, path, flow, with_hessian=False, bracket_grid=None):
     grid = path.grid
     n = flow.n
     order = 2 if with_hessian else 1
@@ -140,38 +128,18 @@ def reference_backward_solve(config, path, flow, substeps=1, with_hessian=False,
         if bracket is not None and k == grid.nt - 2:
             bracket[-1] = quad.bracket(tiers_right, Z[-1])
         tiers_left = tier_arrays(quad, flow.x[k], order)
-        if substeps == 1:
-            drifts = fold_drift(fold, tiers_left), fold_drift(fold, tiers_right)
-            x_mid = _hermite_midpoint(flow.x[k], flow.x[k + 1], *drifts, dt)
-            tiers_mid = tier_arrays(quad, x_mid, order)
-            state = _pack_state(z, h, with_hessian)
-            state = _rk4_between(
-                state,
-                -dt,
-                rhs(fold, tiers_right, with_hessian),
-                rhs(fold, tiers_mid, with_hessian),
-                rhs(fold, tiers_left, with_hessian),
-            )
-            z, h = _unpack_state(state, with_hessian)
-        else:
-            x_fine = _reference_fine_forward_interval(quad, fold, flow.x[k], dt, substeps)
-            dt_f = dt / substeps
-            for s in range(substeps, 0, -1):
-                t_r = tier_arrays(quad, x_fine[s], order) if s < substeps else tiers_right
-                t_l = tier_arrays(quad, x_fine[s - 1], order) if s > 1 else tiers_left
-                x_mid = _hermite_midpoint(
-                    x_fine[s - 1], x_fine[s], fold_drift(fold, t_l), fold_drift(fold, t_r), dt_f
-                )
-                t_m = tier_arrays(quad, x_mid, order)
-                state = _pack_state(z, h, with_hessian)
-                state = _rk4_between(
-                    state,
-                    -dt_f,
-                    rhs(fold, t_r, with_hessian),
-                    rhs(fold, t_m, with_hessian),
-                    rhs(fold, t_l, with_hessian),
-                )
-                z, h = _unpack_state(state, with_hessian)
+        drifts = fold_drift(fold, tiers_left), fold_drift(fold, tiers_right)
+        x_mid = _hermite_midpoint(flow.x[k], flow.x[k + 1], *drifts, dt)
+        tiers_mid = tier_arrays(quad, x_mid, order)
+        state = _pack_state(z, h, with_hessian)
+        state = _rk4_between(
+            state,
+            -dt,
+            rhs(fold, tiers_right, with_hessian),
+            rhs(fold, tiers_mid, with_hessian),
+            rhs(fold, tiers_left, with_hessian),
+        )
+        z, h = _unpack_state(state, with_hessian)
         Z[k] = z
         if with_hessian:
             H[k] = h
@@ -244,14 +212,15 @@ def _same(a, b):
 # -- bitwise agreement with the reference loops ---------------------------------
 
 
-@pytest.mark.parametrize("substeps", [1, 2])
-def test_grid_sweeps_match_reference_loops(mini, substeps):
+@pytest.mark.parametrize("s", [1, 2])
+def test_grid_sweeps_match_reference_loops(mini, s):
     config, path = mini
-    flow = forward_solve(config, path, substeps=substeps)
-    assert np.array_equal(flow.x, reference_forward_solve(config, path, substeps))
+    path = refined(path, s)
+    flow = forward_solve(config, path)
+    assert np.array_equal(flow.x, reference_forward_solve(config, path))
     grid = path.measures[0]
-    new = backward_solve(config, path, flow, substeps, bracket_grid=grid)
-    ref = reference_backward_solve(config, path, flow, substeps, bracket_grid=grid)
+    new = backward_solve(config, path, flow, bracket_grid=grid)
+    ref = reference_backward_solve(config, path, flow, bracket_grid=grid)
     assert np.abs(new.z).max() > 0.0
     assert all(_same(a, b) for a, b in zip((new.z, new.hess, new.bracket), ref))
 

@@ -22,7 +22,7 @@ from mfoc.trajectories import (
     meanfield_drift,
     tangent_solve,
 )
-from conftest import make_config, prior_path
+from conftest import make_config, prior_path, refined
 
 POT = ConfinementPotential()
 
@@ -99,9 +99,9 @@ class TestForwardSolve:
     def test_observed_order_at_least_fourth(self):
         config = make_config(n=8, nt=17)
         path = tilted_path(config, res=32)
-        oracle = forward_solve(config, path, substeps=16).x[-1]
+        oracle = forward_solve(config, refined(path, 16)).x[-1]
         errs = [
-            np.max(np.abs(forward_solve(config, path, substeps=s).x[-1] - oracle))
+            np.max(np.abs(forward_solve(config, refined(path, s)).x[-1] - oracle))
             for s in (1, 2, 4)
         ]
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -150,14 +150,13 @@ class TestBackwardSolve:
     def test_observed_order_at_least_fourth(self):
         config = make_config(n=8, nt=17)
         path = tilted_path(config, res=32)
-        flow = forward_solve(config, path, substeps=16)
-        oracle = backward_solve(config, path, flow, substeps=16).z[0]
+        fine = refined(path, 16)
+        oracle = backward_solve(config, fine, forward_solve(config, fine)).z[0]
         errs = []
         for s in (1, 2, 4):
-            f = forward_solve(config, path, substeps=s)
-            errs.append(
-                np.max(np.abs(backward_solve(config, path, f, substeps=s).z[0] - oracle))
-            )
+            fine = refined(path, s)
+            f = forward_solve(config, fine)
+            errs.append(np.max(np.abs(backward_solve(config, fine, f).z[0] - oracle)))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 3.7, (errs, orders)
 
