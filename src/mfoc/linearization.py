@@ -22,6 +22,7 @@ import numpy as np
 
 from .measures import (
     ControlPath,
+    DegenerateMeasureError,
     GridMeasure,
     LOG_FLOOR,
     PerturbationPath,
@@ -480,41 +481,65 @@ def tilt_to_entropy(path, psi_grid, profile, target, max_refine=30):
 
     psi_grid is a bounded potential on the measure grid; profile weights it
     per node. The amplitude is fixed point-iterated using the locally
-    quadratic amplitude-entropy relation.
+    quadratic amplitude-entropy relation. The refinement rewrites one
+    (nt, cells) array with the arithmetic of ``GridMeasure.from_log_values``
+    and ``relative_entropy``; only the accepted tilt becomes measures.
     """
     grid = path.grid
     template = path.measures[0]
+    log_nu = np.log(np.maximum([m.values.ravel() for m in path.measures], LOG_FLOOR))
+    # a node with a cell at the floor, in the reference or in the candidate,
+    # takes relative_entropy's masked sum
+    clear_nu = [bool(np.all(m.values > LOG_FLOOR)) for m in path.measures[:-1]]
+    psi = np.ravel(psi_grid)
+    profile = np.asarray(profile, dtype=float)
+    log_cell = template.dprime * math.log(2.0 * template.halfwidth / template.res)
+    values = np.empty_like(log_nu)
 
-    def build(amplitude):
-        measures = []
-        for k in range(grid.nt):
-            lv = np.log(np.maximum(path.measures[k].values, LOG_FLOOR)) + (
-                amplitude * profile[k]
-            ) * psi_grid
-            measures.append(
-                GridMeasure.from_log_values(template.halfwidth, template.res, lv)
-            )
-        return path.replace_measures(measures)
+    def log_tilt(amplitude):
+        np.multiply((amplitude * profile)[:, None], psi, out=values)
+        np.add(values, log_nu, out=values)
 
-    def entropy_of(candidate):
-        dt = grid.dt
-        return sum(
-            relative_entropy(candidate.measures[k], path.measures[k]) * dt
-            for k in range(grid.nt - 1)
-        )
+    def tilt(amplitude):
+        # in place, to hold no second (nt, cells) array: the log-density is
+        # formed again after the shift that gives its normalizer
+        log_tilt(amplitude)
+        top = np.max(values, axis=1, keepdims=True)
+        np.exp(np.subtract(values, top, out=values), out=values)
+        log_mass = top + np.log(np.sum(values, axis=1, keepdims=True))
+        log_tilt(amplitude)
+        np.exp(np.subtract(values, log_mass + log_cell, out=values), out=values)
+        if not np.all(np.isfinite(values)):
+            raise DegenerateMeasureError("grid density must be finite and >= 0")
+
+    def entropy_of():
+        total = 0
+        for k in range(grid.nt - 1):
+            p = values[k]
+            if clear_nu[k] and np.all(p > LOG_FLOOR):
+                ent = float(np.sum(p * (np.log(p) - log_nu[k]))) * template.cell_volume
+            else:
+                node = GridMeasure(template.halfwidth, template.res, p.reshape(template.values.shape))
+                ent = relative_entropy(node, path.measures[k])
+            total += ent * grid.dt
+        return total
 
     amplitude = 1.0
-    candidate = build(amplitude)
+    tilt(amplitude)
     for _ in range(max_refine):
-        ent = entropy_of(candidate)
+        ent = entropy_of()
         if ent <= 0.0:
             return None, 0.0
         ratio = target / ent
         if abs(ratio - 1.0) < 1e-6:
             break
         amplitude *= math.sqrt(ratio)
-        candidate = build(amplitude)
-    return candidate, entropy_of(candidate)
+        tilt(amplitude)
+    else:
+        ent = entropy_of()
+    shape = template.values.shape
+    measures = [GridMeasure(template.halfwidth, template.res, v.reshape(shape)) for v in values]
+    return path.replace_measures(measures), ent
 
 
 def pl_scan(

@@ -18,7 +18,7 @@ from mfoc.linearization import (
     stability_probe,
     tilt_to_entropy,
 )
-from mfoc.measures import GridMeasure, relative_entropy
+from mfoc.measures import LOG_FLOOR, GridMeasure, relative_entropy
 from mfoc.model import FieldQuadrature, rng_for
 from mfoc.optimizer import picard_solve, total_cost
 from mfoc.trajectories import (
@@ -391,6 +391,52 @@ class TestStabilityProbe:
         assert doms[0] > doms[1] > doms[2], doms
 
 
+def reference_tilt_to_entropy(path, psi_grid, profile, target, max_refine=30):
+    """The tilt built node by node as measures, each entropy from
+    ``relative_entropy``."""
+    template = path.measures[0]
+    dt = path.grid.dt
+
+    def build(amplitude):
+        measures = []
+        for k in range(path.grid.nt):
+            lv = np.log(np.maximum(path.measures[k].values, LOG_FLOOR)) + (
+                amplitude * profile[k]
+            ) * psi_grid
+            measures.append(GridMeasure.from_log_values(template.halfwidth, template.res, lv))
+        return path.replace_measures(measures)
+
+    def entropy_of(candidate):
+        return sum(
+            relative_entropy(candidate.measures[k], path.measures[k]) * dt
+            for k in range(path.grid.nt - 1)
+        )
+
+    amplitude = 1.0
+    candidate = build(amplitude)
+    for _ in range(max_refine):
+        ent = entropy_of(candidate)
+        if ent <= 0.0:
+            return None, 0.0
+        ratio = target / ent
+        if abs(ratio - 1.0) < 1e-6:
+            break
+        amplitude *= math.sqrt(ratio)
+        candidate = build(amplitude)
+    return candidate, entropy_of(candidate)
+
+
+def _floored_path(config):
+    """A prior path at res 16 whose node 2 has empty cells, so both the
+    reference and the candidate have cells at the floor there."""
+    path, _ = prior_path(config, res=16)
+    values = path.measures[2].values.copy()
+    values[:3, :] = 0.0
+    measures = list(path.measures)
+    measures[2] = measures[2].with_values(values)
+    return path.replace_measures(measures)
+
+
 class TestPlScan:
     def test_tilt_hits_entropy_target(self, solved):
         config, _, result, _ = solved
@@ -401,6 +447,24 @@ class TestPlScan:
             result.path, psi, np.ones(config.grid.nt), target
         )
         assert ent == pytest.approx(target, rel=1e-4)
+
+    @pytest.mark.parametrize("floored", [False, True])
+    def test_tilt_matches_the_per_node_reference(self, floored):
+        config = make_config(n=16, nt=9)
+        path = _floored_path(config) if floored else prior_path(config, res=16)[0]
+        rng = np.random.default_rng(5)
+        mids = path.measures[0].midpoints()
+        cases = [(np.cos(1.3 * mids[:, 0] - 0.2 * mids[:, 1]), rng.uniform(0.2, 1.0, 9), 1e-2)]
+        # a tilt that empties cells of the candidate, and one that never converges
+        cases.append((np.where(mids[:, 0] > 3.0, -900.0, np.sin(mids[:, 1])), np.ones(9), 4e-3))
+        cases.append((np.cos(mids[:, 0]), np.ones(9), 1e-3))
+        for (psi, profile, target), refine in zip(cases, (30, 30, 2)):
+            psi = psi.reshape(16, 16)
+            new, ent = tilt_to_entropy(path, psi, profile, target, max_refine=refine)
+            ref, ref_ent = reference_tilt_to_entropy(path, psi, profile, target, max_refine=refine)
+            assert ent == ref_ent and ent > 0.0
+            for a, b in zip(new.measures, ref.measures):
+                assert a.values.tobytes() == b.values.tobytes()
 
     def test_single_direction_ratio_stabilizes(self, solved):
         config, prior, result, _ = solved
