@@ -383,6 +383,9 @@ def _descent_particle(config, tools, writer, steps, h, tilt) -> int:
 
 
 def cmd_stability(config, tools, writer) -> int:
+    # the probe's settings are checked before the solve they follow
+    iters = _tool(tools, "stability", "iters", 10)
+    margin = _tool(tools, "stability", "margin", 0.1)
     result, _ = _solved_state(config, tools)
     failure = _not_converged(result)
     if failure:
@@ -392,8 +395,8 @@ def cmd_stability(config, tools, writer) -> int:
         config,
         result.path,
         result.flow,
-        iters=_tool(tools, "stability", "iters", 10),
-        margin=_tool(tools, "stability", "margin", 0.1),
+        iters=iters,
+        margin=margin,
         rng=rng_for(config.seed, "stability-probe"),
     )
     rows = ["index,ritz_value"]
@@ -414,6 +417,9 @@ def cmd_stability(config, tools, writer) -> int:
 
 
 def cmd_pl_scan(config, tools, writer) -> int:
+    # the scan's settings are checked before the solve they follow
+    radius = _tool(tools, "pl_scan", "radius", 0.1)
+    samples = _tool(tools, "pl_scan", "samples", 200)
     result, prior = _solved_state(config, tools)
     failure = _not_converged(result)
     if failure:
@@ -423,8 +429,8 @@ def cmd_pl_scan(config, tools, writer) -> int:
         config,
         result.path,
         result.report.cost,
-        radius=_tool(tools, "pl_scan", "radius", 0.1),
-        samples=_tool(tools, "pl_scan", "samples", 200),
+        radius=radius,
+        samples=samples,
         rng=rng_for(config.seed, "pl-scan"),
         prior=prior,
     )

@@ -16,6 +16,7 @@ pure, so they are safe to share across threads.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -156,15 +157,21 @@ def _contract_columns(columns, weights):
 
 # rows per block of a fused kernel call: 512 KiB of float64 per tier buffer
 _BLOCK_CELLS = 65536
+# a fold-tier on a mirrored support ends after its last weight above
+# _PREFIX_TOL ||w||_1 / h; the tiers are at most 1 in size, so the terms it
+# drops sum to at most _PREFIX_TOL ||w||_1
+_PREFIX_TOL = 2.0**-60
 
 
 class Workspace:
     """Scratch buffers of one sweep, reused by every kernel call it makes.
 
     A sweep creates one and drops it when it returns, so its buffers live
-    exactly as long as the sweep. ``kept`` holds the tiers, over all states
-    of the call and the h evaluated cells, of the latest call that asked to
-    keep them.
+    exactly as long as the sweep. Each buffer is flat and handed out as a
+    (rows, cols) view of its head, so calls whose cell counts differ share
+    it without reallocating. ``kept`` holds the tiers, over all states of the
+    call and the h evaluated cells in visiting order, of the latest call that
+    asked to keep them.
     """
 
     def __init__(self):
@@ -172,10 +179,11 @@ class Workspace:
         self.kept = None
 
     def buffer(self, name, rows: int, cols: int) -> np.ndarray:
+        size = rows * cols
         buf = self._buffers.get(name)
-        if buf is None or buf.shape[0] < rows or buf.shape[1] != cols:
-            buf = self._buffers[name] = np.empty((rows, cols))
-        return buf[:rows]
+        if buf is None or buf.shape[0] < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(rows, cols)
 
 
 class FieldQuadrature:
@@ -190,7 +198,7 @@ class FieldQuadrature:
     the reductions over particles (``bracket``, ``bracket_pair``) need a
     tier in full; a call writes it into the workspace on request. The folds
     carry the parameter columns in their weights, so every contraction is
-    one (n, h) by (h,) product.
+    one (n, p) by (p,) product.
 
     A tanh support that is its own mirror image (``support[::-1] ==
     -support`` exactly, as on a grid over a centred box whose midpoints are
@@ -198,7 +206,15 @@ class FieldQuadrature:
     change sign and sigma' is unchanged between a cell and its partner. The
     kernel then evaluates only the first h = ceil(M / 2) cells, the folds
     fold their weights onto them and the particle reductions extend their h
-    samples by parity. Any other support has h = M and no fold.
+    samples by parity. It visits those cells in order of |a|, ties by index,
+    and each fold-tier keeps only the prefix of that order that carries its
+    weight (see ``WeightFold``): a Gibbs density decays like exp(-ell(a)),
+    so on a box sized for the prior's tail the far cells weigh nothing. A
+    call evaluates the longest prefix among its fold-tiers, or all h cells
+    when it keeps a tier for a particle reduction, and contracts each
+    fold-tier over its own prefix, so a fold's contraction is bitwise the
+    same in every call that holds it. Any other support has h = M, support
+    order, no fold and no cut.
     """
 
     def __init__(self, field: ActivationField, support: np.ndarray):
@@ -213,6 +229,13 @@ class FieldQuadrature:
         mirrored = field.sigma == "tanh" and np.array_equal(self.support[::-1], -self.support)
         # support cells the kernel evaluates; the last M - h mirror the first
         self.h = (m + 1) // 2 if mirrored else m
+        # the evaluated cells in visiting order, and their parameter columns
+        self._visit = None
+        self._a1v, self._a2v = self._a1, self._a2
+        if mirrored:
+            head = self.support[: self.h]
+            self._visit = np.argsort(np.einsum("ij,ij->i", head, head), kind="stable")
+            self._a1v, self._a2v = self._a1[self._visit], self._a2[self._visit]
 
     def tiers(self, X, order: int, folds, work: Optional[Workspace] = None, keep: int = 0):
         """Fold contractions of the activation tiers at states X (n, 1).
@@ -221,17 +244,20 @@ class FieldQuadrature:
         each fold's drift (n, 1), grad_x (n,) and, at order 2, grad_xx (n,),
         evaluated in row blocks through the buffers of ``work``. The first
         ``keep`` tiers are also written over all n states and the h evaluated
-        cells and left in ``work.kept``.
+        cells, in visiting order, and left in ``work.kept``.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         work = work if work is not None else Workspace()
         x = np.ascontiguousarray(X[:, 0])
-        n, m = x.shape[0], self.h
-        rows = max(1, _BLOCK_CELLS // m)
-        full = [work.buffer(("full", j), n, m) for j in range(keep)]
-        block = [work.buffer(("block", j), min(rows, n), m) for j in range(keep, order + 1)]
         names = ("_w_drift", "_w_gx", "_w_gxx")[: order + 1]
         weights = [[getattr(f, name) for name in names] for f in folds]
+        # a kept tier serves a reduction over every cell; otherwise the
+        # longest prefix, which is the length of the longest weight vector
+        m = self.h if keep else max((w.shape[0] for ws in weights for w in ws), default=0)
+        n = x.shape[0]
+        rows = max(1, _BLOCK_CELLS // max(m, 1))
+        full = [work.buffer(("full", j), n, m) for j in range(keep)]
+        block = [work.buffer(("block", j), min(rows, n), m) for j in range(keep, order + 1)]
         out = np.empty((order + 1, len(folds), n))
         for r0 in range(0, n, rows):
             r1 = min(r0 + rows, n)
@@ -239,31 +265,44 @@ class FieldQuadrature:
             self._fill(x[r0:r1], tiers)
             for f, ws in enumerate(weights):
                 for j, w in enumerate(ws):
-                    np.einsum("nm,m->n", tiers[j], w, out=out[j, f, r0:r1])
+                    np.einsum("nm,m->n", tiers[j][:, : w.shape[0]], w, out=out[j, f, r0:r1])
         if keep:
             work.kept = tuple(full)
         return ([c[:, None] for c in out[0]],) + tuple(list(c) for c in out[1:])
 
     def _fill(self, x, tiers):
-        """Tiers of the states x (n,) into the given (n, h) buffers."""
-        z = np.multiply.outer(x, self._a1[: self.h], out=tiers[0])
-        z += self._a2[: self.h]
+        """Tiers of the states x (n,) into the given (n, p) buffers: the
+        first p evaluated cells in visiting order."""
+        p = tiers[0].shape[1]
+        z = np.multiply.outer(x, self._a1v[:p], out=tiers[0])
+        z += self._a2v[:p]
         _SIGMAS[self.field.sigma](*tiers)
 
     def _fold(self, w, odd: bool) -> np.ndarray:
-        """Weights (M,) of one tier folded onto the h evaluated cells; the
-        tier at a mirror cell is minus (odd) or equal to (even) its partner's.
-        A centre cell (odd M) keeps its weight."""
+        """Weights (M,) of one tier folded onto the h evaluated cells, in
+        visiting order and cut to the tier's prefix; the tier at a mirror cell
+        is minus (odd) or equal to (even) its partner's. A centre cell (odd M)
+        keeps its weight."""
         r = self.support.shape[0] - self.h
         if not r:
             return w  # no copy: a particle path holds one fold per node
         mirror = w[::-1][:r]
         head = w[:r] - mirror if odd else w[:r] + mirror
-        return np.concatenate((head, w[r : self.h]))
+        w = np.concatenate((head, w[r : self.h]))[self._visit]
+        size = np.abs(w)
+        tol = float(np.sum(size)) * (_PREFIX_TOL / self.h)
+        if not math.isfinite(tol):
+            return w  # non-finite weights reach every contraction
+        heavy = np.flatnonzero(size > tol)
+        return w[: heavy[-1] + 1 if heavy.size else 0]
 
     def _unfold(self, v, odd: bool) -> np.ndarray:
-        """Samples (M,) of a particle reduction from its (h,) samples; the
-        negation is exact, so they equal the reduction over all M cells."""
+        """Samples (M,) of a particle reduction from its (h,) samples in
+        visiting order; the negation is exact, so they equal the reduction
+        over all M cells."""
+        if self._visit is not None:
+            v, visited = np.empty_like(v), v
+            v[self._visit] = visited
         mirror = v[: self.support.shape[0] - self.h][::-1]
         return np.concatenate((v, -mirror if odd else mirror))
 
@@ -296,7 +335,11 @@ class WeightFold:
     first use and kept for the fold's lifetime, so a sweep that never asks
     for grad_x or grad_xx never forms their weights. On a mirrored support
     (see ``FieldQuadrature``) they are folded onto the h evaluated cells by
-    the parity of their tier: sigma and sigma'' are odd, sigma' is even.
+    the parity of their tier (sigma and sigma'' are odd, sigma' is even),
+    put in visiting order and cut after the last weight above
+    2^-60 ||w||_1 / h: the length of each tier's weights is its prefix. For
+    the componentwise family a density that is its own mirror image, such as
+    the prior, folds to zero weights, so its prefix is 0.
     """
 
     def __init__(self, quad: FieldQuadrature, values: np.ndarray, scale: float = 1.0):

@@ -25,9 +25,11 @@ vectors; the RK4 right-hand sides only see those. A sweep owns one
 ``Workspace`` for the row blocks of all its calls, and only the particle
 reductions onto the measure grid (the node bracket) ask for a tier in full.
 Each particle's contraction is a fixed-order numpy sum over support points
-(over the folded half of them on a mirrored support, which the support alone
-decides) and the particle reductions sum rows in order, so results depend
-neither on the block size nor on thread counts.
+(on a mirrored support, over the prefix of the folded half, in order of |a|,
+that carries the fold's weight, which the support and the weights alone
+decide) and the particle reductions sum rows in order, so results depend
+neither on the block size, nor on the other folds of a call, nor on thread
+counts.
 
 Every linearized sweep (tangent, multiplier, linearized map, quadratic form
 and both cross terms) reads its stage data from one ``stage_pass``, which

@@ -108,7 +108,8 @@ def relative_eta(base, grid, fn, profile=None):
 # -- references for the activation kernel ---------------------------------------
 # The reference loops of the tests hold tier arrays and contract them one fold at
 # a time, with the arithmetic of the fused kernel: tiers on the quadrature's h
-# evaluated cells, weights folded onto them, and its ufuncs and einsum
+# evaluated cells in its visiting order (by |a| on a mirrored support), weights
+# folded onto them and cut to each fold-tier's prefix, and its ufuncs and einsum
 # contractions. The full_* helpers evaluate every support cell against the
 # unfolded weights instead, as the kernel does on a support that is not
 # mirrored.
@@ -122,16 +123,21 @@ def tier_arrays(quad, X, order):
     return tiers
 
 
+def _prefix_contraction(tier, w):
+    """A tier (n, h) contracted against fold weights over their prefix."""
+    return np.einsum("nm,m->n", tier[:, : w.shape[0]], w)
+
+
 def fold_drift(fold, tiers):
-    return np.einsum("nm,m->n", tiers[0], fold._w_drift)[:, None]
+    return _prefix_contraction(tiers[0], fold._w_drift)[:, None]
 
 
 def fold_grad_x(fold, tiers):
-    return np.einsum("nm,m->n", tiers[1], fold._w_gx)
+    return _prefix_contraction(tiers[1], fold._w_gx)
 
 
 def fold_grad_xx(fold, tiers):
-    return np.einsum("nm,m->n", tiers[2], fold._w_gxx)
+    return _prefix_contraction(tiers[2], fold._w_gxx)
 
 
 def full_tier_arrays(quad, X, order):

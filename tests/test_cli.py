@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfoc import optimizer
+from mfoc import cli, optimizer
 from conftest import prior_path
 from mfoc.cli import RunWriter, _fmt, _path_to_csv, _solved_state, load_run_document, main
 from mfoc.measures import AdmissibilityError, ControlPath, DegenerateMeasureError, GridMeasure
@@ -602,6 +602,30 @@ def test_out_of_range_tool_setting_exits_1(tmp_path, capsys, command, settings):
     code, out = run(tmp_path, command, "--config", str(FIXTURES / "mini.json"), *args)
     err = capsys.readouterr().err
     key = settings[-1].split("=")[0]
+    assert code == 1
+    assert err.startswith(f"configuration error: configuration key '{key}' must be ")
+    assert "Traceback" not in err and not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, setting",
+    [
+        ("stability", "stability.iters=0"),
+        ("stability", "stability.margin=nan"),
+        ("pl-scan", "pl_scan.samples=0"),
+        ("pl-scan", "pl_scan.radius=-0.1"),
+    ],
+)
+def test_probe_settings_are_checked_before_the_solve(
+    tmp_path, capsys, monkeypatch, command, setting
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran before its command's settings were checked")
+
+    monkeypatch.setattr(cli, "picard_solve", no_solve)
+    code, out = run(tmp_path, command, "--config", str(FIXTURES / "mini.json"), "--set", setting)
+    err = capsys.readouterr().err
+    key = setting.split("=")[0]
     assert code == 1
     assert err.startswith(f"configuration error: configuration key '{key}' must be ")
     assert "Traceback" not in err and not (out / "summary.json").exists()

@@ -39,6 +39,7 @@ from mfoc.trajectories import (
 
 from conftest import (
     fold_drift,
+    prior_path,
     fold_grad_x,
     fold_grad_xx,
     full_contraction,
@@ -51,6 +52,8 @@ from conftest import (
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MINI = FIXTURES / "mini.json"
 EPS = np.finfo(float).eps
+# a fold's weights per tier, each as long as the tier's prefix
+TIER_WEIGHTS = ("_w_drift", "_w_gx", "_w_gxx")
 
 
 # -- reference: the loops that hold tier arrays per stage position --------------
@@ -311,10 +314,9 @@ def test_fold_forms_only_the_weights_a_call_uses(family):
     quad = FieldQuadrature(field, rng.normal(size=(256, field.dprime)))
     fold = quad.fold(rng.random(256))
     X = rng.normal(size=(7, 1))
-    lazy = ("_w_drift", "_w_gx", "_w_gxx")
     for order in (0, 1, 2):
         quad.tiers(X, order, (fold,), Workspace())
-        assert [name in vars(fold) for name in lazy] == [j <= order for j in range(3)]
+        assert [name in vars(fold) for name in TIER_WEIGHTS] == [j <= order for j in range(3)]
 
 
 def _reference_sigma(sigma, x, quad):
@@ -465,6 +467,8 @@ def test_supports_without_mirror_keep_full_arithmetic(case):
     full = full_tier_arrays(quad, X, 2)
     work = Workspace()
     fused = quad.tiers(X, 2, folds, work, keep=2)
+    # support order and no cut: every fold-tier's prefix is all h = M cells
+    assert all(getattr(f, name).shape == (m,) for f in folds for name in TIER_WEIGHTS)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(work.kept, full))
     for j in range(3):
         for f, fold in enumerate(folds):
@@ -472,6 +476,125 @@ def test_supports_without_mirror_keep_full_arithmetic(case):
     assert quad.bracket(work.kept, z).tobytes() == full_bracket(quad, full, z).tobytes()
     new = quad.bracket_pair(work.kept, vec_dx, vec_b)
     assert new.tobytes() == full_bracket_pair(quad, full, vec_dx, vec_b).tobytes()
+
+
+# -- the |a|-ordered route: each fold-tier over the prefix that carries its weight --
+
+
+def gaussian_tailed(quad, centre, width):
+    """A Gibbs-like density on the support, exp(-|a - centre|^2 / (2 width^2)),
+    whose tail falls far below 2^-60 of its mass inside the box."""
+    return np.exp(-np.sum((quad.support - centre) ** 2, axis=1) / (2.0 * width**2))
+
+
+def tail_folds(quad):
+    """A Gaussian-tailed density off the centre and a signed perturbation of
+    it, as a Gibbs map and a Krylov direction carry them."""
+    halfwidth = float(quad.support.max())
+    density = gaussian_tailed(quad, 0.1 * halfwidth, halfwidth / 12.0)
+    signed = density * np.cos(3.0 * quad.support[:, -2] / halfwidth - 0.5 * quad.support[:, -1])
+    return [quad.fold(density, 0.25), quad.fold(signed)]
+
+
+# odd res has a centre cell; res = 2 has one cell per quadrant
+TAILED_GRIDS = [(COMPONENTWISE, 64), (COMPONENTWISE, 61), (COMPONENTWISE, 3), (COMPONENTWISE, 2)]
+TAILED_GRIDS += [(RIDGE_OUTER, 16), (RIDGE_OUTER, 17), (RIDGE_OUTER, 3), (RIDGE_OUTER, 2)]
+
+
+@pytest.mark.parametrize("family,res", TAILED_GRIDS)
+def test_prefix_contractions_match_full_sums_within_the_cut(family, res):
+    field = ActivationField(family, "tanh", 1)
+    quad = FieldQuadrature(field, grid_support(field, res))
+    m = quad.support.shape[0]
+    assert quad.h == (m + 1) // 2
+    # the evaluated cells are visited by |a|, ties by index
+    head = quad.support[: quad.h]
+    r2 = np.einsum("ij,ij->i", head, head)
+    assert np.array_equal(quad._visit, np.lexsort((np.arange(quad.h), r2)))
+    rng = np.random.default_rng(res)
+    X = 2.0 * rng.normal(size=(37, 1))
+    folds = tail_folds(quad)
+    full = full_tier_arrays(quad, X, 2)
+    fused = quad.tiers(X, 2, folds, Workspace())
+    for j, name in enumerate(TIER_WEIGHTS):
+        for f, fold in enumerate(folds):
+            w = fold._weights(j)
+            cut = 2.0**-60 * np.sum(np.abs(w))
+            scale = np.einsum("nm,m->n", np.abs(full[j]), np.abs(w))
+            error = np.abs(fused[j][f].reshape(37) - full_contraction(fold, full, j))
+            assert np.all(error <= cut + 16 * EPS * scale)
+            assert getattr(fold, name).shape[0] <= quad.h
+    if res >= 16:
+        # the grids large enough to hold a tail drop it
+        assert all(getattr(f, name).shape[0] < quad.h for f in folds for name in TIER_WEIGHTS)
+
+
+@pytest.mark.parametrize("family,res", TAILED_GRIDS)
+def test_brackets_unpermute_the_visiting_order(family, res):
+    field = ActivationField(family, "tanh", 1)
+    quad = FieldQuadrature(field, grid_support(field, res))
+    rng = np.random.default_rng(res)
+    X, z = 2.0 * rng.normal(size=(9, 1)), rng.normal(size=(9, 1))
+    vec_dx, vec_b = rng.normal(size=9), rng.normal(size=9)
+    work = Workspace()
+    quad.tiers(X, 1, tail_folds(quad), work, keep=2)
+    full = full_tier_arrays(quad, X, 1)
+    pairs = [
+        (quad.bracket(work.kept, z), full_bracket(quad, full, z)),
+        (quad.bracket_pair(work.kept, vec_dx, vec_b), full_bracket_pair(quad, full, vec_dx, vec_b)),
+    ]
+    for new, ref in pairs:
+        # exact, up to the sign of the zero sums of the a1 = a2 = 0 cells
+        assert np.array_equal(new, ref)
+
+
+@pytest.mark.parametrize("family,res", [(COMPONENTWISE, 64), (RIDGE_OUTER, 17)])
+def test_fold_contraction_is_the_same_in_every_call(family, res):
+    field = ActivationField(family, "tanh", 1)
+    quad = FieldQuadrature(field, grid_support(field, res))
+    halfwidth = float(quad.support.max())
+    narrow = quad.fold(gaussian_tailed(quad, 0.1 * halfwidth, halfwidth / 16.0))
+    wide = quad.fold(gaussian_tailed(quad, -0.1 * halfwidth, halfwidth / 8.0))
+    assert all(
+        0 < getattr(narrow, name).shape[0] < getattr(wide, name).shape[0] < quad.h
+        for name in TIER_WEIGHTS
+    )
+    X = 2.0 * np.random.default_rng(res).normal(size=(37, 1))
+    for order in (0, 1, 2):
+        alone = quad.tiers(X, order, (narrow,), Workspace())
+        calls = [
+            [c[1] for c in quad.tiers(X, order, (wide, narrow), Workspace())],
+            [c[0] for c in quad.tiers(X, order, (narrow, wide), Workspace())],
+        ]
+        calls += [
+            [c[0] for c in quad.tiers(X, order, (narrow,), Workspace(), keep=keep)]
+            for keep in range(1, min(order + 1, 2) + 1)
+        ]
+        for contractions in calls:
+            assert [c.tobytes() for c in contractions] == [c[0].tobytes() for c in alone]
+
+
+def test_non_finite_weights_are_never_cut():
+    # a NaN or an infinite weight reaches every particle, so a sweep sees it
+    field = ActivationField(COMPONENTWISE, "tanh", 1)
+    quad = FieldQuadrature(field, grid_support(field, 64))
+    X = np.linspace(-2.0, 2.0, 5)[:, None]
+    for bad in (np.nan, np.inf):
+        values = gaussian_tailed(quad, 0.4, 0.3)
+        values[-1] = bad  # a corner cell, far out in the tail
+        drift = quad.tiers(X, 0, (quad.fold(values),))[0][0]
+        assert not np.any(np.isfinite(drift))
+
+
+def test_prior_path_folds_have_prefix_zero(small_config):
+    # the prior is its own mirror image, so the componentwise field's folded
+    # weights vanish and the mean drift is exactly zero
+    path, _ = prior_path(small_config)
+    quad, fold = _node_quadratures(small_config.field, path)[0]
+    quad.tiers(small_config.dataset.x, 2, (fold,))
+    assert [getattr(fold, name).shape for name in TIER_WEIGHTS] == [(0,)] * 3
+    flow = forward_solve(small_config, path)
+    assert all(x.tobytes() == small_config.dataset.x.tobytes() for x in flow.x)
 
 
 def test_tanh_is_odd_to_the_bit():
