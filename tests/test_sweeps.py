@@ -387,6 +387,8 @@ def full_bracket_pair(quad, tiers, vec_dx, vec_b):
 
 # (family, res): even M, and odd M with a centre cell
 MIRRORED_GRIDS = [(COMPONENTWISE, 64), (COMPONENTWISE, 61), (RIDGE_OUTER, 16), (RIDGE_OUTER, 17)]
+# the smallest grids: a centre cell and its 8 neighbours, one cell per quadrant
+SMALL_GRIDS = [(COMPONENTWISE, 3), (COMPONENTWISE, 2), (RIDGE_OUTER, 3), (RIDGE_OUTER, 2)]
 
 
 @pytest.mark.parametrize("family,res", MIRRORED_GRIDS)
@@ -418,7 +420,7 @@ def test_mirrored_contractions_match_full_arrays(family, res, n):
                 assert np.all(np.abs(fused[j][f].reshape(n) - ref) <= 16 * EPS * scale)
 
 
-@pytest.mark.parametrize("family,res", MIRRORED_GRIDS)
+@pytest.mark.parametrize("family,res", MIRRORED_GRIDS + SMALL_GRIDS)
 def test_mirrored_brackets_equal_full_reductions(family, res):
     field = ActivationField(family, "tanh", 1)
     quad = FieldQuadrature(field, grid_support(field, res))
@@ -496,12 +498,7 @@ def tail_folds(quad):
     return [quad.fold(density, 0.25), quad.fold(signed)]
 
 
-# odd res has a centre cell; res = 2 has one cell per quadrant
-TAILED_GRIDS = [(COMPONENTWISE, 64), (COMPONENTWISE, 61), (COMPONENTWISE, 3), (COMPONENTWISE, 2)]
-TAILED_GRIDS += [(RIDGE_OUTER, 16), (RIDGE_OUTER, 17), (RIDGE_OUTER, 3), (RIDGE_OUTER, 2)]
-
-
-@pytest.mark.parametrize("family,res", TAILED_GRIDS)
+@pytest.mark.parametrize("family,res", MIRRORED_GRIDS + SMALL_GRIDS)
 def test_prefix_contractions_match_full_sums_within_the_cut(family, res):
     field = ActivationField(family, "tanh", 1)
     quad = FieldQuadrature(field, grid_support(field, res))
@@ -527,25 +524,6 @@ def test_prefix_contractions_match_full_sums_within_the_cut(family, res):
     if res >= 16:
         # the grids large enough to hold a tail drop it
         assert all(getattr(f, name).shape[0] < quad.h for f in folds for name in TIER_WEIGHTS)
-
-
-@pytest.mark.parametrize("family,res", TAILED_GRIDS)
-def test_brackets_unpermute_the_visiting_order(family, res):
-    field = ActivationField(family, "tanh", 1)
-    quad = FieldQuadrature(field, grid_support(field, res))
-    rng = np.random.default_rng(res)
-    X, z = 2.0 * rng.normal(size=(9, 1)), rng.normal(size=(9, 1))
-    vec_dx, vec_b = rng.normal(size=9), rng.normal(size=9)
-    work = Workspace()
-    quad.tiers(X, 1, tail_folds(quad), work, keep=2)
-    full = full_tier_arrays(quad, X, 1)
-    pairs = [
-        (quad.bracket(work.kept, z), full_bracket(quad, full, z)),
-        (quad.bracket_pair(work.kept, vec_dx, vec_b), full_bracket_pair(quad, full, vec_dx, vec_b)),
-    ]
-    for new, ref in pairs:
-        # exact, up to the sign of the zero sums of the a1 = a2 = 0 cells
-        assert np.array_equal(new, ref)
 
 
 @pytest.mark.parametrize("family,res", [(COMPONENTWISE, 64), (RIDGE_OUTER, 17)])
