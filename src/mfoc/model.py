@@ -301,8 +301,9 @@ class FieldQuadrature:
         visiting order; the negation is exact, so they equal the reduction
         over all M cells."""
         if self._visit is not None:
-            v, visited = np.empty_like(v), v
-            v[self._visit] = visited
+            ordered = np.empty_like(v)
+            ordered[self._visit] = v
+            v = ordered
         mirror = v[: self.support.shape[0] - self.h][::-1]
         return np.concatenate((v, -mirror if odd else mirror))
 

@@ -13,7 +13,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
