@@ -407,7 +407,7 @@ def cmd_stability(config, tools, writer) -> int:
         "summary.json",
         {
             "dominant_eig": report.dominant_eig,
-            "eta_residual": report.eta_residual,
+            "ritz_residual": report.ritz_residual,
             "margin_from_one": report.details["margin_from_one"],
             "stable_evidence": report.details["stable_evidence"],
             "cost": result.report.cost,

@@ -105,7 +105,7 @@ class LinearizedMultiplier:
 class SecondOrderReport:
     jform: Optional[float] = None
     fd2: Optional[float] = None
-    eta_residual: Optional[float] = None
+    ritz_residual: Optional[float] = None
     dominant_eig: Optional[float] = None
     pl_ratio: Optional[float] = None
     details: dict = field(default_factory=dict)
@@ -365,15 +365,14 @@ def _arnoldi(apply, v0, dot, iters):
     Builds an orthonormal basis of the Krylov space of ``v0`` under ``apply``
     in the inner product ``dot`` by modified Gram-Schmidt, and returns it with
     the m x m Hessenberg matrix, the Rayleigh quotients <q_j, apply(q_j)>
-    taken before Gram-Schmidt, the last image and whether the basis broke
-    down, which ends the iteration after m <= ``iters`` steps. ``apply`` may
-    correct its argument in place; the basis holds the vector as applied.
-    Images are not held.
+    taken before Gram-Schmidt, the entry H[m, m - 1] below it (0 after a
+    breakdown) and whether the basis broke down, which ends the iteration
+    after m <= ``iters`` steps. ``apply`` may correct its argument in place;
+    the basis holds the vector as applied. Images are not held.
     """
     basis = [(1.0 / math.sqrt(dot(v0, v0))) * v0]
     H = np.zeros((iters + 1, iters))
     rayleigh = []
-    image = None
     breakdown = False
     for j in range(iters):
         image = apply(basis[j])
@@ -388,7 +387,16 @@ def _arnoldi(apply, v0, dot, iters):
             break
         basis.append((1.0 / H[j + 1, j]) * vec)
     m = len(rayleigh)
-    return basis, H[:m, :m], rayleigh, image, breakdown
+    return basis, H[:m, :m], rayleigh, 0.0 if breakdown else H[m, m - 1], breakdown
+
+
+def _ritz_residual(H, below, theta):
+    """||A u - theta u|| of the Ritz pair (theta, u) of an Arnoldi run with
+    Hessenberg matrix H and entry ``below`` = H[m, m - 1]: for the unit
+    eigenvector y of H at theta, u = V y and A u - theta u = below y[m - 1]
+    times the next, unit, basis vector."""
+    values, vectors = np.linalg.eig(H)
+    return float(abs(below * vectors[-1, np.argmin(abs(values - theta))]))
 
 
 def stability_probe(
@@ -404,8 +412,8 @@ def stability_probe(
     Nontrivial solutions of the linearized system are exactly fixed points of
     the map, so spectral distance of the sampled Ritz values from one is
     evidence (not proof) of stability. Reports the dominant eigenvalue
-    estimate, the sup-node total-variation distance between the last iterate
-    and its image, and the sampled spectrum, which has fewer than ``iters``
+    estimate, the residual ||L u - theta u|| of its Ritz pair in L^2(1/nu),
+    and the sampled spectrum, which has fewer than ``iters``
     values when the Krylov basis breaks down. ``flow`` needs only the forward
     features: the adjoint and curvature come from the probe's own order-2
     stage pass, which every Krylov step shares.
@@ -444,16 +452,13 @@ def stability_probe(
         eta = PerturbationPath(path.grid, template.halfwidth, template.res, v)
         return linear_map_image(config, path, flow, eta, stages=stages).values
 
-    basis, H, history, image, breakdown = _arnoldi(apply, v0, dot, iters)
+    _, H, history, below, breakdown = _arnoldi(apply, v0, dot, iters)
     ritz = np.real_if_close(np.linalg.eigvals(H), tol=1e6)
-    dominant = float(np.real(ritz[np.argmax(abs(ritz))]))
+    top = ritz[np.argmax(abs(ritz))]
     spectrum_margin = float(np.min(abs(1.0 - ritz)))
-    # sup-node total-variation distance between the last iterate and its image
-    last = basis[len(history) - 1]
-    eta_residual = max(float(np.sum(abs(image[k] - last[k]))) * vol for k in range(len(image)))
     return SecondOrderReport(
-        dominant_eig=dominant,
-        eta_residual=eta_residual,
+        dominant_eig=float(np.real(top)),
+        ritz_residual=_ritz_residual(H, below, top),
         details={
             "ritz": sorted(float(np.real(r)) for r in ritz),
             "margin_from_one": spectrum_margin,

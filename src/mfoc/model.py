@@ -139,8 +139,8 @@ class ActivationField:
         # sigma is written over the pre-activation and sigma'' is never formed:
         # a Langevin step calls this once per node, and every (n, m) array
         # it frees is memory the allocator may hand back and re-fault
-        s = np.einsum("nk,mk->nm", X, A[:, 1:2] if ridge else A[:, :1])
-        s += A[:, 2] if ridge else A[:, 1]
+        s = np.empty((X.shape[0], A.shape[0]))
+        _preactivation(_with_ones(X), (A[:, 1:3] if ridge else A[:, :2]).T, s)
         s1 = np.empty_like(s)
         _SIGMAS[self.sigma](s, s1)
         if ridge:
@@ -148,6 +148,28 @@ class ActivationField:
             return _contract_columns((s, s1a0 * X, s1a0), weights)
         # sigma itself is not needed here: its array takes s1 * x
         return _contract_columns((np.multiply(s1, X, out=s), s1), weights)
+
+
+def _with_ones(X):
+    """The left operand [x, 1] (n, 2) of the pre-activation of states X (n, 1)."""
+    x1 = np.ones((X.shape[0], 2))
+    x1[:, 0] = X[:, 0]
+    return x1
+
+
+def _preactivation(x1, a12, out):
+    """a1 x + a2 of the states [x, 1] (n, 2) at the cells [a1; a2] (2, p),
+    written into out (n, p) by one dgemm, with the bits of an outer product
+    and an add (see ``FieldQuadrature``). numpy hands a product with one row
+    or one column to gemv, which rounds x a1 + a2 once; such a product runs
+    with that row or column twice."""
+    n, p = out.shape
+    if n > 1 and p > 1:
+        np.matmul(x1, a12, out=out)
+        return
+    x1 = x1 if n > 1 else np.repeat(x1, 2, axis=0)
+    a12 = a12 if p > 1 else np.repeat(a12, 2, axis=1)
+    out[...] = np.matmul(x1, a12)[:n, :p]
 
 
 def _contract_columns(columns, weights):
@@ -198,7 +220,15 @@ class FieldQuadrature:
     the reductions over particles (``bracket``, ``bracket_pair``) need a
     tier in full; a call writes it into the workspace on request. The folds
     carry the parameter columns in their weights, so every contraction is
-    one (n, p) by (p,) product.
+    one (n, p) by (p,) product. The pre-activation a1 x + a2 of a row block
+    is one rank-2 product [x, 1] (rows, 2) by [a1; a2] (2, p), written by
+    BLAS straight into the tier buffer (``_preactivation``). OpenBLAS's
+    dgemm forms each entry as round(round(x a1) + 1 a2), so its bits are
+    those of the outer product x a1 followed by the sum with a2. The one
+    exception is the sign of an exact zero: x a1 = -0 with a2 = -0 gives +0
+    where the two passes give -0, and no grid midpoint is -0. dgemm never
+    splits the inner dimension 2 across threads, so the bits do not depend
+    on the BLAS thread count.
 
     A tanh support that is its own mirror image (``support[::-1] ==
     -support`` exactly, as on a grid over a centred box whose midpoints are
@@ -220,22 +250,23 @@ class FieldQuadrature:
     def __init__(self, field: ActivationField, support: np.ndarray):
         self.field = field
         self.support = np.atleast_2d(np.asarray(support, dtype=float))
-        # contiguous parameter columns keep the outer products on the fast
-        # ufunc path; the componentwise family has no outer weight a0
-        columns = [np.ascontiguousarray(c) for c in self.support.T]
-        self._a0 = columns[0] if field.family == RIDGE_OUTER else None
-        self._a1, self._a2 = columns[-2:]
+        # the componentwise family has no outer weight a0
+        ridge = field.family == RIDGE_OUTER
+        self._a0 = np.ascontiguousarray(self.support[:, 0]) if ridge else None
+        self._a1 = np.ascontiguousarray(self.support[:, -2])
         m = self.support.shape[0]
         mirrored = field.sigma == "tanh" and np.array_equal(self.support[::-1], -self.support)
         # support cells the kernel evaluates; the last M - h mirror the first
         self.h = (m + 1) // 2 if mirrored else m
-        # the evaluated cells in visiting order, and their parameter columns
+        # the evaluated cells in visiting order, and their columns [a1; a2]
+        # (2, h), the right operand of the pre-activation product
         self._visit = None
-        self._a1v, self._a2v = self._a1, self._a2
+        a12 = self.support[:, -2:].T
         if mirrored:
             head = self.support[: self.h]
             self._visit = np.argsort(np.einsum("ij,ij->i", head, head), kind="stable")
-            self._a1v, self._a2v = self._a1[self._visit], self._a2[self._visit]
+            a12 = a12[:, self._visit]
+        self._a12v = np.ascontiguousarray(a12)
 
     def tiers(self, X, order: int, folds, work: Optional[Workspace] = None, keep: int = 0):
         """Fold contractions of the activation tiers at states X (n, 1).
@@ -248,13 +279,13 @@ class FieldQuadrature:
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         work = work if work is not None else Workspace()
-        x = np.ascontiguousarray(X[:, 0])
+        x1 = _with_ones(X)
         names = ("_w_drift", "_w_gx", "_w_gxx")[: order + 1]
         weights = [[getattr(f, name) for name in names] for f in folds]
         # a kept tier serves a reduction over every cell; otherwise the
         # longest prefix, which is the length of the longest weight vector
         m = self.h if keep else max((w.shape[0] for ws in weights for w in ws), default=0)
-        n = x.shape[0]
+        n = x1.shape[0]
         rows = max(1, _BLOCK_CELLS // max(m, 1))
         full = [work.buffer(("full", j), n, m) for j in range(keep)]
         block = [work.buffer(("block", j), min(rows, n), m) for j in range(keep, order + 1)]
@@ -262,7 +293,7 @@ class FieldQuadrature:
         for r0 in range(0, n, rows):
             r1 = min(r0 + rows, n)
             tiers = [t[r0:r1] for t in full] + [t[: r1 - r0] for t in block]
-            self._fill(x[r0:r1], tiers)
+            self._fill(x1[r0:r1], tiers)
             for f, ws in enumerate(weights):
                 for j, w in enumerate(ws):
                     np.einsum("nm,m->n", tiers[j][:, : w.shape[0]], w, out=out[j, f, r0:r1])
@@ -270,12 +301,10 @@ class FieldQuadrature:
             work.kept = tuple(full)
         return ([c[:, None] for c in out[0]],) + tuple(list(c) for c in out[1:])
 
-    def _fill(self, x, tiers):
-        """Tiers of the states x (n,) into the given (n, p) buffers: the
-        first p evaluated cells in visiting order."""
-        p = tiers[0].shape[1]
-        z = np.multiply.outer(x, self._a1v[:p], out=tiers[0])
-        z += self._a2v[:p]
+    def _fill(self, x1, tiers):
+        """Tiers of the states [x, 1] (n, 2) into the given (n, p) buffers:
+        the first p evaluated cells in visiting order."""
+        _preactivation(x1, self._a12v[:, : tiers[0].shape[1]], tiers[0])
         _SIGMAS[self.field.sigma](*tiers)
 
     def _fold(self, w, odd: bool) -> np.ndarray:

@@ -29,7 +29,12 @@ Each particle's contraction is a fixed-order numpy sum over support points
 that carries the fold's weight, which the support and the weights alone
 decide) and the particle reductions sum rows in order, so results depend
 neither on the block size, nor on the other folds of a call, nor on thread
-counts.
+counts. The pre-activation a1 x + a2 of a row block is one rank-2 BLAS
+product [x, 1] by [a1; a2]. dgemm rounds x a1 and then its sum with a2, as
+an outer product and an add would, and never splits the inner dimension 2
+across threads; so its bits equal the two-pass form (up to the sign of an
+exact zero when a2 = -0, which no grid midpoint is) at any BLAS thread
+count.
 
 Every linearized sweep (tangent, multiplier, linearized map, quadratic form
 and both cross terms) reads its stage data from one ``stage_pass``, which

@@ -9,6 +9,7 @@ from mfoc.model import (
     ProblemConfig,
     TerminalLoss,
     TimeGrid,
+    _with_ones,
 )
 
 DESK_RES = 64
@@ -117,9 +118,9 @@ def relative_eta(base, grid, fn, profile=None):
 
 def tier_arrays(quad, X, order):
     """Activation tiers at the states X (n, 1): order + 1 (n, h) arrays."""
-    x = np.ascontiguousarray(np.atleast_2d(X)[:, 0])
-    tiers = tuple(np.empty((x.shape[0], quad.h)) for _ in range(order + 1))
-    quad._fill(x, tiers)
+    X = np.atleast_2d(X)
+    tiers = tuple(np.empty((X.shape[0], quad.h)) for _ in range(order + 1))
+    quad._fill(_with_ones(X), tiers)
     return tiers
 
 

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -15,6 +18,7 @@ from mfoc.model import TimeGrid
 from mfoc.trajectories import DivergenceError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = FIXTURES.parent / "src"
 
 
 def run(tmp_path, *args):
@@ -276,6 +280,30 @@ class TestDeterminism:
                 {name: (out / name).read_bytes() for name in files}
             )
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize(
+        "command,extra",
+        [
+            ("solve", []),
+            ("stability", ["--set", "stability.iters=5"]),
+            ("descent", ["--set", "descent.backend=particle"]),
+        ],
+    )
+    def test_byte_identical_across_blas_thread_counts(self, tmp_path, command, extra):
+        # the kernel's pre-activation is a BLAS product; --threads computes
+        # nothing, so the pools are sized from the environment of a fresh
+        # process instead
+        base = [sys.executable, "-m", "mfoc.cli", command, "--config", str(FIXTURES / "mini.json")]
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+            out = tmp_path / threads
+            done = subprocess.run([*base, *extra, "--out", str(out)], env=env, capture_output=True)
+            assert done.returncode == 0, done.stderr.decode()
+            names = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+            outputs.append({name: (out / name).read_bytes() for name in names})
+        assert outputs[0] == outputs[1] and len(outputs[0]) >= 2
 
     def test_seed_override_changes_particle_output(self, tmp_path):
         args = [

@@ -6,6 +6,7 @@ import pytest
 from mfoc.linearization import (
     PerturbationPath,
     _arnoldi,
+    _ritz_residual,
     cross_term_via_multiplier,
     cross_term_via_tangent,
     eta_from,
@@ -296,7 +297,7 @@ class TestArnoldi:
     def test_basis_is_orthonormal_and_ritz_values_are_the_spectrum(self):
         apply, dot, dense = self.weighted()
         v0 = np.linspace(1.0, 2.0, self.N)
-        basis, H, rayleigh, image, _ = _arnoldi(apply, v0, dot, self.N)
+        basis, H, rayleigh, _, _ = _arnoldi(apply, v0, dot, self.N)
         assert H.shape == (self.N, self.N) and len(rayleigh) == self.N
         gram = np.array([[dot(a, b) for b in basis] for a in basis])
         assert np.max(np.abs(gram - np.eye(len(basis)))) < 1e-12
@@ -304,7 +305,24 @@ class TestArnoldi:
         got = np.sort(np.linalg.eigvals(H).real)
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
         assert np.allclose(rayleigh, np.diag(H), rtol=0.0, atol=1e-12)
-        assert np.array_equal(image, apply(basis[self.N - 1]))
+
+    def test_ritz_residual_is_the_dominant_pairs_residual(self):
+        apply, dot, _ = self.weighted()
+        v0 = np.linspace(1.0, 2.0, self.N)
+        for iters in (1, 3, 5, self.N):
+            basis, H, _, below, _ = _arnoldi(apply, v0, dot, iters)
+            values, vectors = np.linalg.eig(H)
+            top = np.argmax(abs(values))
+            # the Ritz vector from the basis, and its residual taken directly
+            u = sum(y * q for y, q in zip(vectors[:, top], basis))
+            r = apply(u) - values[top] * u
+            direct = math.sqrt(dot(r, r))
+            got = _ritz_residual(H, below, values[top])
+            if iters < self.N:
+                assert direct > 1e-6 and abs(got - direct) <= 1e-10 * direct
+            else:
+                # the Krylov space is the whole space: the pair is exact
+                assert got < 1e-12 and direct < 1e-10
 
     def test_breakdown_below_iters_on_a_low_rank_map(self):
         # the Krylov space of v0 under a rank-2 map has dimension at most 3

@@ -347,7 +347,7 @@ def test_stability_probe_matches_reference_loops(mini, monkeypatch):
     assert new.details["ritz"] == ref.details["ritz"]
     assert new.details["rayleigh_history"] == ref.details["rayleigh_history"]
     assert new.dominant_eig == ref.dominant_eig
-    assert new.eta_residual == ref.eta_residual
+    assert new.ritz_residual == ref.ritz_residual
 
 
 def test_quadratic_form_matches_reference_loops(mini, eta_pairs):

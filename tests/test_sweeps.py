@@ -15,6 +15,7 @@ from mfoc.model import (
     COMPONENTWISE,
     RIDGE_OUTER,
     _BLOCK_CELLS,
+    _SIGMAS,
     ActivationField,
     ConfinementPotential,
     FieldQuadrature,
@@ -587,6 +588,79 @@ def test_tanh_is_odd_to_the_bit():
     assert minus[0].tobytes() == np.negative(plus[0]).tobytes()
     assert minus[1].tobytes() == plus[1].tobytes()
     assert minus[2].tobytes() == np.negative(plus[2]).tobytes()
+
+
+def _preactivation_supports():
+    rng = np.random.default_rng(13)
+    tanh = ActivationField(COMPONENTWISE, "tanh", 1)
+    ridge = ActivationField(RIDGE_OUTER, "tanh", 1)
+    logistic = ActivationField(RIDGE_OUTER, "logistic", 1)
+    cases = {
+        f"{family}-res-{res}": (field, grid_support(field, res))
+        for family, field in ((COMPONENTWISE, tanh), (RIDGE_OUTER, ridge))
+        for res in (64, 17, 3, 2)
+    }
+    cases["particles-2000"] = (tanh, sample_prior(ConfinementPotential(), 2, 2000, rng))
+    # one cell: a one-column product, which numpy would hand to gemv
+    cases["particles-1"] = (ridge, sample_prior(ConfinementPotential(), 3, 1, rng))
+    cases["logistic-ridge-res-17"] = (logistic, grid_support(logistic, 17))
+    return cases
+
+
+def _rows_checked(monkeypatch, sigma, x, cells, call):
+    """Run ``call`` with sigma replaced by a check that each pre-activation
+    block it is handed equals, bit for bit, the next rows of x a1 + a2 at the
+    first cells, formed as an outer product and a sum; the rows checked."""
+    seen = [0]
+
+    def check(t, *derivatives):
+        r0, (rows, p) = seen[0], t.shape
+        ref = np.multiply.outer(x[r0 : r0 + rows], cells[:p, -2]) + cells[:p, -1]
+        # the uint64 view tells the signs of zero apart
+        assert np.array_equal(t.view(np.uint64), ref.view(np.uint64))
+        seen[0] += rows
+        for d in derivatives:
+            d[...] = 0.0
+
+    monkeypatch.setitem(_SIGMAS, sigma, check)
+    call()
+    return seen[0]
+
+
+@pytest.mark.parametrize("case", sorted(_preactivation_supports()))
+@pytest.mark.parametrize("n", [1, 2, 16, 64])
+def test_preactivation_is_the_two_pass_form_to_the_bit(case, n, monkeypatch):
+    # the kernel and grad_a_batch form a1 x + a2 by one rank-2 product;
+    # the reference here never goes through the kernel's code
+    field, support = _preactivation_supports()[case]
+    quad = FieldQuadrature(field, support)
+    order = np.arange(quad.h) if quad._visit is None else quad._visit
+    cells = quad.support[order]
+    # keep=1 evaluates all h cells. A fold whose one weight sits on the first
+    # visited cell that can carry it (a0 != 0) has a short prefix on a
+    # mirrored grid: one cell, unless the plane a0 = 0 comes first
+    carries = np.ones(quad.h, bool) if quad._a0 is None else quad._a0[: quad.h] != 0.0
+    one = np.zeros(quad.support.shape[0])
+    one[order[carries[order]][0]] = 1.0
+    fold = quad.fold(one)
+    prefix = quad.h if quad._visit is None else np.argmax(carries[order]) + 1
+    assert fold._w_drift.shape[0] == prefix
+    # grad_a_batch at every cell, or at a stride of at most 4096 of them
+    A = cells[:: max(1, quad.h // 4096)]
+    # signed zeros and products that swamp a2 among values, and values alone,
+    # whose sums round differently from a fused multiply-add
+    rng = np.random.default_rng(n)
+    special = 2.0 * rng.normal(size=n)
+    special[:4] = [-0.0, 1e300, 0.0, -1e300][:n]
+    for x in (special, 2.0 * rng.normal(size=n)):
+        X = x[:, None]
+        calls = [
+            (cells, lambda: quad.tiers(X, 0, (), Workspace(), keep=1)),
+            (cells, lambda: quad.tiers(X, 2, (fold,), Workspace())),
+            (A, lambda: field.grad_a_batch(X, A, np.ones((n, 1)))),
+        ]
+        for at, call in calls:
+            assert _rows_checked(monkeypatch, field.sigma, x, at, call) == n
 
 
 @pytest.mark.parametrize("name", ["desk", "mini"])
