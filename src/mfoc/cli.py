@@ -6,15 +6,16 @@ sections; ``--set key=value`` overrides entries by dotted path. Every run
 writes plot-ready CSV plus a machine-readable summary and a manifest listing
 each emitted file with its content digest.
 
-Numbers in CSV files are written with 17 significant digits, comma
-separators, a header row and LF line endings, so reruns with identical
-configuration are byte-identical. Wall-clock time lives in the manifest
+Numbers in CSV files are written with 17 significant digits, exactly as
+``format(x, ".17g")`` prints them (``csvtext``), with comma separators, a
+header row and LF line endings, so reruns with identical configuration are
+byte-identical. Wall-clock time lives in the manifest
 only, which is the one deliberately non-reproducible artifact.
 
 A run file is written as it is formatted: ``RunWriter.write_text`` takes a
-string or an iterable of text chunks and encodes, writes and hashes each
+string or an iterable of text or bytes chunks and writes and hashes each
 chunk as it arrives, and path files (``nu_star.csv``, ``final_state.csv``)
-come one node per chunk. A run's peak memory is therefore set by its
+come one node per chunk, formatted in bulk. A run's peak memory is therefore set by its
 working set, not by the size of its largest file. A run directory that
 cannot be created or written is an output error (exit 1, no traceback).
 """
@@ -34,7 +35,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import __version__, faults
+from . import __version__, csvtext, faults
 from .checks import run_battery
 from .linearization import pl_scan, stability_probe
 from .measures import (
@@ -94,10 +95,6 @@ _RANGES = {
 }
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _split_document(doc: dict):
     """Separate tool sections from the problem document; both strict."""
     problem = {key: value for key, value in doc.items() if key not in _TOOL_SECTIONS}
@@ -155,15 +152,16 @@ class RunWriter:
         except OSError as exc:
             raise OutputError(exc) from exc
 
-    def write_text(self, name: str, content: str | Iterable[str]):
-        """Write a run file from a string or an iterable of text chunks; each
-        chunk is encoded, written and hashed as it arrives."""
+    def write_text(self, name: str, content: str | Iterable[str | bytes]):
+        """Write a run file from a string or an iterable of chunks; each chunk
+        is encoded unless it is bytes already, written and hashed as it
+        arrives."""
         chunks = (content,) if isinstance(content, str) else content
         digest = hashlib.sha256()
         try:
             with open(self.out_dir / name, "wb") as fh:
                 for chunk in chunks:
-                    data = chunk.encode("utf-8")
+                    data = chunk if isinstance(chunk, bytes) else chunk.encode("utf-8")
                     digest.update(data)
                     fh.write(data)
         except OSError as exc:
@@ -209,15 +207,16 @@ def _initial_grid_path(config, tools):
     return ControlPath.constant(config.grid, prior.measure), prior
 
 
-def _path_to_csv(path: ControlPath) -> Iterator[str]:
-    """CSV text of a grid path: the header, then one chunk per node."""
+def _path_to_csv(path: ControlPath) -> Iterator[bytes]:
+    """CSV bytes of a grid path: the header, then one chunk per node."""
     template = path.measures[0]
-    # a cell's coordinates read the same at every node: format them once
-    coords = [",".join(_fmt(c) for c in row) for row in template.midpoints()]
-    yield "node," + ",".join(f"a{i}" for i in range(template.dprime)) + ",value\n"
+    # a cell's coordinates read the same at every node: format them once,
+    # without the columns none of them fills
+    coords = [csvtext.trim(csvtext.fields(c)) for c in template.midpoints().T]
+    yield ("node," + ",".join(f"a{i}" for i in range(template.dprime)) + ",value\n").encode()
     for k, nu in enumerate(path.measures):
-        vals = nu.values.ravel().tolist()
-        yield "".join(f"{k},{c},{v:.17g}\n" for c, v in zip(coords, vals))
+        table = csvtext.rows([csvtext.text(str(k)), *coords, csvtext.fields(nu.values)])
+        yield csvtext.compact(table)
 
 
 def _json_float(x):
@@ -254,7 +253,7 @@ def cmd_solve(config, tools, writer) -> int:
     failure = _not_converged(result)
     lines = ["iteration,residual"]
     for i, r in enumerate(result.residual_history):
-        lines.append(f"{i},{_fmt(r)}")
+        lines.append(f"{i},{csvtext.fmt(r)}")
     writer.write_text("residuals.csv", "\n".join(lines) + "\n")
     writer.write_text("nu_star.csv", _path_to_csv(result.path))
     report = result.report
@@ -312,10 +311,10 @@ def _descent_grid(config, tools, writer, steps, h, tilt) -> int:
             report, path = out.report, out.path
         else:
             report = total_cost(config, path, with_fisher=True, prior=prior)
-        dj = "" if k == 0 else _fmt((report.cost - prev_cost) / h)
+        dj = "" if k == 0 else csvtext.fmt((report.cost - prev_cost) / h)
         rows.append(
-            f"{k},{_fmt(report.cost)},{_fmt(report.terminal)},"
-            f"{_fmt(report.entropy)},{_fmt(report.fisher)},{dj}"
+            f"{k},{csvtext.fmt(report.cost)},{csvtext.fmt(report.terminal)},"
+            f"{csvtext.fmt(report.entropy)},{csvtext.fmt(report.fisher)},{dj}"
         )
         prev_cost = report.cost
     writer.write_text("series.csv", "\n".join(rows) + "\n")
@@ -354,9 +353,9 @@ def _descent_particle(config, tools, writer, steps, h, tilt) -> int:
             variances = np.var(nu.points, axis=0)
             rows.append(
                 f"{step},{k},"
-                + ",".join(_fmt(v) for v in means)
+                + ",".join(csvtext.fmt(v) for v in means)
                 + ","
-                + ",".join(_fmt(v) for v in variances)
+                + ",".join(csvtext.fmt(v) for v in variances)
                 + f",{resampled}"
             )
 
@@ -401,7 +400,7 @@ def cmd_stability(config, tools, writer) -> int:
     )
     rows = ["index,ritz_value"]
     for i, val in enumerate(report.details["ritz"]):
-        rows.append(f"{i},{_fmt(val)}")
+        rows.append(f"{i},{csvtext.fmt(val)}")
     writer.write_text("ritz.csv", "\n".join(rows) + "\n")
     writer.write_json(
         "summary.json",
@@ -436,10 +435,10 @@ def cmd_pl_scan(config, tools, writer) -> int:
     )
     rows = ["sample,entropy,cost,gap,fisher,ratio"]
     for row in report.details["rows"]:
-        ratio = _fmt(row["ratio"]) if "ratio" in row else ""
+        ratio = csvtext.fmt(row["ratio"]) if "ratio" in row else ""
         rows.append(
-            f"{row['sample']},{_fmt(row['entropy'])},{_fmt(row['cost'])},"
-            f"{_fmt(row['gap'])},{_fmt(row['fisher'])},{ratio}"
+            f"{row['sample']},{csvtext.fmt(row['entropy'])},{csvtext.fmt(row['cost'])},"
+            f"{csvtext.fmt(row['gap'])},{csvtext.fmt(row['fisher'])},{ratio}"
         )
     writer.write_text("samples.csv", "\n".join(rows) + "\n")
     ratio = report.pl_ratio

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import csvtext
 from .model import ConfigError, ConfinementPotential, TimeGrid
 
 LOG_FLOOR = 1e-300
@@ -435,24 +436,14 @@ def default_lsi_trials(nu: GridMeasure, rng, count: int = 20):
 # -- CSV export ----------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def measure_to_csv(m, stream) -> None:
     """One row per cell midpoint / particle: coordinates then value / weight."""
     if isinstance(m, GridMeasure):
-        coords = m.midpoints()
-        header = ",".join(f"a{i}" for i in range(m.dprime)) + ",value"
-        stream.write(header + "\n")
-        vals = m.values.ravel()
-        for row, v in zip(coords, vals):
-            stream.write(",".join(_fmt(c) for c in row) + "," + _fmt(v) + "\n")
+        name, coords, last = "value", m.midpoints(), m.values.ravel()
     elif isinstance(m, ParticleMeasure):
-        header = ",".join(f"a{i}" for i in range(m.dprime)) + ",weight"
-        stream.write(header + "\n")
-        w = 1.0 / m.m
-        for row in m.points:
-            stream.write(",".join(_fmt(c) for c in row) + "," + _fmt(w) + "\n")
+        name, coords, last = "weight", m.points, np.full(m.m, 1.0 / m.m)
     else:
         raise ConfigError(f"unsupported measure type {type(m).__name__}")
+    stream.write(",".join(f"a{i}" for i in range(m.dprime)) + f",{name}\n")
+    table = csvtext.rows([csvtext.fields(c) for c in (*coords.T, last)])
+    stream.write(csvtext.compact(table).decode("ascii"))

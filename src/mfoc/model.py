@@ -33,14 +33,17 @@ class ConfigError(ValueError):
 
 def _tanh_tiers(t, s1=None, s2=None):
     """tanh and its first two derivatives, written in place: ``t`` holds the
-    pre-activation on entry; s1 and s2 are filled when given."""
+    pre-activation on entry; s1 and s2 are filled when given, each over the
+    leading columns it holds (no more than the tier before it)."""
     np.tanh(t, out=t)
     if s1 is not None:
-        np.multiply(t, t, out=s1)
+        t1 = t[..., : s1.shape[-1]]
+        np.multiply(t1, t1, out=s1)
         np.subtract(1.0, s1, out=s1)
     if s2 is not None:
-        np.multiply(t, -2.0, out=s2)
-        s2 *= s1
+        p = s2.shape[-1]
+        np.multiply(t[..., :p], -2.0, out=s2)
+        s2 *= s1[..., :p]
 
 
 def _logistic_tiers(t, s1=None, s2=None):
@@ -50,12 +53,14 @@ def _logistic_tiers(t, s1=None, s2=None):
     t += 1.0
     np.divide(1.0, t, out=t)
     if s1 is not None:
-        np.subtract(1.0, t, out=s1)
-        s1 *= t
+        t1 = t[..., : s1.shape[-1]]
+        np.subtract(1.0, t1, out=s1)
+        s1 *= t1
     if s2 is not None:
-        np.multiply(t, 2.0, out=s2)
+        p = s2.shape[-1]
+        np.multiply(t[..., :p], 2.0, out=s2)
         np.subtract(1.0, s2, out=s2)
-        s2 *= s1
+        s2 *= s1[..., :p]
 
 
 _SIGMAS = {"tanh": _tanh_tiers, "logistic": _logistic_tiers}
@@ -240,9 +245,9 @@ class FieldQuadrature:
     and each fold-tier keeps only the prefix of that order that carries its
     weight (see ``WeightFold``): a Gibbs density decays like exp(-ell(a)),
     so on a box sized for the prior's tail the far cells weigh nothing. A
-    call evaluates the longest prefix among its fold-tiers, or all h cells
-    when it keeps a tier for a particle reduction, and contracts each
-    fold-tier over its own prefix, so a fold's contraction is bitwise the
+    call evaluates each tier over the longest prefix among its fold-tiers,
+    and a tier it keeps for a particle reduction over all h cells, and
+    contracts each fold-tier over its own prefix, so a fold's contraction is bitwise the
     same in every call that holds it. Any other support has h = M, support
     order, no fold and no cut.
     """
@@ -282,13 +287,15 @@ class FieldQuadrature:
         x1 = _with_ones(X)
         names = ("_w_drift", "_w_gx", "_w_gxx")[: order + 1]
         weights = [[getattr(f, name) for name in names] for f in folds]
-        # a kept tier serves a reduction over every cell; otherwise the
-        # longest prefix, which is the length of the longest weight vector
-        m = self.h if keep else max((w.shape[0] for ws in weights for w in ws), default=0)
+        # a kept tier serves a reduction over every cell; the others only
+        # the longest prefix, which is the length of the longest weight vector
+        prefix = max((w.shape[0] for ws in weights for w in ws), default=0)
+        m = self.h if keep else prefix
         n = x1.shape[0]
-        rows = max(1, _BLOCK_CELLS // max(m, 1))
+        # blocks of two rows at least: a one-row product runs doubled
+        rows = max(2, _BLOCK_CELLS // max(m, 1))
         full = [work.buffer(("full", j), n, m) for j in range(keep)]
-        block = [work.buffer(("block", j), min(rows, n), m) for j in range(keep, order + 1)]
+        block = [work.buffer(("block", j), min(rows, n), prefix) for j in range(keep, order + 1)]
         out = np.empty((order + 1, len(folds), n))
         for r0 in range(0, n, rows):
             r1 = min(r0 + rows, n)
@@ -302,8 +309,9 @@ class FieldQuadrature:
         return ([c[:, None] for c in out[0]],) + tuple(list(c) for c in out[1:])
 
     def _fill(self, x1, tiers):
-        """Tiers of the states [x, 1] (n, 2) into the given (n, p) buffers:
-        the first p evaluated cells in visiting order."""
+        """Tiers of the states [x, 1] (n, 2) into the given buffers, each
+        over as many of the first evaluated cells, in visiting order, as it
+        has columns; the first buffer is the widest."""
         _preactivation(x1, self._a12v[:, : tiers[0].shape[1]], tiers[0])
         _SIGMAS[self.field.sigma](*tiers)
 

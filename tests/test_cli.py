@@ -12,7 +12,7 @@ import pytest
 
 from mfoc import cli, optimizer
 from conftest import prior_path
-from mfoc.cli import RunWriter, _fmt, _path_to_csv, _solved_state, load_run_document, main
+from mfoc.cli import RunWriter, _path_to_csv, _solved_state, load_run_document, main
 from mfoc.measures import AdmissibilityError, ControlPath, DegenerateMeasureError, GridMeasure
 from mfoc.model import TimeGrid
 from mfoc.trajectories import DivergenceError
@@ -365,9 +365,8 @@ def reference_path_to_csv(path):
     for k, nu in enumerate(path.measures):
         vals = nu.values.ravel()
         for row, v in zip(coords, vals):
-            lines.append(
-                str(k) + "," + ",".join(_fmt(c) for c in row) + "," + _fmt(v)
-            )
+            fields = [format(float(x), ".17g") for x in (*row, v)]
+            lines.append(str(k) + "," + ",".join(fields))
     return "\n".join(lines) + "\n"
 
 
@@ -386,7 +385,7 @@ class TestPathCsv:
         config, tools, _ = load_run_document(str(FIXTURES / "mini.json"), [])
         result, _ = _solved_state(config, tools)
         assert result is not None
-        text = "".join(_path_to_csv(result.path))
+        text = b"".join(_path_to_csv(result.path)).decode()
         assert text == reference_path_to_csv(result.path)
         assert text.count("\n") == 1 + config.grid.nt * 32 * 32
 
@@ -396,7 +395,7 @@ class TestPathCsv:
         grid = TimeGrid(0.0, 1.0, 3)
         measures = [GridMeasure(2.5, 4, values * scale) for scale in (1.0, 0.5, 3.0)]
         path = ControlPath(grid, tuple(measures))
-        text = "".join(_path_to_csv(path))
+        text = b"".join(_path_to_csv(path)).decode()
         assert text == reference_path_to_csv(path)
         assert ",-0\n" in text and ",4.9406564584124654e-324\n" in text
 

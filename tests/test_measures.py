@@ -335,6 +335,14 @@ class TestPriorMeasure:
         assert abs(prior.measure.mass() - 1.0) < 1e-12
 
 
+def reference_measure_csv(coords, last, header):
+    """Row-by-row CSV that ``measure_to_csv`` must reproduce byte for byte."""
+    lines = [header]
+    for row, v in zip(coords, last):
+        lines.append(",".join(format(float(x), ".17g") for x in (*row, v)))
+    return "\n".join(lines) + "\n"
+
+
 class TestCsvExport:
     def test_grid_rows(self):
         nu = prior_2d(res=4).measure
@@ -351,6 +359,26 @@ class TestCsvExport:
         lines = buf.getvalue().strip().split("\n")
         assert lines[0] == "a0,a1,weight"
         assert len(lines) == 4
+
+    def test_desk_node_matches_reference(self, desk_solution):
+        _, _, result = desk_solution
+        nu = result.path.measures[32]
+        assert nu.values.shape == (64, 64) and nu.values.min() < 1e-100
+        buf = io.StringIO()
+        measure_to_csv(nu, buf)
+        assert buf.getvalue() == reference_measure_csv(
+            nu.midpoints(), nu.values.ravel(), "a0,a1,value"
+        )
+
+    def test_particles_match_reference(self):
+        points = np.random.default_rng(5).normal(scale=3.0, size=(7, 3))
+        points[0] = [-0.0, -1e-5, -12345.678]
+        pm = ParticleMeasure(points)
+        buf = io.StringIO()
+        measure_to_csv(pm, buf)
+        text = buf.getvalue()
+        assert text == reference_measure_csv(points, [1.0 / 7] * 7, "a0,a1,a2,weight")
+        assert "\n-0,-1.0000000000000001e-05,-12345.678,0.14285714285714285\n" in text
 
 
 class TestEntropyReformulation:

@@ -607,24 +607,25 @@ def _preactivation_supports():
     return cases
 
 
-def _rows_checked(monkeypatch, sigma, x, cells, call):
+def _blocks_checked(monkeypatch, sigma, x, cells, call):
     """Run ``call`` with sigma replaced by a check that each pre-activation
     block it is handed equals, bit for bit, the next rows of x a1 + a2 at the
-    first cells, formed as an outer product and a sum; the rows checked."""
-    seen = [0]
+    first cells, formed as an outer product and a sum; the rows of each block
+    and the widths of its tier buffers."""
+    blocks = []
 
     def check(t, *derivatives):
-        r0, (rows, p) = seen[0], t.shape
+        r0, (rows, p) = sum(b[0] for b in blocks), t.shape
         ref = np.multiply.outer(x[r0 : r0 + rows], cells[:p, -2]) + cells[:p, -1]
         # the uint64 view tells the signs of zero apart
         assert np.array_equal(t.view(np.uint64), ref.view(np.uint64))
-        seen[0] += rows
+        blocks.append((rows, [p] + [d.shape[1] for d in derivatives]))
         for d in derivatives:
             d[...] = 0.0
 
     monkeypatch.setitem(_SIGMAS, sigma, check)
     call()
-    return seen[0]
+    return blocks
 
 
 @pytest.mark.parametrize("case", sorted(_preactivation_supports()))
@@ -660,7 +661,32 @@ def test_preactivation_is_the_two_pass_form_to_the_bit(case, n, monkeypatch):
             (A, lambda: field.grad_a_batch(X, A, np.ones((n, 1)))),
         ]
         for at, call in calls:
-            assert _rows_checked(monkeypatch, field.sigma, x, at, call) == n
+            rows = [r for r, _ in _blocks_checked(monkeypatch, field.sigma, x, at, call)]
+            assert sum(rows) == n
+            # a block has two rows at least; only a lone last row runs alone
+            assert min(rows[:-1], default=2) >= 2
+        # a kept tier spans every cell, its derivatives the fold's prefix
+        call = lambda: quad.tiers(X, 2, (fold,), Workspace(), keep=1)
+        blocks = _blocks_checked(monkeypatch, field.sigma, x, cells, call)
+        assert all(widths == [quad.h, prefix, prefix] for _, widths in blocks)
+        if quad.h > 65536:
+            # the ridge grids at res 64, h = 131072: two rows per block
+            assert [r for r, _ in blocks] == [2] * (n // 2) + [1] * (n % 2)
+
+
+def test_two_row_blocks_contract_like_whole_arrays():
+    # on the ridge grid at res 64 a block holds two rows of 131072 cells, and
+    # its contractions are those of the tier arrays over all rows at once
+    field = ActivationField(RIDGE_OUTER, "tanh", 1)
+    quad = FieldQuadrature(field, grid_support(field, 64))
+    folds = tail_folds(quad)
+    X = np.linspace(-2.0, 2.0, 6)[:, None]
+    tiers = tier_arrays(quad, X, 2)
+    for keep in (0, 1):
+        got = quad.tiers(X, 2, folds, Workspace(), keep=keep)
+        for j, contract in enumerate((fold_drift, fold_grad_x, fold_grad_xx)):
+            for f, fold in enumerate(folds):
+                assert got[j][f].tobytes() == contract(fold, tiers).tobytes()
 
 
 @pytest.mark.parametrize("name", ["desk", "mini"])
