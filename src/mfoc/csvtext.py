@@ -1,26 +1,24 @@
 """CSV text of float64 arrays, byte for byte as ``format(x, ".17g")``.
 
 ``fmt`` formats one number; the summary rows use it. ``fields`` formats a
-whole array at once into a NUL-padded uint8 table, one row per value, and
-``rows`` joins such tables into comma-separated, LF-terminated CSV rows.
+whole array at once into a uint8 table, one row per value, and ``rows``
+joins such tables into comma-separated, LF-terminated CSV rows. A row holds
+its text left to right with NULs where a character is absent; ``compact``
+drops every NUL, so text is laid out in fixed columns and squeezed once.
 
 The bulk route scales |x| by 10^k, with k chosen so that the result y lies
-in [1e16, 1e17), using a table of powers of ten held in numpy's widest float
-type and rounded correctly to it. The 17 significant digits are round(y),
-and the decimal exponent is 16 - k. Two roundings separate the computed y
-from the exact |x| 10^k: the table entry and the product, each within half
-an ulp of the wide type, so ``_REL`` y bounds the error. A value is
-certified when the interval y +- that bound stays inside [1e16, 1e17) and
-holds no half-integer: then the exact value has the same decade and rounds
-to the same digits (exact ties fall outside too). Every other value (zeros,
-infinities, NaN, and the uncertified) is formatted by ``format`` itself, so
-the bytes never depend on the platform; a wide type without extra precision
-only sends more values, or all of them, down that route. With the x87
-80-bit type about 1% of random values fall back.
-
-A row of a table holds the text left to right with NULs where a character is
-absent; ``compact`` drops every NUL, so text can be laid out in fixed columns
-and squeezed once at the end.
+in [1e16, 1e17), using powers of ten correctly rounded to numpy's widest
+float type. The 17 significant digits are round(y), and the decimal
+exponent is 16 - k. Two roundings, the power's and the product's, each
+within half an ulp of the wide type (whose operations round correctly, as
+IEEE formats do), separate y from the exact |x| 10^k. A value is certified
+when y, give or take that error, stays inside [1e16, 1e17) and holds no
+half-integer: the exact value then has the same decade and rounds to the
+same digits, and exact ties are never certified. Every other value (zeros,
+infinities, NaN and the uncertified) is printed by ``format`` itself, so
+the text never depends on the platform: a wide type without extra
+precision certifies nothing and only sends every value down that route.
+With the x87 80-bit type, about 1% of desk's densities fall back.
 """
 
 from __future__ import annotations
@@ -44,26 +42,31 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _wide_power(k: int):
-    """10^k rounded to nearest, ties to even, in the wide type."""
-    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-    # q 2^-s with q of exactly _BITS bits
-    s = _BITS - (num.bit_length() - den.bit_length())
-    q, r = divmod(num << s, den) if s >= 0 else divmod(num, den << -s)
-    if q >= 1 << _BITS:
-        s -= 1
+def _wide_powers(ks) -> np.ndarray:
+    """10^k for each k, rounded to nearest, ties to even, in the wide type."""
+    qs, shifts = [], []
+    for k in ks:
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        # 10^k ~ q 2^-s with q of exactly _BITS bits
+        s = _BITS - (num.bit_length() - den.bit_length())
         q, r = divmod(num << s, den) if s >= 0 else divmod(num, den << -s)
-    if 2 * r > den or (2 * r == den and q & 1):
-        q += 1
-    # the partial sums are prefixes of q's bits, so each step is exact
-    x = _WIDE(0)
+        if q >= 1 << _BITS:
+            s -= 1
+            q, r = divmod(num << s, den) if s >= 0 else divmod(num, den << -s)
+        if 2 * r > den or (2 * r == den and q & 1):
+            q += 1
+        qs.append(q)
+        shifts.append(-s)
+    # q from its 32-bit pieces, high first: each partial sum is a prefix of
+    # q's bits, so every step is exact
+    x = np.zeros(len(qs), dtype=_WIDE)
     for shift in range(_BITS - _BITS % 32, -1, -32):
-        x = x * _WIDE(2.0**32) + _WIDE((q >> shift) & 0xFFFFFFFF)
+        x = x * _WIDE(2.0**32) + np.array([(q >> shift) & 0xFFFFFFFF for q in qs], dtype=_WIDE)
     with np.errstate(over="ignore"):
-        return np.ldexp(x, -s)
+        return np.ldexp(x, shifts)
 
 
-_POWERS = np.array([_wide_power(k) for k in range(_K_MIN, _K_MAX + 1)], dtype=_WIDE)
+_POWERS = _wide_powers(range(_K_MIN, _K_MAX + 1))
 _E16, _E17 = _WIDE(1e16), _WIDE(1e17)
 # The certification reads float64 images of y and of its fraction. y in
 # [_LO, _HI) keeps y +- _REL y inside [1e16, 1e17): the bounds are moved in
@@ -76,7 +79,6 @@ _REL_F = float(_REL) + 2.0**-54 / 1e16
 # the digit places of the two halves of a 17-digit integer, one row each
 _PLACES_HI = 10.0 ** np.arange(8, -1, -1)[:, None]
 _PLACES_LO = 10.0 ** np.arange(7, -1, -1)[:, None]
-_PLACES = np.arange(17)[:, None]
 
 # The source rows of a value's characters, in the order of its exponent
 # notation: the sign, the first digit, the point, the other 16 digits, 'e',
@@ -154,7 +156,7 @@ def fields(values) -> np.ndarray:
     if tail.size:
         t = chars[:, tail]
         kept[tail] = np.maximum(17 - np.argmax(t[::-1] != ord("0"), axis=0), whole[tail])
-        t[_PLACES >= kept[tail]] = 0
+        t[np.arange(17)[:, None] >= kept[tail]] = 0
         chars[:, tail] = t
     # one row of characters per source position, so each write is contiguous
     src = np.empty((_SOURCE, n), dtype=np.uint8)
