@@ -9,15 +9,16 @@ each emitted file with its content digest.
 Numbers in CSV files are written with 17 significant digits, exactly as
 ``format(x, ".17g")`` prints them (``csvtext``), with comma separators, a
 header row and LF line endings, so reruns with identical configuration are
-byte-identical. Wall-clock time lives in the manifest
-only, which is the one deliberately non-reproducible artifact.
+byte-identical. Wall-clock time lives in the manifest only, which is the one
+deliberately non-reproducible artifact.
 
 A run file is written as it is formatted: ``RunWriter.write_text`` takes a
 string or an iterable of text or bytes chunks and writes and hashes each
 chunk as it arrives, and path files (``nu_star.csv``, ``final_state.csv``)
-come one node per chunk, formatted in bulk. A run's peak memory is therefore set by its
-working set, not by the size of its largest file. A run directory that
-cannot be created or written is an output error (exit 1, no traceback).
+come one node per chunk, formatted in bulk. A run's peak memory is
+therefore set by its working set, not by the size of its largest file. A
+run directory that cannot be created or written is an output error (exit 1,
+no traceback).
 """
 
 from __future__ import annotations

@@ -23,6 +23,8 @@ With the x87 80-bit type, about 1% of desk's densities fall back.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # the longest ".17g" text of a float64: "-1.2345678901234567e-308"
@@ -42,10 +44,13 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _wide_powers(ks) -> np.ndarray:
-    """10^k for each k, rounded to nearest, ties to even, in the wide type."""
+@functools.cache
+def _powers() -> np.ndarray:
+    """10^k for k from _K_MIN to _K_MAX, each rounded to nearest, ties to
+    even, in the wide type; built on first use, so that commands which
+    never format an array do not pay for it."""
     qs, shifts = [], []
-    for k in ks:
+    for k in range(_K_MIN, _K_MAX + 1):
         num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
         # 10^k ~ q 2^-s with q of exactly _BITS bits
         s = _BITS - (num.bit_length() - den.bit_length())
@@ -62,11 +67,11 @@ def _wide_powers(ks) -> np.ndarray:
     x = np.zeros(len(qs), dtype=_WIDE)
     for shift in range(_BITS - _BITS % 32, -1, -32):
         x = x * _WIDE(2.0**32) + np.array([(q >> shift) & 0xFFFFFFFF for q in qs], dtype=_WIDE)
+    # a wide type with float64's range overflows 10^309 and beyond to inf
     with np.errstate(over="ignore"):
         return np.ldexp(x, shifts)
 
 
-_POWERS = _wide_powers(range(_K_MIN, _K_MAX + 1))
 _E16, _E17 = _WIDE(1e16), _WIDE(1e17)
 # The certification reads float64 images of y and of its fraction. y in
 # [_LO, _HI) keeps y +- _REL y inside [1e16, 1e17): the bounds are moved in
@@ -123,13 +128,14 @@ def fields(values) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         k = 16 - np.floor(np.log10(a)).astype(np.intp)
         w = a.astype(_WIDE)
-        y = w * _POWERS[k - _K_MIN]
+        powers = _powers()
+        y = w * powers[k - _K_MIN]
         yf = y.astype(float)
         # log10 may miss the decade by one next to a power of ten
         off = np.flatnonzero((yf < 1e16) | (yf >= 1e17))
         if off.size:
             k[off] += (yf[off] < 1e16).astype(np.intp) - (yf[off] >= 1e17)
-            y[off] = w[off] * _POWERS[k[off] - _K_MIN]
+            y[off] = w[off] * powers[k[off] - _K_MIN]
             yf[off] = y[off]
         d = y.astype(np.uint64)
         frac = (y - d.astype(_WIDE)).astype(float)

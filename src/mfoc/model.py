@@ -247,8 +247,8 @@ class FieldQuadrature:
     so on a box sized for the prior's tail the far cells weigh nothing. A
     call evaluates each tier over the longest prefix among its fold-tiers,
     and a tier it keeps for a particle reduction over all h cells, and
-    contracts each fold-tier over its own prefix, so a fold's contraction is bitwise the
-    same in every call that holds it. Any other support has h = M, support
+    contracts each fold-tier over its own prefix, so a fold's contraction
+    is bitwise the same in every call that holds it. Any other support has h = M, support
     order, no fold and no cut.
     """
 
@@ -292,7 +292,8 @@ class FieldQuadrature:
         prefix = max((w.shape[0] for ws in weights for w in ws), default=0)
         m = self.h if keep else prefix
         n = x1.shape[0]
-        # blocks of two rows at least: a one-row product runs doubled
+        # blocks of two rows at least: a one-row block runs its product
+        # doubled and einsum sums its contractions in another order
         rows = max(2, _BLOCK_CELLS // max(m, 1))
         full = [work.buffer(("full", j), n, m) for j in range(keep)]
         block = [work.buffer(("block", j), min(rows, n), prefix) for j in range(keep, order + 1)]
