@@ -55,6 +55,7 @@ from .optimizer import (
     PositivityError,
     fp_descent_step,
     langevin_descent_step,
+    lift_gibbs_image,
     picard_solve,
     sample_prior,
     total_cost,
@@ -65,6 +66,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_INVARIANT = 3
+
+# resolution of the coarse level of a solve on a grid of at least twice it
+COARSE_RES = 16
 
 _MEASURE_KEYS = {"res", "box_halfwidth"}
 _SOLVE_KEYS = {"damping", "tol", "max_iters"}
@@ -204,6 +208,11 @@ def _tool(tools, section, key, default):
 def _initial_grid_path(config, tools):
     res = _tool(tools, "measure", "res", 64)
     halfwidth = _tool(tools, "measure", "box_halfwidth", 4.0)
+    return _prior_path(config, halfwidth, res)
+
+
+def _prior_path(config, halfwidth, res):
+    """The constant path at the prior on the given grid, and the prior."""
     prior = PriorMeasure.build(config.potential, halfwidth, res, config.field.dprime)
     return ControlPath.constant(config.grid, prior.measure), prior
 
@@ -226,16 +235,31 @@ def _json_float(x):
 
 
 def _solved_state(config, tools):
-    """Picard solution from the prior path, and the prior."""
+    """Picard solution on the measure grid, its prior and the iterations of
+    its coarse level.
+
+    On a grid of res 32 or more the solve takes two levels: Picard first runs
+    on a res-16 grid over the same box, from its prior and with the same
+    settings, and the fine Picard starts from ``lift_gibbs_image`` of the
+    coarse result, or from the prior when the coarse residual is not finite.
+    The fine solve alone decides convergence and counts the result's
+    iterations.
+    """
     path, prior = _initial_grid_path(config, tools)
-    result = picard_solve(
-        config,
-        path,
-        damping=_tool(tools, "solve", "damping", 0.5),
-        tol=_tool(tools, "solve", "tol", 1e-8),
-        max_iters=_tool(tools, "solve", "max_iters", 500),
-    )
-    return result, prior
+    settings = {
+        "damping": _tool(tools, "solve", "damping", 0.5),
+        "tol": _tool(tools, "solve", "tol", 1e-8),
+        "max_iters": _tool(tools, "solve", "max_iters", 500),
+    }
+    template = path.measures[0]
+    coarse_iterations = 0
+    if template.res >= 2 * COARSE_RES:
+        coarse_path, _ = _prior_path(config, template.halfwidth, COARSE_RES)
+        coarse = picard_solve(config, coarse_path, **settings)
+        coarse_iterations = coarse.iterations
+        if math.isfinite(coarse.report.picard_residual):
+            path = lift_gibbs_image(config, coarse.path, coarse.flow, template)
+    return picard_solve(config, path, **settings), prior, coarse_iterations
 
 
 def _not_converged(result) -> dict:
@@ -250,7 +274,7 @@ def _not_converged(result) -> dict:
 
 
 def cmd_solve(config, tools, writer) -> int:
-    result, _ = _solved_state(config, tools)
+    result, _, coarse_iterations = _solved_state(config, tools)
     failure = _not_converged(result)
     lines = ["iteration,residual"]
     for i, r in enumerate(result.residual_history):
@@ -261,6 +285,7 @@ def cmd_solve(config, tools, writer) -> int:
     summary = {
         "converged": result.converged,
         "iterations": result.iterations,
+        "coarse_iterations": coarse_iterations,
         "residual": _json_float(report.picard_residual),
         "cost": report.cost,
         "terminal": report.terminal,
@@ -386,7 +411,7 @@ def cmd_stability(config, tools, writer) -> int:
     # the probe's settings are checked before the solve they follow
     iters = _tool(tools, "stability", "iters", 10)
     margin = _tool(tools, "stability", "margin", 0.1)
-    result, _ = _solved_state(config, tools)
+    result, _, _ = _solved_state(config, tools)
     failure = _not_converged(result)
     if failure:
         writer.write_json("summary.json", failure)
@@ -420,7 +445,7 @@ def cmd_pl_scan(config, tools, writer) -> int:
     # the scan's settings are checked before the solve they follow
     radius = _tool(tools, "pl_scan", "radius", 0.1)
     samples = _tool(tools, "pl_scan", "samples", 200)
-    result, prior = _solved_state(config, tools)
+    result, prior, _ = _solved_state(config, tools)
     failure = _not_converged(result)
     if failure:
         writer.write_json("summary.json", failure)

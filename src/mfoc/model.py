@@ -293,13 +293,18 @@ class FieldQuadrature:
         m = self.h if keep else prefix
         n = x1.shape[0]
         # blocks of two rows at least: a one-row block runs its product
-        # doubled and einsum sums its contractions in another order
+        # doubled and einsum sums its contractions in another order, so a
+        # lone last row joins the block before it
         rows = max(2, _BLOCK_CELLS // max(m, 1))
+        starts = list(range(0, n, rows))
+        if len(starts) > 1 and starts[-1] == n - 1:
+            starts.pop()
         full = [work.buffer(("full", j), n, m) for j in range(keep)]
-        block = [work.buffer(("block", j), min(rows, n), prefix) for j in range(keep, order + 1)]
+        block = [
+            work.buffer(("block", j), min(rows + 1, n), prefix) for j in range(keep, order + 1)
+        ]
         out = np.empty((order + 1, len(folds), n))
-        for r0 in range(0, n, rows):
-            r1 = min(r0 + rows, n)
+        for r0, r1 in zip(starts, starts[1:] + [n]):
             tiers = [t[r0:r1] for t in full] + [t[: r1 - r0] for t in block]
             self._fill(x1[r0:r1], tiers)
             for f, ws in enumerate(weights):

@@ -34,7 +34,7 @@ from .measures import (
     path_entropy,
     relative_entropy,
 )
-from .model import ConfigError, ProblemConfig
+from .model import ConfigError, FieldQuadrature, ProblemConfig, Workspace
 from .trajectories import EnsembleFlow, backward_solve, forward_solve
 
 
@@ -132,6 +132,31 @@ def gibbs_map_with_flow(config: ProblemConfig, path: ControlPath):
     return snapshots, flow
 
 
+def lift_gibbs_image(
+    config: ProblemConfig, path: ControlPath, flow: EnsembleFlow, template: GridMeasure
+) -> ControlPath:
+    """Gibbs image of a grid path on the grid of ``template``, whose
+    resolution may differ from the path's; ``flow`` is the forward flow under
+    ``path``.
+
+    The Gibbs map sees a path only through its flow, and the potential
+    Phi_k(a) = mean_i b(x_i(t_k), a) z_i(t_k) can be sampled at any a: the
+    adjoints are transported on the path's grid and each node's potential is
+    sampled on the template's cells, one kernel call per node. A path solved
+    on a coarse grid so lifts to the start of a fine solve.
+    """
+    flow = backward_solve(config, path, flow)
+    quad = FieldQuadrature(config.field, template.midpoints())
+    potential_vals = config.potential.value(template.midpoints())
+    work = Workspace()
+    measures = []
+    for k in range(path.grid.nt):
+        quad.tiers(flow.x[k], 0, (), work, keep=1)
+        bracket_row = quad.bracket(work.kept, flow.z[k])
+        measures.append(_gibbs_from_bracket(config, template, potential_vals, bracket_row).gamma)
+    return path.replace_measures(measures)
+
+
 def cost_report(config, path, flow, prior, **extra) -> CostReport:
     """Terminal plus entropic running cost of ``path``, whose forward flow is
     ``flow``; ``extra`` fills the report's optional fields."""
@@ -221,6 +246,10 @@ def picard_solve(
     and takes that step. The history is held in float32: it only steers the
     extrapolation, while the iterate, the map, the residual and the stopping
     test stay float64.
+
+    The grid of ``init_path`` is the grid of the solve. The command-line
+    solve starts from the prior, or on a grid of res 32 or more from
+    ``lift_gibbs_image`` of a res-16 solve (see ``cli._solved_state``).
 
     The converged cost is the value of the control problem at (t0, gamma_0).
     A non-finite residual stops the iteration at once, unconverged.

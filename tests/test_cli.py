@@ -12,8 +12,21 @@ import pytest
 
 from mfoc import cli, optimizer
 from conftest import prior_path
-from mfoc.cli import RunWriter, _path_to_csv, _solved_state, load_run_document, main
-from mfoc.measures import AdmissibilityError, ControlPath, DegenerateMeasureError, GridMeasure
+from mfoc.cli import (
+    RunWriter,
+    _initial_grid_path,
+    _path_to_csv,
+    _solved_state,
+    load_run_document,
+    main,
+)
+from mfoc.measures import (
+    AdmissibilityError,
+    ControlPath,
+    DegenerateMeasureError,
+    GridMeasure,
+    relative_entropy,
+)
 from mfoc.model import TimeGrid
 from mfoc.trajectories import DivergenceError
 
@@ -383,7 +396,7 @@ def test_solve_converges_on_mini_at_small_epsilon(tmp_path):
 class TestPathCsv:
     def test_solved_mini_path_matches_reference(self):
         config, tools, _ = load_run_document(str(FIXTURES / "mini.json"), [])
-        result, _ = _solved_state(config, tools)
+        result, _, _ = _solved_state(config, tools)
         assert result is not None
         text = b"".join(_path_to_csv(result.path)).decode()
         assert text == reference_path_to_csv(result.path)
@@ -656,3 +669,86 @@ def test_probe_settings_are_checked_before_the_solve(
     assert code == 1
     assert err.startswith(f"configuration error: configuration key '{key}' must be ")
     assert "Traceback" not in err and not (out / "summary.json").exists()
+
+
+# -- the two-grid solve ----------------------------------------------------------
+
+
+def _direct_solve(document, *overrides):
+    """A Picard solve from the prior on the document's measure grid, with its
+    solve settings."""
+    config, tools, _ = load_run_document(str(document), list(overrides))
+    path, _ = _initial_grid_path(config, tools)
+    return optimizer.picard_solve(config, path, **tools["solve"])
+
+
+def assert_solve_outputs_equal(out, result):
+    """The solve files of a run directory are those of ``result``."""
+    residuals = "".join(f"{i},{format(r, '.17g')}\n" for i, r in enumerate(result.residual_history))
+    assert (out / "residuals.csv").read_text() == "iteration,residual\n" + residuals
+    assert (out / "nu_star.csv").read_bytes() == b"".join(_path_to_csv(result.path))
+    summary = read_summary(out)
+    assert summary["iterations"] == result.iterations
+    assert summary["cost"] == result.report.cost
+
+
+def test_solve_below_res_32_has_no_coarse_level(tmp_path, monkeypatch):
+    grids = []
+    original = cli.picard_solve
+
+    def recording(config, path, **settings):
+        grids.append(path.measures[0].res)
+        return original(config, path, **settings)
+
+    monkeypatch.setattr(cli, "picard_solve", recording)
+    mini = FIXTURES / "mini.json"
+    code, out = run(tmp_path, "solve", "--config", str(mini), "--set", "measure.res=16")
+    assert code == 0 and grids == [16]
+    assert read_summary(out)["coarse_iterations"] == 0
+    assert_solve_outputs_equal(out, _direct_solve(mini, "measure.res=16"))
+
+
+def test_non_finite_coarse_residual_starts_the_fine_solve_at_the_prior(tmp_path, monkeypatch):
+    original = optimizer.picard_residual
+
+    def coarse_fails(path, snapshots):
+        if path.measures[0].res == cli.COARSE_RES:
+            return math.nan
+        return original(path, snapshots)
+
+    def no_lift(*args):
+        raise AssertionError("a coarse solve with a non-finite residual was lifted")
+
+    monkeypatch.setattr(optimizer, "picard_residual", coarse_fails)
+    monkeypatch.setattr(cli, "lift_gibbs_image", no_lift)
+    mini = FIXTURES / "mini.json"
+    code, out = run(tmp_path, "solve", "--config", str(mini))
+    assert code == 0
+    assert read_summary(out)["coarse_iterations"] == 0
+    assert_solve_outputs_equal(out, _direct_solve(mini))
+
+
+def test_lifted_start_converges_without_fine_iterations_on_desk():
+    config, tools, _ = load_run_document(str(FIXTURES / "desk.json"), [])
+    result, _, coarse_iterations = _solved_state(config, tools)
+    assert result.converged and result.iterations == 0
+    assert result.report.picard_residual <= tools["solve"]["tol"]
+    assert coarse_iterations > 0
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 0.02])
+def test_two_grid_solution_is_no_farther_from_the_fixed_point(epsilon):
+    # the distance to a tol-1e-13 reference is the largest per-node relative
+    # entropy; the two-grid solve is held to the direct solve's
+    desk = FIXTURES / "desk.json"
+    config, tools, _ = load_run_document(str(desk), [f"epsilon={epsilon}"])
+    two_grid, _, _ = _solved_state(config, tools)
+    direct = _direct_solve(desk, f"epsilon={epsilon}")
+    reference = optimizer.picard_solve(config, direct.path, tol=1e-13)
+    assert two_grid.converged and direct.converged and reference.converged
+
+    def distance(path):
+        pairs = zip(path.measures, reference.path.measures)
+        return max(relative_entropy(nu, ref) for nu, ref in pairs)
+
+    assert distance(two_grid.path) <= distance(direct.path)

@@ -663,8 +663,8 @@ def test_preactivation_is_the_two_pass_form_to_the_bit(case, n, monkeypatch):
         for at, call in calls:
             rows = [r for r, _ in _blocks_checked(monkeypatch, field.sigma, x, at, call)]
             assert sum(rows) == n
-            # a block has two rows at least; only a lone last row runs alone
-            assert min(rows[:-1], default=2) >= 2
+            # a block has two rows at least; only a one-state batch runs alone
+            assert min(rows) >= 2 or rows == [1]
         # a kept tier spans every cell, its derivatives the fold's prefix
         call = lambda: quad.tiers(X, 2, (fold,), Workspace(), keep=1)
         blocks = _blocks_checked(monkeypatch, field.sigma, x, cells, call)
@@ -689,6 +689,26 @@ def test_two_row_blocks_contract_like_whole_arrays():
                 assert got[j][f].tobytes() == contract(fold, tiers).tobytes()
 
 
+def test_lone_last_row_joins_the_block_before_it(monkeypatch):
+    # five states in blocks of two rows: the fifth joins the second block, so
+    # every row contracts as in the tier arrays over all rows at once
+    field = ActivationField(RIDGE_OUTER, "tanh", 1)
+    quad = FieldQuadrature(field, grid_support(field, 64))
+    folds = tail_folds(quad)
+    X = np.linspace(-2.0, 2.0, 5)[:, None]
+    tiers = tier_arrays(quad, X, 2)
+    cells = quad.support[quad._visit]
+    for keep in (0, 1):
+        call = lambda: quad.tiers(X, 2, folds, Workspace(), keep=keep)
+        blocks = _blocks_checked(monkeypatch, field.sigma, X[:, 0], cells, call)
+        assert [r for r, _ in blocks] == [2, 3]
+        monkeypatch.undo()
+        got = call()
+        for j, contract in enumerate((fold_drift, fold_grad_x, fold_grad_xx)):
+            for f, fold in enumerate(folds):
+                assert got[j][f].tobytes() == contract(fold, tiers).tobytes()
+
+
 @pytest.mark.parametrize("name", ["desk", "mini"])
 def test_fixture_quadratures_take_the_mirrored_route(name):
     config, tools, _ = load_run_document(str(FIXTURES / f"{name}.json"), [])
@@ -702,20 +722,22 @@ def test_fixture_quadratures_take_the_mirrored_route(name):
 
 def test_picard_stops_on_non_finite_residual(mini, monkeypatch, tmp_path):
     config, path = mini
-    maps = []
+    maps = []  # the resolution of each Gibbs map
     original = optimizer.gibbs_map_with_flow
 
-    def counting(*args):
-        maps.append(1)
-        return original(*args)
+    def counting(config, path):
+        maps.append(path.measures[0].res)
+        return original(config, path)
 
     monkeypatch.setattr(optimizer, "gibbs_map_with_flow", counting)
     monkeypatch.setattr(optimizer, "picard_residual", lambda path, snapshots: np.nan)
     result = picard_solve(config, path, max_iters=50)
-    assert len(maps) == 1
+    assert maps == [32]
     assert not result.converged and result.iterations == 0
+    # mini's res-32 solve has a res-16 coarse level: each level stops at its
+    # first map
     assert cli.main(["solve", "--config", str(MINI), "--out", str(tmp_path / "o")]) == 2
-    assert len(maps) == 2
+    assert maps == [32, 16, 32]
 
 
 def test_picard_result_carries_the_flow_of_its_path(mini):
