@@ -28,7 +28,7 @@ from .measures import (
     relative_entropy,
 )
 from .model import Dataset, ProblemConfig, TimeGrid, rng_for
-from .optimizer import fp_descent_step, gibbs_map, picard_solve, total_cost
+from .optimizer import fp_descent_step, gibbs_map_with_flow, picard_solve, total_cost
 from .trajectories import (
     backward_solve,
     curvature_solve,
@@ -375,7 +375,7 @@ def check_linearized_map_mass(config) -> CheckResult:
 def check_zero_problem_gibbs(config) -> CheckResult:
     fixture = _fixture(config, zero_problem=True)
     path, prior = _prior_path(fixture)
-    snaps = gibbs_map(fixture, path)
+    snaps, _ = gibbs_map_with_flow(fixture, path)
     worst = max(
         float(np.max(abs(s.gamma.values - prior.measure.values))) for s in snaps
     )

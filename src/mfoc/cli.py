@@ -145,11 +145,10 @@ class OutputError(Exception):
 class RunWriter:
     """Collects emitted files and finalizes the run manifest."""
 
-    def __init__(self, out_dir: Path, command: str, doc: dict, threads: int):
+    def __init__(self, out_dir: Path, command: str, doc: dict):
         self.out_dir = out_dir
         self.command = command
         self.doc = doc
-        self.threads = threads
         self.started = time.monotonic()
         self.files = []
         try:
@@ -182,7 +181,6 @@ class RunWriter:
             "config": self.doc,
             "seed": self.doc.get("seed", 0),
             "version": __version__,
-            "threads": self.threads,
             "wall_clock_s": time.monotonic() - self.started,
             "files": self.files,
         }
@@ -296,7 +294,7 @@ def cmd_solve(config, tools, writer) -> int:
     return EXIT_NO_CONVERGENCE if failure else EXIT_OK
 
 
-def _tilted_start(config, prior, path, amplitude=0.3):
+def _tilted_start(path, amplitude):
     """Deterministic perturbed start for descent runs."""
     template = path.measures[0]
     mids = template.midpoints()
@@ -328,7 +326,7 @@ def cmd_descent(config, tools, writer) -> int:
 
 def _descent_grid(config, tools, writer, steps, h, tilt) -> int:
     base, prior = _initial_grid_path(config, tools)
-    path = _tilted_start(config, prior, base, amplitude=tilt)
+    path = _tilted_start(base, tilt)
     rows = ["step,cost,terminal,entropy,fisher,dj_over_h"]
     # row k holds the cost at the start of step k; the last, the final cost
     for k in range(steps + 1):
@@ -532,12 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None, help="override the seed")
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="recorded in the manifest; it changes no computation yet",
-    )
-    parser.add_argument(
         "--set",
         action="append",
         default=[],
@@ -554,7 +546,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage and the error, or the help (code 0)
+        return EXIT_CONFIG if exc.code else EXIT_OK
     out_dir = Path(args.out or os.environ.get("OUTPUT_DIR", "out"))
     try:
         config, tools, doc = load_run_document(args.config, args.set, args.seed)
@@ -562,7 +558,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        writer = RunWriter(out_dir, args.command, doc, args.threads)
+        writer = RunWriter(out_dir, args.command, doc)
         if args.inject_fault:
             faults.inject(args.inject_fault)
         return _run(COMMANDS[args.command], config, tools, writer)

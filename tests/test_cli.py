@@ -278,13 +278,11 @@ class TestDeterminism:
             ("check", []),
         ],
     )
-    def test_byte_identical_across_reruns_and_threads(
-        self, tmp_path, command, extra
-    ):
+    def test_byte_identical_across_reruns(self, tmp_path, command, extra):
         base = [command, "--config", str(FIXTURES / "mini.json"), *extra]
         outputs = []
-        for label, threads in (("a", "1"), ("b", "4"), ("c", "1")):
-            code, out = run(tmp_path / label, *base, "--threads", threads)
+        for label in ("a", "b", "c"):
+            code, out = run(tmp_path / label, *base)
             assert code == 0
             files = sorted(
                 p.name for p in out.iterdir() if p.name != "manifest.json"
@@ -300,12 +298,14 @@ class TestDeterminism:
             ("solve", []),
             ("stability", ["--set", "stability.iters=5"]),
             ("descent", ["--set", "descent.backend=particle"]),
+            ("descent", []),
+            ("pl-scan", ["--set", "pl_scan.samples=2"]),
+            ("check", []),
         ],
     )
     def test_byte_identical_across_blas_thread_counts(self, tmp_path, command, extra):
-        # the kernel's pre-activation is a BLAS product; --threads computes
-        # nothing, so the pools are sized from the environment of a fresh
-        # process instead
+        # the kernel's pre-activation is a BLAS product, and BLAS sizes its
+        # thread pool from the environment of a fresh process
         base = [sys.executable, "-m", "mfoc.cli", command, "--config", str(FIXTURES / "mini.json")]
         outputs = []
         for threads in ("1", "2"):
@@ -418,7 +418,7 @@ class TestRunWriter:
         path, _ = prior_path(desk_config)
         assert len(path.measures) == 65 and path.measures[0].values.shape == (64, 64)
         whole = reference_path_to_csv(path)
-        writer = RunWriter(tmp_path, "solve", {}, 1)
+        writer = RunWriter(tmp_path, "solve", {})
         tracemalloc.start()
         try:
             writer.write_text("nu_star.csv", _path_to_csv(path))
@@ -495,6 +495,24 @@ def test_malformed_set_value_exits_1(tmp_path, capsys, setting, named):
     assert code == 1
     assert err.startswith("configuration error") and named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--bogus"], ["--seed", "abc"], ["--threads", "4"], None],  # None: no --config
+)
+def test_malformed_flag_exits_1(tmp_path, capsys, flags):
+    args = ["--config", str(FIXTURES / "mini.json"), *flags] if flags else []
+    code, out = run(tmp_path, "solve", *args)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("usage: mfoc") and "error:" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: mfoc")
 
 
 @pytest.mark.parametrize(

@@ -486,8 +486,6 @@ class TestPlScan:
 
     def test_single_direction_ratio_stabilizes(self, solved):
         config, prior, result, _ = solved
-        from mfoc.optimizer import fisher_functional
-
         mids = result.path.measures[0].midpoints()
         psi = np.cos(1.1 * mids[:, 0] - 0.4 * mids[:, 1]).reshape(64, 64)
         ratios = []
@@ -495,9 +493,8 @@ class TestPlScan:
             candidate, _ = tilt_to_entropy(
                 result.path, psi, np.ones(config.grid.nt), target
             )
-            fisher = fisher_functional(config, candidate)
-            cost = total_cost(config, candidate, prior=prior).cost
-            ratios.append(fisher / (cost - result.report.cost))
+            report = total_cost(config, candidate, with_fisher=True, prior=prior)
+            ratios.append(report.fisher / (report.cost - result.report.cost))
         assert ratios[1] == pytest.approx(ratios[2], rel=0.15), ratios
 
     def test_small_scan_reports_positive_ratio(self, solved):
@@ -528,19 +525,6 @@ class TestPlScan:
             prior=prior,
         )
         assert math.isnan(report.pl_ratio)
-
-
-class TestLsiAtMinimizer:
-    def test_default_family_on_converged_control(self, solved):
-        from mfoc.measures import default_lsi_trials, lsi_ratio
-
-        config, _, result, _ = solved
-        nu = result.path.measures[0]
-        ratio = lsi_ratio(
-            nu, default_lsi_trials(nu, np.random.default_rng(5))
-        )
-        assert math.isfinite(ratio)
-        assert ratio > 0.0
 
 
 class TestFd2Scaling:

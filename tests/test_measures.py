@@ -12,13 +12,10 @@ from mfoc.measures import (
     ParticleMeasure,
     PerturbationPath,
     PriorMeasure,
-    default_lsi_trials,
     fisher_divergence,
-    lsi_ratio,
     measure_to_csv,
     moment,
     normalize,
-    normalize_against,
     path_entropy,
     pinsker_check,
     prior_tail_mass,
@@ -275,29 +272,6 @@ class TestPinsker:
             )
             report = pinsker_check(mu, nu, k=k)
             assert report.holds, (k, b1, b2, c1)
-
-
-class TestLsiRatio:
-    def test_constant_trial_skipped(self):
-        nu = prior_2d(res=32).measure
-        ratio = lsi_ratio(nu, [np.ones_like(nu.values)])
-        assert ratio == -math.inf
-
-    def test_gaussian_tilt_limit(self):
-        # under N(0, s^2) an exponential tilt gives entropy/energy = s^2/2
-        s = 0.6
-        nu, _ = normalize(gaussian_grid(5.0, 512, 0.0, s))
-        for beta in (0.2, 0.1, 0.05):
-            f = normalize_against(nu, np.exp(beta * nu.axis))
-            ratio = lsi_ratio(nu, [f])
-            assert ratio == pytest.approx(s**2 / 2.0, rel=1e-2)
-
-    def test_default_family_reports_finite_ratio(self):
-        nu = prior_2d(res=48).measure
-        rng = np.random.default_rng(3)
-        ratio = lsi_ratio(nu, default_lsi_trials(nu, rng))
-        assert math.isfinite(ratio)
-        assert ratio > 0.0
 
 
 class TestPerturbationPath:

@@ -14,15 +14,9 @@ from mfoc.model import (
     FieldQuadrature,
     TerminalLoss,
     TimeGrid,
-    eval_field,
-    eval_loss,
-    eval_potential,
-    grad_field,
     load_problem_config,
-    problem_config_to_doc,
     rng_for,
 )
-from conftest import make_config
 
 
 def central_diff(fn, x, step=1e-5):
@@ -47,16 +41,16 @@ class TestActivationField:
         for family in (RIDGE_OUTER, COMPONENTWISE):
             field = ActivationField(family=family)
             for x in (-1.3, 0.0, 0.5, 2.0):
-                assert np.allclose(eval_field(field, [x], np.zeros(field.dprime)), 0.0)
+                assert np.allclose(field.value([x], np.zeros(field.dprime)), 0.0)
 
     def test_sigma_zero_gives_zero(self):
         field = ActivationField(family=RIDGE_OUTER)
         # a1 = a2 = 0 makes the ridge argument vanish; tanh(0) = 0
-        assert eval_field(field, [0.5], [2.0, 0.0, 0.0])[0] == 0.0
+        assert field.value([0.5], [2.0, 0.0, 0.0])[0] == 0.0
 
     def test_tanh_value_against_arbitrary_precision(self):
         field = ActivationField(family=RIDGE_OUTER)
-        got = eval_field(field, [1.0], [1.0, 1.0, 0.0])[0]
+        got = field.value([1.0], [1.0, 1.0, 0.0])[0]
         want = float(mpmath.tanh(1))  # 0.7615941559557649
         assert abs(got - want) < 1e-15
 
@@ -74,7 +68,7 @@ class TestActivationField:
         for _ in range(50):
             x = rng.uniform(-2, 2, 1)
             a = rng.uniform(-2, 2, field.dprime)
-            gx, ga = grad_field(field, x, a)
+            gx, ga = field.jacobians(x, a)
             fd_x = central_diff(lambda xx: field.value(xx, a), x)
             fd_a = central_diff(lambda aa: field.value(x, aa), a)
             assert rel_err(gx, fd_x) < 1e-6
@@ -82,10 +76,10 @@ class TestActivationField:
 
     def test_zero_parameter_kills_x_gradient(self):
         field = ActivationField(family=RIDGE_OUTER)
-        gx, _ = grad_field(field, [0.7], np.zeros(3))
+        gx, _ = field.jacobians([0.7], np.zeros(3))
         assert np.allclose(gx, 0.0)
         # a1 = 0 alone already removes the x-dependence
-        gx, _ = grad_field(field, [0.7], [1.5, 0.0, 0.8])
+        gx, _ = field.jacobians([0.7], [1.5, 0.0, 0.8])
         assert np.allclose(gx, 0.0)
 
     def test_linear_growth_bound(self):
@@ -147,7 +141,9 @@ class TestActivationField:
 class TestConfinementPotential:
     def test_origin(self):
         pot = ConfinementPotential(c1=1.0, c2=1.0)
-        value, grad, min_eig = eval_potential(pot, np.zeros(2))
+        a = np.zeros(2)
+        value, grad = pot.value(a), pot.grad(a)
+        min_eig = np.linalg.eigvalsh(pot.hessian(a))[0]
         assert value == 0.0
         assert np.allclose(grad, 0.0)
         assert min_eig == pytest.approx(2.0 * pot.c2)
@@ -155,7 +151,7 @@ class TestConfinementPotential:
     def test_unit_sphere_value(self):
         pot = ConfinementPotential(c1=1.0, c2=1.0)
         a = np.array([1.0, 0.0]) / 1.0
-        value, _, _ = eval_potential(pot, a)
+        value = pot.value(a)
         assert value == pytest.approx(2.0)
 
     def test_gradient_matches_fd(self):
@@ -163,7 +159,7 @@ class TestConfinementPotential:
         rng = np.random.default_rng(17)
         for _ in range(100):
             a = rng.uniform(-3, 3, 2)
-            _, grad, _ = eval_potential(pot, a)
+            grad = pot.grad(a)
             fd = central_diff(pot.value, a)
             assert rel_err(grad, fd) < 1e-6
 
@@ -187,37 +183,29 @@ class TestConfinementPotential:
 class TestTerminalLoss:
     def test_diagonal_zero(self):
         loss = TerminalLoss()
-        v, g = eval_loss(loss, [0.7], [0.7])
+        v, g = loss.value([0.7], [0.7]), loss.grad_x([0.7], [0.7])
         assert v == 0.0
         assert np.allclose(g, 0.0)
 
     def test_scalar_example(self):
         loss = TerminalLoss()
-        v, g = eval_loss(loss, [1.0], [0.0])
+        v, g = loss.value([1.0], [0.0]), loss.grad_x([1.0], [0.0])
         assert v == pytest.approx(0.5)
         assert g[0] == pytest.approx(1.0)
 
     def test_gradient_matches_fd(self):
-        loss = TerminalLoss(d1=1, d2=1)
+        loss = TerminalLoss()
         rng = np.random.default_rng(29)
         for _ in range(100):
             x, y = rng.uniform(-3, 3, 1), rng.uniform(-3, 3, 1)
-            _, g = eval_loss(loss, x, y)
+            g = loss.grad_x(x, y)
             fd = central_diff(lambda xx: loss.value(xx, y), x, step=1e-6)
             assert rel_err(g, fd) < 1e-8
 
 
 class TestConfigPlumbing:
-    def test_round_trip(self):
-        config = make_config(n=4, nt=5)
-        doc = problem_config_to_doc(config)
-        loaded = load_problem_config(doc)
-        assert loaded.epsilon == config.epsilon
-        assert np.allclose(loaded.dataset.x, config.dataset.x)
-        assert loaded.grid.nt == config.grid.nt
-
     def test_unknown_key_rejected(self):
-        doc = problem_config_to_doc(make_config(n=2, nt=3))
+        doc = {"epsilon": 0.5, "dataset": {"points": [[0.0, 0.0]]}, "grid": {}, "field": {}}
         doc["unexpected"] = 1
         with pytest.raises(ConfigError, match="unexpected"):
             load_problem_config(doc)
@@ -258,5 +246,5 @@ class TestGrowthBounds:
             for _ in range(200):
                 x = rng.uniform(-3, 3, 1)
                 a = rng.uniform(-4, 4, field.dprime)
-                gx, _ = grad_field(field, x, a)
+                gx, _ = field.jacobians(x, a)
                 assert np.max(np.abs(gx)) <= 1.0 + float(a @ a) + 1e-12

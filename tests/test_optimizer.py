@@ -21,10 +21,8 @@ from mfoc.optimizer import (
     MAX_SUBSTEPS,
     PositivityError,
     _fitted_rates,
-    fisher_functional,
     fokker_planck_flow,
     fp_descent_step,
-    gibbs_map,
     gibbs_map_with_flow,
     langevin_descent_step,
     picard_solve,
@@ -47,7 +45,7 @@ def damped_step(config, path, damping):
     """Reference damped Picard step: the geometric mixture
     nu^{1-damping} Gamma[nu]^damping of each node, renormalized."""
     measures = []
-    for nu, snap in zip(path.measures, gibbs_map(config, path)):
+    for nu, snap in zip(path.measures, gibbs_map_with_flow(config, path)[0]):
         log_nu = np.log(np.maximum(nu.values, 1e-300))
         log_gamma = np.log(np.maximum(snap.gamma.values, 1e-300))
         mixed = (1.0 - damping) * log_nu + damping * log_gamma
@@ -74,7 +72,7 @@ class TestGibbsMap:
     def test_zero_problem_returns_prior(self):
         config = make_config(zero_problem=True)
         path, prior = prior_path(config)
-        snaps = gibbs_map(config, path)
+        snaps, _ = gibbs_map_with_flow(config, path)
         for k in (0, len(snaps) // 2, len(snaps) - 1):
             assert np.max(np.abs(snaps[k].phi)) < 1e-14
             assert np.max(np.abs(snaps[k].gamma.values - prior.measure.values)) < 1e-12
@@ -82,7 +80,7 @@ class TestGibbsMap:
     def test_huge_epsilon_reduces_to_prior(self):
         config = make_config(n=16, nt=9, epsilon=1e6)
         path, prior = prior_path(config)
-        snaps = gibbs_map(config, path)
+        snaps, _ = gibbs_map_with_flow(config, path)
         log_prior = np.log(prior.measure.values)
         for snap in snaps:
             log_gamma = np.log(snap.gamma.values)
@@ -91,7 +89,7 @@ class TestGibbsMap:
     def test_gibbs_form_identity(self, desk_solution):
         # log gamma + ell + phi/eps + log z = 0 pointwise
         config, prior, result = desk_solution
-        snaps = gibbs_map(config, result.path)
+        snaps, _ = gibbs_map_with_flow(config, result.path)
         template = result.path.measures[0]
         ell = config.potential.value(template.midpoints()).reshape(
             template.values.shape
@@ -113,7 +111,7 @@ class TestGibbsMap:
         from mfoc.trajectories import backward_solve
 
         template = path.measures[0]
-        snaps = gibbs_map(config, path)
+        snaps, _ = gibbs_map_with_flow(config, path)
         fine = refined(path, 4)
         flow = forward_solve(config, fine)
         flow = backward_solve(config, fine, flow, bracket_grid=template)
@@ -175,7 +173,7 @@ class TestFisherFunctional:
     def test_zero_problem(self):
         config = make_config(zero_problem=True)
         path, _ = prior_path(config)
-        assert fisher_functional(config, path) < 1e-12
+        assert total_cost(config, path, with_fisher=True).fisher < 1e-12
 
     def test_vanishes_at_fixed_point(self, desk_solution):
         config, _, result = desk_solution
@@ -204,11 +202,11 @@ class TestFisherFunctional:
 
         horizon = config.grid.horizon - config.grid.t0
         beta = 0.02
-        got = fisher_functional(config, tilt_by(beta))
+        got = total_cost(config, tilt_by(beta), with_fisher=True).fisher
         frozen = config.epsilon**2 * beta**2 * horizon
         frozen_error = abs(got - frozen) / frozen
         assert 1.0 / 3.0 < got / frozen < 3.0, (got, frozen, frozen_error)
-        got_half = fisher_functional(config, tilt_by(beta / 2))
+        got_half = total_cost(config, tilt_by(beta / 2), with_fisher=True).fisher
         assert got / got_half == pytest.approx(4.0, rel=0.05)
 
 

@@ -288,7 +288,7 @@ def test_meanfield_drift_matches_reference(mini):
 def test_fused_contractions_equal_folds(family, sigma, n):
     # m = 4096 puts 16 rows in a block: n = 37 ends on a partial block and
     # n = 5 fits in less than one
-    field = ActivationField(family, sigma, 1)
+    field = ActivationField(family, sigma)
     rng = np.random.default_rng(n)
     support = rng.normal(size=(4096, field.dprime))
     quad = FieldQuadrature(field, support)
@@ -310,7 +310,7 @@ def test_fused_contractions_equal_folds(family, sigma, n):
 
 @pytest.mark.parametrize("family", [COMPONENTWISE, RIDGE_OUTER])
 def test_fold_forms_only_the_weights_a_call_uses(family):
-    field = ActivationField(family, "tanh", 1)
+    field = ActivationField(family, "tanh")
     rng = np.random.default_rng(3)
     quad = FieldQuadrature(field, rng.normal(size=(256, field.dprime)))
     fold = quad.fold(rng.random(256))
@@ -395,7 +395,7 @@ SMALL_GRIDS = [(COMPONENTWISE, 3), (COMPONENTWISE, 2), (RIDGE_OUTER, 3), (RIDGE_
 @pytest.mark.parametrize("family,res", MIRRORED_GRIDS)
 @pytest.mark.parametrize("n", [37, 5])
 def test_mirrored_contractions_match_full_arrays(family, res, n):
-    field = ActivationField(family, "tanh", 1)
+    field = ActivationField(family, "tanh")
     quad = FieldQuadrature(field, grid_support(field, res))
     m = quad.support.shape[0]
     assert quad.h == (m + 1) // 2
@@ -423,7 +423,7 @@ def test_mirrored_contractions_match_full_arrays(family, res, n):
 
 @pytest.mark.parametrize("family,res", MIRRORED_GRIDS + SMALL_GRIDS)
 def test_mirrored_brackets_equal_full_reductions(family, res):
-    field = ActivationField(family, "tanh", 1)
+    field = ActivationField(family, "tanh")
     quad = FieldQuadrature(field, grid_support(field, res))
     rng = np.random.default_rng(res)
     X, z = 2.0 * rng.normal(size=(37, 1)), rng.normal(size=(37, 1))
@@ -445,9 +445,9 @@ def test_mirrored_brackets_equal_full_reductions(family, res):
 
 def _unmirrored_cases():
     rng = np.random.default_rng(7)
-    logistic = ActivationField(RIDGE_OUTER, "logistic", 1)
-    tanh = ActivationField(COMPONENTWISE, "tanh", 1)
-    ridge = ActivationField(RIDGE_OUTER, "tanh", 1)
+    logistic = ActivationField(RIDGE_OUTER, "logistic")
+    tanh = ActivationField(COMPONENTWISE, "tanh")
+    ridge = ActivationField(RIDGE_OUTER, "tanh")
     off_grid = GridMeasure(3.7, 50, np.zeros((50, 50))).midpoints()
     return {
         "logistic-mirrored-grid": (logistic, grid_support(logistic, 16)),
@@ -501,7 +501,7 @@ def tail_folds(quad):
 
 @pytest.mark.parametrize("family,res", MIRRORED_GRIDS + SMALL_GRIDS)
 def test_prefix_contractions_match_full_sums_within_the_cut(family, res):
-    field = ActivationField(family, "tanh", 1)
+    field = ActivationField(family, "tanh")
     quad = FieldQuadrature(field, grid_support(field, res))
     m = quad.support.shape[0]
     assert quad.h == (m + 1) // 2
@@ -529,7 +529,7 @@ def test_prefix_contractions_match_full_sums_within_the_cut(family, res):
 
 @pytest.mark.parametrize("family,res", [(COMPONENTWISE, 64), (RIDGE_OUTER, 17)])
 def test_fold_contraction_is_the_same_in_every_call(family, res):
-    field = ActivationField(family, "tanh", 1)
+    field = ActivationField(family, "tanh")
     quad = FieldQuadrature(field, grid_support(field, res))
     halfwidth = float(quad.support.max())
     narrow = quad.fold(gaussian_tailed(quad, 0.1 * halfwidth, halfwidth / 16.0))
@@ -555,7 +555,7 @@ def test_fold_contraction_is_the_same_in_every_call(family, res):
 
 def test_non_finite_weights_are_never_cut():
     # a NaN or an infinite weight reaches every particle, so a sweep sees it
-    field = ActivationField(COMPONENTWISE, "tanh", 1)
+    field = ActivationField(COMPONENTWISE, "tanh")
     quad = FieldQuadrature(field, grid_support(field, 64))
     X = np.linspace(-2.0, 2.0, 5)[:, None]
     for bad in (np.nan, np.inf):
@@ -592,9 +592,9 @@ def test_tanh_is_odd_to_the_bit():
 
 def _preactivation_supports():
     rng = np.random.default_rng(13)
-    tanh = ActivationField(COMPONENTWISE, "tanh", 1)
-    ridge = ActivationField(RIDGE_OUTER, "tanh", 1)
-    logistic = ActivationField(RIDGE_OUTER, "logistic", 1)
+    tanh = ActivationField(COMPONENTWISE, "tanh")
+    ridge = ActivationField(RIDGE_OUTER, "tanh")
+    logistic = ActivationField(RIDGE_OUTER, "logistic")
     cases = {
         f"{family}-res-{res}": (field, grid_support(field, res))
         for family, field in ((COMPONENTWISE, tanh), (RIDGE_OUTER, ridge))
@@ -677,7 +677,7 @@ def test_preactivation_is_the_two_pass_form_to_the_bit(case, n, monkeypatch):
 def test_two_row_blocks_contract_like_whole_arrays():
     # on the ridge grid at res 64 a block holds two rows of 131072 cells, and
     # its contractions are those of the tier arrays over all rows at once
-    field = ActivationField(RIDGE_OUTER, "tanh", 1)
+    field = ActivationField(RIDGE_OUTER, "tanh")
     quad = FieldQuadrature(field, grid_support(field, 64))
     folds = tail_folds(quad)
     X = np.linspace(-2.0, 2.0, 6)[:, None]
@@ -692,7 +692,7 @@ def test_two_row_blocks_contract_like_whole_arrays():
 def test_lone_last_row_joins_the_block_before_it(monkeypatch):
     # five states in blocks of two rows: the fifth joins the second block, so
     # every row contracts as in the tier arrays over all rows at once
-    field = ActivationField(RIDGE_OUTER, "tanh", 1)
+    field = ActivationField(RIDGE_OUTER, "tanh")
     quad = FieldQuadrature(field, grid_support(field, 64))
     folds = tail_folds(quad)
     X = np.linspace(-2.0, 2.0, 5)[:, None]
