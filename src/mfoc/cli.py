@@ -430,6 +430,7 @@ def cmd_stability(config, tools, writer) -> int:
         "summary.json",
         {
             "dominant_eig": report.dominant_eig,
+            "lambda_max": report.details["lambda_max"],
             "ritz_residual": report.ritz_residual,
             "margin_from_one": report.details["margin_from_one"],
             "stable_evidence": report.details["stable_evidence"],

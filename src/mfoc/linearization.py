@@ -5,7 +5,8 @@ control, the tangent curve it induces on the feature ensemble, and the
 linearized multiplier transported backward. The quadratic form assembled from
 them is the second derivative of the total cost along the perturbation; its
 kernel directions are exactly the fixed points of the linear map realized by
-``linear_map_image``, which powers the stability probe.
+``linear_map_image``. The stability probe applies the same map inside its
+range, which per-node particle coefficients parameterize (``_range_map``).
 
 Everything here is Lagrangian: the tangent curve acts on test functions
 through tangent particles, and the multiplier and its x-gradient are
@@ -413,10 +414,16 @@ def stability_probe(
     the map, so spectral distance of the sampled Ritz values from one is
     evidence (not proof) of stability. Reports the dominant eigenvalue
     estimate, the residual ||L u - theta u|| of its Ritz pair in L^2(1/nu),
-    and the sampled spectrum, which has fewer than ``iters``
-    values when the Krylov basis breaks down. ``flow`` needs only the forward
-    features: the adjoint and curvature come from the probe's own order-2
-    stage pass, which every Krylov step shares.
+    the largest algebraic Ritz value ``lambda_max`` and the sampled
+    spectrum, which has fewer than ``iters`` values when the Krylov basis
+    breaks down.
+
+    The Krylov space of a zero-mass seed v0 is spanned by v0 and the range
+    of the map, which ``_range_map`` parameterizes by per-node particle
+    coefficients; Arnoldi runs on those. ``flow`` needs only the forward
+    features: one order-2 stage pass gives the adjoint, the curvature and
+    v0's stage data, and one pass of Gram matrices serves every Krylov step,
+    so the probe makes no kernel call per step.
     """
     if iters < 1:
         raise ConfigError("the stability probe needs iters >= 1")
@@ -428,45 +435,138 @@ def stability_probe(
         + 0.5 * np.sin(0.6 * mids[:, 1] + 0.3)
         + 0.2 * rng.standard_normal(mids.shape[0])
     ).reshape(template.values.shape)
-    vol, dt = template.cell_volume, path.grid.dt
+    vol = template.cell_volume
     nus = [nu.values for nu in path.measures]
-    v0 = np.stack([nu * (seedfn - float(np.sum(seedfn * nu)) * vol) for nu in nus])
-    # the L^2(1/nu) inner product over the nodes that enter the cost, in
-    # which the linearized map is symmetric
-    inv_weight = [np.maximum(nu, LOG_FLOOR) for nu in nus[:-1]]
-
-    def dot(a, b):
-        total = 0.0
-        for k, nu in enumerate(inv_weight):
-            total += float(np.sum(a[k] * b[k] / nu)) * vol * dt
-        return total
-
-    stages = stage_pass(config, path, flow)
+    v0 = PerturbationPath(
+        path.grid,
+        template.halfwidth,
+        template.res,
+        np.stack([nu * (seedfn - float(np.sum(seedfn * nu)) * vol) for nu in nus]),
+    )
+    stages = stage_pass(config, path, flow, (v0,))
     flow = curvature_solve(config, path, flow, stages)
-
-    def apply(v):
-        # project out the node mass Gram-Schmidt round-off leaves, along nu:
-        # the L^2(1/nu)-orthogonal projection, so orthogonality is kept
-        for k, nu in enumerate(nus):
-            v[k] -= nu * (np.sum(v[k]) / np.sum(nu))
-        eta = PerturbationPath(path.grid, template.halfwidth, template.res, v)
-        return linear_map_image(config, path, flow, eta, stages=stages).values
-
-    _, H, history, below, breakdown = _arnoldi(apply, v0, dot, iters)
+    apply, dot, start = _range_map(config, path, flow, stages, v0)
+    _, H, history, below, breakdown = _arnoldi(apply, start, dot, iters)
     ritz = np.real_if_close(np.linalg.eigvals(H), tol=1e6)
     top = ritz[np.argmax(abs(ritz))]
     spectrum_margin = float(np.min(abs(1.0 - ritz)))
+    spectrum = sorted(float(np.real(r)) for r in ritz)
     return SecondOrderReport(
         dominant_eig=float(np.real(top)),
         ritz_residual=_ritz_residual(H, below, top),
         details={
-            "ritz": sorted(float(np.real(r)) for r in ritz),
+            "ritz": spectrum,
+            "lambda_max": spectrum[-1],
             "margin_from_one": spectrum_margin,
             "stable_evidence": bool(spectrum_margin >= margin),
             "rayleigh_history": history,
             "breakdown": breakdown,
         },
     )
+
+
+def _range_map(config, path, flow, stages: StagePass, seed: PerturbationPath):
+    """The linearized map on v = alpha v0 + E(d), as (apply, dot, start).
+
+    ``stages`` is an order-2 stage pass whose one perturbation is the seed
+    v0, and ``flow`` carries the curvature. The map L = E M S takes stage
+    drifts (S), runs the tangent and multiplier sweeps on them and forms
+    per-node particle coefficients d_k = (beta, gamma), beta = h dx + dv and
+    gamma = z dx (M), and spreads them on the grid (E, as ``eta_from``):
+
+        E(d)_k = -(nu_k / eps) (B_k d_k - c_k(d)),
+        B_k d_k = mean_i [b(x_i(t_k), .) beta_i + grad_x b(x_i(t_k), .) gamma_i],
+
+    centred by c_k(d) = int B_k d_k dnu_k, which pairs d_k with the
+    control's drift and grad_x at node k; so E(d) has zero node mass by
+    construction. Only the nodes 0..nt-2 enter S and the cost, so d is
+    (nt - 1, 2n), and a vector is the flat [alpha, d]. The drifts of E(d)
+    at stage s of interval k are -(1/eps) (G[k, s] d_k / n - c_k(d) (drift,
+    grad_x)[k, s]) for the Gram matrix G[k, s] = A[k, s] nu_k A[k, 0]^T of
+    the rows A = [b; grad_x b] at the stage's states. The L^2(1/nu) inner
+    product of two images is
+
+        dt / eps^2 sum_k [d_k G[k, 0] e_k / n^2 - c_k(d) c_k(e) (2 - m_k)]
+
+    with m_k the mass of nu_k; against v0 it takes v0's stage drifts at
+    the nodes, and <v0, v0> is taken on the grid. (The grid product divides
+    by max(nu, LOG_FLOOR), and an image is nu times a bounded function, so
+    the cells where the floor binds add less than 1e-300 times that bound
+    squared to a product of images; the form above leaves them out.)
+    """
+    grid, n, eps = path.grid, flow.n, config.epsilon
+    dt, vol = grid.dt, seed.cell_volume
+    nus = [nu.values for nu in path.measures[:-1]]
+    grams = _stage_grams(path, flow, stages)
+    control = np.concatenate((stages.drift[..., 0], stages.bx), axis=-1)
+    mass = np.array([float(np.sum(nu)) * vol for nu in nus])
+    seed_drift = np.concatenate((stages.s_eta[0, :, 0, :, 0], stages.sx_eta[0, :, 0]), axis=-1)
+    seed_mass = np.array([float(np.sum(seed.node(k))) * vol for k in range(grid.nt - 1)])
+    seed_sq = 0.0
+    for k, nu in enumerate(nus):
+        seed_sq += float(np.sum(seed.node(k) ** 2 / np.maximum(nu, LOG_FLOOR))) * vol * dt
+    z, hess = flow.z[:-1, :, 0], flow.hess[:-1]
+
+    def split(u):
+        return u[0], u[1:].reshape(grid.nt - 1, 2 * n)
+
+    def centre(d):
+        return np.einsum("kj,kj->k", d, control[:, 0]) / n
+
+    def apply(u):
+        alpha, d = split(u)
+        drifts = np.einsum("ksij,kj->ksi", grams, d) / n - centre(d)[:, None, None] * control
+        drifts /= -eps
+        linear = replace(
+            stages,
+            s_eta=alpha * stages.s_eta + drifts[None, ..., :n, None],
+            sx_eta=alpha * stages.sx_eta + drifts[None, ..., n:],
+        )
+        dx = _tangent_dx(linear, dt)[:-1, :, 0]
+        dv = _multiplier(config, path, flow, None, linear).dv[:-1]
+        image = np.zeros_like(u)
+        image[1:] = np.concatenate((hess * dx + dv, z * dx), axis=1).ravel()
+        return image
+
+    def against_seed(d):
+        # <v0, E(d)>; v0's node masses vanish up to round-off
+        total = float(np.sum(centre(d) * seed_mass)) - float(np.sum(d * seed_drift)) / n
+        return total * dt / eps
+
+    def dot(u, w):
+        alpha, d = split(u)
+        beta, e = split(w)
+        gram_term = float(np.sum(d * np.einsum("kij,kj->ki", grams[:, 0], e))) / n**2
+        centre_term = float(np.sum(centre(d) * centre(e) * (2.0 - mass)))
+        images = (gram_term - centre_term) * dt / eps**2
+        return alpha * beta * seed_sq + alpha * against_seed(e) + beta * against_seed(d) + images
+
+    start = np.zeros(1 + (grid.nt - 1) * 2 * n)
+    start[0] = 1.0
+    return apply, dot, start
+
+
+def _stage_grams(path, flow, stages: StagePass) -> np.ndarray:
+    """G[k, s] = A[k, s] nu_k A[k, 0]^T, (nt - 1, 3, 2n, 2n), for the rows
+    A[k, s] = [b; grad_x b] at the states of stage s of interval k: one
+    kernel call per node and per midpoint, each keeping its tiers. The rows
+    are held over the longest prefix of the node weights only."""
+    quad, work = stages.quad, Workspace()
+    vol = path.measures[0].cell_volume
+    weights = [quad.gram_weights(nu.values.ravel(), vol) for nu in path.measures[:-1]]
+    cells = max(w.shape[0] for w in weights)
+
+    def rows(x):
+        quad.tiers(x, 1, (), work, keep=2)
+        return quad.rows(work.kept, cells)
+
+    grams = np.empty((len(weights), 3, 2 * flow.n, 2 * flow.n))
+    left = rows(flow.x[0])
+    for k, w in enumerate(weights):
+        right = rows(flow.x[k + 1])
+        grams[k] = quad.gram((left, rows(stages.x_mid[k]), right), left, w)
+        left = right
+    return grams
 
 
 # -- empirical Polyak-Lojasiewicz scan ------------------------------------------

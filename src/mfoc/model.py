@@ -180,6 +180,10 @@ def _contract_columns(columns, weights):
 
 # rows per block of a fused kernel call: 512 KiB of float64 per tier buffer
 _BLOCK_CELLS = 65536
+# cells per block of a Gram product (``FieldQuadrature.gram``): OpenBLAS's
+# dgemm rounds a longer inner dimension differently at different thread
+# counts, and blocks of this many, summed in order, round alike at all
+_GRAM_CELLS = 256
 # a fold-tier on a mirrored support ends after its last weight above
 # _PREFIX_TOL ||w||_1 / h; the tiers are at most 1 in size, so the terms it
 # drops sum to at most _PREFIX_TOL ||w||_1
@@ -218,8 +222,9 @@ class FieldQuadrature:
     gets back their per-particle contractions: the states go through the
     kernel in row blocks written into the sweep's ``Workspace``, so no
     (n, m) tier array is allocated per call or held across positions. Only
-    the reductions over particles (``bracket``, ``bracket_pair``) need a
-    tier in full; a call writes it into the workspace on request. The folds
+    the reductions over particles (``bracket``, ``bracket_pair``) and the
+    field rows of Gram matrices (``rows``, ``gram``) need a tier in full; a
+    call writes it into the workspace on request. The folds
     carry the parameter columns in their weights, so every contraction is
     one (n, p) by (p,) product. The pre-activation a1 x + a2 of a row block
     is one rank-2 product [x, 1] (rows, 2) by [a1; a2] (2, p), written by
@@ -268,6 +273,10 @@ class FieldQuadrature:
             self._visit = np.argsort(np.einsum("ij,ij->i", head, head), kind="stable")
             a12 = a12[:, self._visit]
         self._a12v = np.ascontiguousarray(a12)
+        # the outer weight a0 on the evaluated cells in visiting order
+        self._a0v = None
+        if ridge:
+            self._a0v = self._a0 if self._visit is None else self._a0[: self.h][self._visit]
 
     def tiers(self, X, order: int, folds, work: Optional[Workspace] = None, keep: int = 0):
         """Fold contractions of the activation tiers at states X (n, 1).
@@ -364,6 +373,41 @@ class FieldQuadrature:
         if self._a0 is not None:
             return (term_b * self._a0 + term_dx * self._a0 * self._a1) / n
         return (term_b + term_dx * self._a1) / n
+
+    def rows(self, kept, cells: int) -> np.ndarray:
+        """The field rows [b; grad_x b] (2n, cells) at the n states of a call
+        that kept its tiers at order 1, on the first ``cells`` evaluated
+        cells in visiting order."""
+        n = kept[0].shape[0]
+        rows = np.empty((2 * n, cells))
+        rows[:n] = kept[0][:, :cells]
+        np.multiply(kept[1][:, :cells], self._a12v[0, :cells], out=rows[n:])
+        if self._a0v is not None:
+            rows *= self._a0v[:cells]
+        return rows
+
+    def gram_weights(self, values: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        """The weights values scale (M,) of a product of two field rows,
+        folded onto the evaluated cells and cut at their prefix, as a
+        fold-tier's weights are (see ``WeightFold``). Rows are both odd
+        (componentwise family) or both even (ridge family) under the
+        mirror, so their product is even and the weights fold evenly."""
+        return self._fold(np.asarray(values, dtype=float) * scale, odd=False)
+
+    def gram(self, lefts, right, w: np.ndarray) -> np.ndarray:
+        """Gram matrices sum_a l(a) w(a) r(a)^T, (len(lefts), rows, rows), of
+        field rows (``rows``) against weights from ``gram_weights``, over
+        their prefix. Each matrix sums BLAS products over blocks of the
+        inner dimension in order, so its bits do not depend on the BLAS
+        thread count."""
+        p = w.shape[0]
+        weighted = (right[:, :p] * w).T
+        out = np.zeros((len(lefts), lefts[0].shape[0], right.shape[0]))
+        for j in range(0, p, _GRAM_CELLS):
+            cells = slice(j, min(j + _GRAM_CELLS, p))
+            for g, left in zip(out, lefts):
+                g += left[:, cells] @ weighted[cells]
+        return out
 
 
 class WeightFold:

@@ -23,7 +23,8 @@ position costs one ``FieldQuadrature.tiers`` call, which contracts the tiers
 against every weight fold that position needs and hands back per-particle
 vectors; the RK4 right-hand sides only see those. A sweep owns one
 ``Workspace`` for the row blocks of all its calls, and only the particle
-reductions onto the measure grid (the node bracket) ask for a tier in full.
+reductions onto the measure grid (the node bracket) and the stability
+probe's Gram matrices ask for a tier in full.
 Each particle's contraction is a fixed-order numpy sum over support points
 (on a mirrored support, over the prefix of the folded half, in order of |a|,
 that carries the fold's weight, which the support and the weights alone
@@ -296,15 +297,16 @@ class StagePass:
     """Stage data of the linearized sweeps along one stored grid flow.
 
     Interval k takes its RK4 stages at s = 0, 1, 2: the left node, the cubic
-    Hermite midpoint ``x_mid[k]`` and the right node. Indexed [k, s], ``bx`` and
-    ``bxx`` (order-2 passes only) are grad_x and grad_xx of the drift of the
-    control frozen at node k, (n,) each. Indexed [p, k, s], ``s_eta`` (n, 1)
-    and ``sx_eta`` (n,) are the drift of the p-th perturbation and its
-    grad_x. No tier array is kept.
+    Hermite midpoint ``x_mid[k]`` and the right node. Indexed [k, s],
+    ``drift`` (n, 1) is the drift of the control frozen at node k, and ``bx``
+    and ``bxx`` (order-2 passes only) are its grad_x and grad_xx, (n,) each.
+    Indexed [p, k, s], ``s_eta`` (n, 1) and ``sx_eta`` (n,) are the drift of
+    the p-th perturbation and its grad_x. No tier array is kept.
     """
 
     quad: FieldQuadrature
     x_mid: np.ndarray
+    drift: np.ndarray
     bx: np.ndarray
     bxx: Optional[np.ndarray]
     s_eta: Optional[np.ndarray] = None
@@ -356,9 +358,7 @@ def stage_pass(
         for k, s in uses:
             if nodes is not None:
                 fold = next(c)
-                if s != 1:  # node drifts place the midpoints
-                    drift[k, s] = fold[0]
-                bx[k, s] = fold[1]
+                drift[k, s], bx[k, s] = fold[:2]
                 if bxx is not None:
                     bxx[k, s] = fold[2]
             for p in range(len(etas)):
@@ -368,7 +368,7 @@ def stage_pass(
         contract(flow.x[j], [(k, s) for k, s in ((j - 1, 2), (j, 0)) if 0 <= k < shape[0]])
     if stages is None:
         x_mid = _hermite_midpoint(flow.x[:-1], flow.x[1:], drift[:, 0], drift[:, 2], grid.dt)
-        stages = StagePass(quad, x_mid, bx, bxx)
+        stages = StagePass(quad, x_mid, drift, bx, bxx)
     for k in range(shape[0]):
         contract(stages.x_mid[k], [(k, 1)])
     return replace(stages, s_eta=s_eta, sx_eta=sx_eta) if etas else stages

@@ -191,6 +191,11 @@ class TestStability:
         summary = read_summary(out)
         assert np.isfinite(summary["dominant_eig"])
         assert np.isfinite(summary["margin_from_one"])
+        # lambda_max is the largest algebraic Ritz value, dominant_eig the
+        # largest in magnitude
+        ritz = [float(r.split(",")[1]) for r in (out / "ritz.csv").read_text().splitlines()[1:]]
+        assert len(ritz) == 4 and summary["lambda_max"] == max(ritz)
+        assert summary["dominant_eig"] == max(ritz, key=abs)
 
 
 class TestPlScan:
@@ -575,10 +580,11 @@ def test_numerical_failure_exits_2_with_reason(tmp_path, capsys, monkeypatch, er
 
 
 def test_krylov_directions_keep_zero_node_mass_past_breakdown(tmp_path):
-    # each basis vector is re-projected onto zero node mass before it is
-    # applied, so Gram-Schmidt round-off cannot push a Krylov direction of
-    # mini_zero past the perturbation tolerance; its basis breaks down before
-    # 10 steps and the run reports the Ritz values it has
+    # the Krylov directions are combinations of the seed and images of the
+    # linearized map, and images are zero-mass by construction, so
+    # Gram-Schmidt cannot push a direction of mini_zero off zero node mass;
+    # its basis breaks down before 10 steps and the run reports the Ritz
+    # values it has
     code, out = run(
         tmp_path,
         "stability",

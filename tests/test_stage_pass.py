@@ -1,6 +1,8 @@
 """The linearized sweeps on the shared stage pass against the interval loops
-they replaced, and the number of activation-kernel calls they make."""
+they replaced, the stability probe against the grid-vector probe it
+replaced, and the number of activation-kernel calls they make."""
 
+import functools
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -12,6 +14,10 @@ from mfoc import cli, linearization, optimizer
 from mfoc.cli import _solved_state, load_run_document
 from mfoc.linearization import (
     LinearizedMultiplier,
+    PerturbationPath,
+    SecondOrderReport,
+    _arnoldi,
+    _ritz_residual,
     cross_term_via_multiplier,
     cross_term_via_tangent,
     eta_from,
@@ -22,7 +28,8 @@ from mfoc.linearization import (
     stability_probe,
 )
 from mfoc.measures import LOG_FLOOR
-from mfoc.model import FieldQuadrature, rng_for
+from mfoc.model import RIDGE_OUTER, ActivationField, FieldQuadrature, rng_for
+from mfoc.optimizer import picard_solve
 from mfoc.trajectories import (
     DivergenceError,
     TangentFlow,
@@ -34,9 +41,18 @@ from mfoc.trajectories import (
     tangent_solve,
 )
 
-from conftest import fold_drift, fold_grad_x, fold_grad_xx, relative_eta, tier_arrays
+from conftest import (
+    fold_drift,
+    fold_grad_x,
+    fold_grad_xx,
+    make_config,
+    prior_path,
+    relative_eta,
+    tier_arrays,
+)
 
-MINI = Path(__file__).resolve().parent.parent / "fixtures" / "mini.json"
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+MINI = FIXTURES / "mini.json"
 
 
 # -- reference: the per-interval loops that re-evaluate tiers per sweep --------
@@ -253,6 +269,97 @@ def reference_cross_term_via_multiplier(config, path, flow, eta_drift, multiplie
     return float(np.mean(state[:, 4]))
 
 
+def reference_stability_probe(config, path, flow, iters, rng):
+    """The probe on grid vectors: Arnoldi over ``linear_map_image`` in
+    L^2(1/nu), each basis vector re-projected onto zero node mass along nu
+    before it is applied."""
+    template = path.measures[0]
+    mids = template.midpoints()
+    seedfn = (
+        np.cos(1.1 * mids[:, 0] - 0.7 * mids[:, 1])
+        + 0.5 * np.sin(0.6 * mids[:, 1] + 0.3)
+        + 0.2 * rng.standard_normal(mids.shape[0])
+    ).reshape(template.values.shape)
+    vol, dt = template.cell_volume, path.grid.dt
+    nus = [nu.values for nu in path.measures]
+    v0 = np.stack([nu * (seedfn - float(np.sum(seedfn * nu)) * vol) for nu in nus])
+    inv_weight = [np.maximum(nu, LOG_FLOOR) for nu in nus[:-1]]
+
+    def dot(a, b):
+        total = 0.0
+        for k, nu in enumerate(inv_weight):
+            total += float(np.sum(a[k] * b[k] / nu)) * vol * dt
+        return total
+
+    stages = stage_pass(config, path, flow)
+    flow = curvature_solve(config, path, flow, stages)
+
+    def apply(v):
+        for k, nu in enumerate(nus):
+            v[k] -= nu * (np.sum(v[k]) / np.sum(nu))
+        eta = PerturbationPath(path.grid, template.halfwidth, template.res, v)
+        return linearization.linear_map_image(config, path, flow, eta, stages=stages).values
+
+    _, H, history, below, breakdown = _arnoldi(apply, v0, dot, iters)
+    ritz = np.real_if_close(np.linalg.eigvals(H), tol=1e6)
+    top = ritz[np.argmax(abs(ritz))]
+    return SecondOrderReport(
+        dominant_eig=float(np.real(top)),
+        ritz_residual=_ritz_residual(H, below, top),
+        details={
+            "ritz": sorted(float(np.real(r)) for r in ritz),
+            "rayleigh_history": history,
+            "breakdown": breakdown,
+        },
+    )
+
+
+def spread(config, path, flow, u):
+    """E(d) on the grid for a vector [alpha, d] of the probe's range map:
+    ``eta_from`` with adjoint 1 and curvature 0 pairs the tangent gamma with
+    grad_x b and dv = beta with b."""
+    nt, n = path.grid.nt, flow.n
+    d = np.zeros((nt, 2 * n))
+    d[:-1] = u[1:].reshape(nt - 1, 2 * n)
+    unit = replace(flow, z=np.ones_like(flow.x), hess=np.zeros((nt, n)))
+    tangent = TangentFlow(dx=d[:, n:, None], flow=unit)
+    multiplier = LinearizedMultiplier(v=None, dv=d[:, :n], config=config, path=path, eta=None)
+    return eta_from(config, path, unit, tangent, multiplier)
+
+
+def assert_probes_agree(new, ref):
+    """Agreement at round-off: the same spectrum size and breakdown, Ritz and
+    Rayleigh values within 1e-12 max|ritz| and the residual within 1e-12.
+    The last Rayleigh quotient of a run that broke down is taken on a
+    direction made of round-off, so it is not compared."""
+    ritz, want = np.array(new.details["ritz"]), np.array(ref.details["ritz"])
+    assert ritz.shape == want.shape
+    assert new.details["breakdown"] == ref.details["breakdown"]
+    bound = 1e-12 * np.abs(want).max()
+    assert np.all(np.abs(ritz - want) <= bound)
+    assert abs(new.dominant_eig - ref.dominant_eig) <= bound
+    assert abs(new.ritz_residual - ref.ritz_residual) <= 1e-12
+    history = np.array(new.details["rayleigh_history"])
+    want_history = np.array(ref.details["rayleigh_history"])
+    kept = len(want_history) - 1 if ref.details["breakdown"] else len(want_history)
+    assert np.all(np.abs(history[:kept] - want_history[:kept]) <= bound)
+
+
+@functools.lru_cache(maxsize=None)
+def solved_case(name):
+    """(config, path, forward flow) of a fixture's solve, or of a small
+    ridge-with-outer-weight problem with logistic sigma, whose support has
+    no mirror and whose rows carry a0."""
+    if name == "ridge-logistic":
+        config = replace(make_config(n=8, nt=9), field=ActivationField(RIDGE_OUTER, "logistic"))
+        result = picard_solve(config, prior_path(config, res=12)[0], tol=1e-10)
+    else:
+        config, tools, _ = load_run_document(str(FIXTURES / f"{name}.json"), [])
+        result, _, _ = _solved_state(config, tools)
+    assert result.converged
+    return config, result.path, result.flow
+
+
 # -- fixtures ------------------------------------------------------------------
 
 
@@ -339,15 +446,54 @@ def test_linear_map_image_matches_reference_loops(mini):
 
 
 def test_stability_probe_matches_reference_loops(mini, monkeypatch):
+    # the probe no longer applies linear_map_image, so it agrees with the
+    # grid-vector probe over the reference loops at round-off, not bitwise
     config, tools, path, flow, _ = mini
+    iters = int(tools["stability"]["iters"])
     new = _probe(config, tools, path, flow)
     monkeypatch.setattr(linearization, "linear_map_image", reference_linear_map_image)
-    ref = _probe(config, tools, path, flow)
-    assert len(new.details["ritz"]) == int(tools["stability"]["iters"])
-    assert new.details["ritz"] == ref.details["ritz"]
-    assert new.details["rayleigh_history"] == ref.details["rayleigh_history"]
-    assert new.dominant_eig == ref.dominant_eig
-    assert new.ritz_residual == ref.ritz_residual
+    ref = reference_stability_probe(
+        config, path, flow, iters, rng_for(config.seed, "stability-probe")
+    )
+    assert len(new.details["ritz"]) == iters
+    assert_probes_agree(new, ref)
+
+
+@pytest.mark.parametrize(
+    "case,iters",
+    [("mini", 8), ("mini", 20), ("mini_zero", 10), ("desk", 10), ("ridge-logistic", 10)],
+)
+def test_stability_probe_agrees_with_the_grid_vector_probe(case, iters, monkeypatch):
+    config, path, flow = solved_case(case)
+    held = {}
+    arnoldi, range_map = linearization._arnoldi, linearization._range_map
+
+    def holding_basis(*args):
+        out = arnoldi(*args)
+        held["basis"] = out[0]
+        return out
+
+    def holding_flow(config, path, flow, *args):
+        held["flow"] = flow
+        return range_map(config, path, flow, *args)
+
+    monkeypatch.setattr(linearization, "_arnoldi", holding_basis)
+    monkeypatch.setattr(linearization, "_range_map", holding_flow)
+    new = stability_probe(
+        config, path, flow, iters=iters, rng=rng_for(config.seed, "stability-probe")
+    )
+    ref = reference_stability_probe(
+        config, path, flow, iters, rng_for(config.seed, "stability-probe")
+    )
+    assert_probes_agree(new, ref)
+    assert new.details["lambda_max"] == max(new.details["ritz"])
+    if case == "mini_zero":
+        assert new.details["breakdown"] and len(new.details["ritz"]) == 8
+    # each direction's image part is zero-mass by construction: formed on
+    # the grid it passes the perturbation's mass check
+    assert len(held["basis"]) == len(new.details["ritz"]) + (not new.details["breakdown"])
+    for u in held["basis"]:
+        assert isinstance(spread(config, path, held["flow"], u), PerturbationPath)
 
 
 def test_quadratic_form_matches_reference_loops(mini, eta_pairs):
@@ -393,12 +539,17 @@ def test_linear_map_image_shares_the_pass(mini, tiers_calls):
 
 
 def test_stability_probe_builds_stage_data_once(mini, tiers_calls):
-    config, tools, path, flow, _ = mini
-    steps = len(_probe(config, tools, path, flow).details["rayleigh_history"])
-    assert steps == int(tools["stability"]["iters"])
-    assert len(tiers_calls) == 17 + 26 * steps
-    assert tiers_calls[:17] == [2] * 17
-    assert set(tiers_calls[17:]) == {1}
+    # one order-2 pass for the control and the seed, and one order-1 pass
+    # for the Gram matrices, whatever the number of Krylov steps
+    config, _, path, flow, _ = mini
+    calls = []
+    for iters in (3, 8):
+        tiers_calls.clear()
+        report = stability_probe(config, path, flow, iters=iters, rng=rng_for(0, "probe"))
+        assert len(report.details["rayleigh_history"]) == iters
+        calls.append(list(tiers_calls))
+    assert calls[0] == calls[1] == [2] * 17 + [1] * 17
+    assert len(calls[0]) <= 3 * (2 * config.grid.nt - 1) == 51
 
 
 def test_stability_probe_transports_the_curvature_itself(mini, tiers_calls):
@@ -427,12 +578,12 @@ def test_stability_command_runs_no_backward_sweep_after_the_solve(
 
     monkeypatch.setattr(optimizer, "backward_solve", counting)
     monkeypatch.setattr(cli, "picard_solve", marking)
-    _, tools, _ = load_run_document(str(MINI), [])
     assert cli.main(["stability", "--config", str(MINI), "--out", str(tmp_path / "o")]) == 0
-    # mini's solve runs on two levels; the probe follows the fine one
+    # mini's solve runs on two levels; the probe follows the fine one, and
+    # its kernel calls do not depend on stability.iters
     _, (sweeps, kernel) = solved
     assert sweeps > 0 and len(backward) == sweeps
-    assert len(tiers_calls) - kernel == 17 + int(tools["stability"]["iters"]) * 26
+    assert len(tiers_calls) - kernel == 2 * 17
 
 
 def test_quadratic_form_makes_one_order_1_pass(mini, tiers_calls):

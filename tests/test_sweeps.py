@@ -3,6 +3,9 @@ kernel against the tier-holding loops they replaced, the fused kernel against
 the weight folds, and the kernel's mirrored route against sums over every
 support cell."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +54,7 @@ from conftest import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = FIXTURES.parent / "src"
 MINI = FIXTURES / "mini.json"
 EPS = np.finfo(float).eps
 # a fold's weights per tier, each as long as the tier's prefix
@@ -551,6 +555,102 @@ def test_fold_contraction_is_the_same_in_every_call(family, res):
         ]
         for contractions in calls:
             assert [c.tobytes() for c in contractions] == [c[0].tobytes() for c in alone]
+
+
+# -- Gram matrices of the field rows -------------------------------------------
+
+
+def kept_rows(quad, X):
+    """``FieldQuadrature.rows`` of the states X over every evaluated cell,
+    from a call that keeps its tiers."""
+    work = Workspace()
+    quad.tiers(X, 1, (), work, keep=2)
+    return quad.rows(work.kept, quad.h)
+
+
+def full_rows(quad, X):
+    """The rows [b; grad_x b] (2n, M) of the states X on all M support cells."""
+    tiers = full_tier_arrays(quad, X, 1)
+    rows = np.concatenate((tiers[0], tiers[1] * quad._a1))
+    return rows if quad._a0 is None else rows * quad._a0
+
+
+@pytest.mark.parametrize("family,res", MIRRORED_GRIDS + SMALL_GRIDS)
+def test_grams_match_full_sums_within_the_cut(family, res):
+    field = ActivationField(family, "tanh")
+    quad = FieldQuadrature(field, grid_support(field, res))
+    rng = np.random.default_rng(res)
+    X, Y = 2.0 * rng.normal(size=(37, 1)), 2.0 * rng.normal(size=(37, 1))
+    # a Gibbs-like density, whose tail the cut drops on the larger grids
+    w = gaussian_tailed(quad, 0.1 * float(quad.support.max()), float(quad.support.max()) / 12.0)
+    folded = quad.gram_weights(w, 0.25)
+    grams = quad.gram((kept_rows(quad, Y), kept_rows(quad, X)), kept_rows(quad, X), folded)
+    assert grams.shape == (2, 74, 74)
+    w = w * 0.25
+    full_x = full_rows(quad, X)
+    # the cut drops weights summing to at most 2^-60 ||w||_1, and the rows
+    # are at most max|a0| (1 + max|a1|) in size
+    cut = 2.0**-60 * np.sum(np.abs(w)) * np.max(np.abs(full_rows(quad, np.vstack((X, Y))))) ** 2
+    for got, left in zip(grams, (Y, X)):
+        full_left = full_rows(quad, left)
+        ref = (full_left * w) @ full_x.T
+        scale = (np.abs(full_left) * np.abs(w)) @ np.abs(full_x).T
+        assert np.all(np.abs(got - ref) <= cut + 16 * EPS * scale)
+        assert np.abs(ref).max() > 0.0
+    if res >= 16:
+        assert folded.shape[0] < quad.h
+
+
+@pytest.mark.parametrize("case", sorted(_unmirrored_cases()))
+def test_grams_without_mirror_sum_every_cell(case):
+    field, support = _unmirrored_cases()[case]
+    quad = FieldQuadrature(field, support)
+    rng = np.random.default_rng(quad.h)
+    X = 2.0 * rng.normal(size=(37, 1))
+    w = rng.random(quad.h)
+    assert quad.gram_weights(w).tobytes() == w.tobytes()
+    got = quad.gram((kept_rows(quad, X),), kept_rows(quad, X), quad.gram_weights(w))[0]
+    full = full_rows(quad, X)
+    assert np.array_equal(kept_rows(quad, X), full)
+    scale = (np.abs(full) * w) @ np.abs(full).T
+    assert np.all(np.abs(got - (full * w) @ full.T) <= 16 * EPS * scale)
+
+
+GRAM_BYTES = """
+import hashlib
+import numpy as np
+from mfoc.model import RIDGE_OUTER, ActivationField, FieldQuadrature, Workspace
+digest = hashlib.sha256()
+rng = np.random.default_rng(5)
+field = ActivationField(RIDGE_OUTER, "logistic")
+for cells in (77, 256, 513, 1244, 1286, 2048):
+    quad = FieldQuadrature(field, rng.normal(size=(cells, 3)))
+    work, rows = Workspace(), []
+    for _ in range(3):
+        quad.tiers(rng.normal(size=(64, 1)), 1, (), work, keep=2)
+        rows.append(quad.rows(work.kept, cells))
+    gram = quad.gram(rows, rows[0], quad.gram_weights(rng.random(cells) + 0.5, 0.25))
+    assert gram.shape == (3, 128, 128)
+    digest.update(gram.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_grams_at_probe_shapes_are_byte_identical_across_blas_thread_counts():
+    # 128-row operands are desk's 2n rows, and 1244 cells its prefix at the
+    # solution; the other sizes reach past the inner dimension at which
+    # OpenBLAS's dgemm rounds by thread count on both sides of a block. A
+    # logistic support has no mirror, so its weights are never cut
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", GRAM_BYTES], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout)
+    assert digests[0] == digests[1] and len(digests[0].strip()) == 64
 
 
 def test_non_finite_weights_are_never_cut():
