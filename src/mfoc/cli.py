@@ -54,8 +54,8 @@ from .model import ConfigError, config_section, config_value, load_problem_confi
 from .optimizer import (
     PositivityError,
     fp_descent_step,
+    gibbs_image,
     langevin_descent_step,
-    lift_gibbs_image,
     picard_solve,
     sample_prior,
     total_cost,
@@ -238,10 +238,10 @@ def _solved_state(config, tools):
 
     On a grid of res 32 or more the solve takes two levels: Picard first runs
     on a res-16 grid over the same box, from its prior and with the same
-    settings, and the fine Picard starts from ``lift_gibbs_image`` of the
-    coarse result, or from the prior when the coarse residual is not finite.
-    The fine solve alone decides convergence and counts the result's
-    iterations.
+    settings, and the fine Picard starts from the ``gibbs_image`` of the
+    coarse result on the fine grid, or from the prior when the coarse
+    residual is not finite. The fine solve alone decides convergence and
+    counts the result's iterations.
     """
     path, prior = _initial_grid_path(config, tools)
     settings = {
@@ -256,7 +256,9 @@ def _solved_state(config, tools):
         coarse = picard_solve(config, coarse_path, **settings)
         coarse_iterations = coarse.iterations
         if math.isfinite(coarse.report.picard_residual):
-            path = lift_gibbs_image(config, coarse.path, coarse.flow, template)
+            path = coarse.path.replace_measures(
+                snap.gamma for snap in gibbs_image(config, coarse.path, coarse.flow, template)[0]
+            )
     return picard_solve(config, path, **settings), prior, coarse_iterations
 
 

@@ -190,16 +190,22 @@ def eta_from(
     # node calls cannot join the stage pass; each keeps both tiers in full
     # for the reduction over particles
     work = Workspace()
+    beta, gamma = _image_coefficients(flow, tangent.dx[:, :, 0], multiplier.dv)
     for k in range(grid.nt):
         quad.tiers(flow.x[k], 1, (), work, keep=2)
-        dxk = tangent.dx[k][:, 0]
-        vec_dx = flow.z[k][:, 0] * dxk  # pairs with grad_x b
-        vec_b = flow.hess[k] * dxk + multiplier.dv[k]  # pairs with b
-        bracket = quad.bracket_pair(work.kept, vec_dx, vec_b)
+        bracket = quad.bracket_pair(work.kept, gamma[k], beta[k])
         nu = path.measures[k].values.ravel()
         c_k = float(np.sum(bracket * nu)) * vol
         out[k] = (-(nu * (bracket - c_k)) / config.epsilon).reshape(shape)
     return PerturbationPath(grid, template.halfwidth, template.res, out)
+
+
+def _image_coefficients(flow: EnsembleFlow, dx: np.ndarray, dv: np.ndarray):
+    """Per-node particle coefficients (beta, gamma) = (h dx + dv, z dx) of an
+    image, from the tangent ``dx`` and the multiplier gradient ``dv``, (nodes,
+    n) each; the map spreads beta against b and gamma against grad_x b."""
+    nodes = dx.shape[0]
+    return flow.hess[:nodes] * dx + dv, flow.z[:nodes, :, 0] * dx
 
 
 def linear_map_image(
@@ -207,15 +213,10 @@ def linear_map_image(
     path: ControlPath,
     flow: EnsembleFlow,
     eta: PerturbationPath,
-    stages: Optional[StagePass] = None,
 ) -> PerturbationPath:
-    """One application of the linearized fixed-point map.
-
-    Tangent and multiplier share one kernel pass. ``stages`` from
-    ``stage_pass(config, path, flow)`` spares repeated applications along one
-    flow the control's part of it.
-    """
-    stages = stage_pass(config, path, flow, (eta,), stages)
+    """One application of the linearized fixed-point map; tangent and
+    multiplier share one kernel pass."""
+    stages = stage_pass(config, path, flow, (eta,))
     tangent = TangentFlow(dx=_tangent_dx(stages, path.grid.dt), flow=flow, eta=eta)
     multiplier = _multiplier(config, path, flow, eta, stages)
     return eta_from(config, path, flow, tangent, multiplier, stages.quad)
@@ -472,7 +473,8 @@ def _range_map(config, path, flow, stages: StagePass, seed: PerturbationPath):
     v0, and ``flow`` carries the curvature. The map L = E M S takes stage
     drifts (S), runs the tangent and multiplier sweeps on them and forms
     per-node particle coefficients d_k = (beta, gamma), beta = h dx + dv and
-    gamma = z dx (M), and spreads them on the grid (E, as ``eta_from``):
+    gamma = z dx (M, ``_image_coefficients``), and spreads them on the grid
+    (E, as ``eta_from``):
 
         E(d)_k = -(nu_k / eps) (B_k d_k - c_k(d)),
         B_k d_k = mean_i [b(x_i(t_k), .) beta_i + grad_x b(x_i(t_k), .) gamma_i],
@@ -505,7 +507,6 @@ def _range_map(config, path, flow, stages: StagePass, seed: PerturbationPath):
     seed_sq = 0.0
     for k, nu in enumerate(nus):
         seed_sq += float(np.sum(seed.node(k) ** 2 / np.maximum(nu, LOG_FLOOR))) * vol * dt
-    z, hess = flow.z[:-1, :, 0], flow.hess[:-1]
 
     def split(u):
         return u[0], u[1:].reshape(grid.nt - 1, 2 * n)
@@ -525,7 +526,7 @@ def _range_map(config, path, flow, stages: StagePass, seed: PerturbationPath):
         dx = _tangent_dx(linear, dt)[:-1, :, 0]
         dv = _multiplier(config, path, flow, None, linear).dv[:-1]
         image = np.zeros_like(u)
-        image[1:] = np.concatenate((hess * dx + dv, z * dx), axis=1).ravel()
+        image[1:] = np.concatenate(_image_coefficients(flow, dx, dv), axis=1).ravel()
         return image
 
     def against_seed(d):

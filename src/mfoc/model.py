@@ -617,9 +617,15 @@ def config_section(doc: dict, name: str, allowed: set) -> dict:
 
 
 def config_value(kind, value, key: str):
-    """``kind(value)``, or a ConfigError naming the dotted key."""
+    """``kind(value)``, or a ConfigError naming the dotted key. A number key
+    takes no boolean, and an integer key no number with a fractional part."""
     try:
-        return kind(value)
+        if kind in (int, float) and isinstance(value, bool):
+            raise TypeError
+        converted = kind(value)
+        if kind is int and isinstance(value, float) and converted != value:
+            raise ValueError
+        return converted
     except (TypeError, ValueError, OverflowError):
         message = f"configuration key {key!r} expects {kind.__name__}, got {value!r}"
         raise ConfigError(message) from None

@@ -34,7 +34,7 @@ from .measures import (
     path_entropy,
     relative_entropy,
 )
-from .model import ConfigError, FieldQuadrature, ProblemConfig, Workspace
+from .model import ConfigError, ProblemConfig
 from .trajectories import EnsembleFlow, backward_solve, forward_solve
 
 
@@ -110,47 +110,30 @@ def _gibbs_from_bracket(config, template, potential_vals, bracket_row):
 
 
 def gibbs_map_with_flow(config: ProblemConfig, path: ControlPath):
-    """Gibbs image of a control path, one snapshot per time node, and the
-    path's flow.
-
-    Runs the forward and backward passes under the path, assembles the
-    coupling potential on the measure grid and normalizes in log space.
-    """
+    """Gibbs image of a control path on its own grid, one snapshot per time
+    node, and the path's flow (``gibbs_image`` of its forward flow)."""
     _require_grid(path, "gibbs map")
-    template = path.measures[0]
-    flow = forward_solve(config, path)
+    return gibbs_image(config, path, forward_solve(config, path), path.measures[0])
+
+
+def gibbs_image(
+    config: ProblemConfig, path: ControlPath, flow: EnsembleFlow, template: GridMeasure
+):
+    """Gibbs image of ``path`` on the grid of ``template``, one snapshot per
+    time node, and the flow with its adjoint and bracket; ``flow`` is the
+    forward flow under ``path``.
+
+    The backward pass samples the coupling potential on the template's
+    cells, which need not be the path's: the Gibbs map sees a path only
+    through its flow, so a path solved on a coarse grid lifts to the start
+    of a fine solve. Each node is normalized in log space.
+    """
     flow = backward_solve(config, path, flow, bracket_grid=template)
     potential_vals = config.potential.value(template.midpoints())
     snapshots = tuple(
-        _gibbs_from_bracket(config, template, potential_vals, flow.bracket[k])
-        for k in range(path.grid.nt)
+        _gibbs_from_bracket(config, template, potential_vals, row) for row in flow.bracket
     )
     return snapshots, flow
-
-
-def lift_gibbs_image(
-    config: ProblemConfig, path: ControlPath, flow: EnsembleFlow, template: GridMeasure
-) -> ControlPath:
-    """Gibbs image of a grid path on the grid of ``template``, whose
-    resolution may differ from the path's; ``flow`` is the forward flow under
-    ``path``.
-
-    The Gibbs map sees a path only through its flow, and the potential
-    Phi_k(a) = mean_i b(x_i(t_k), a) z_i(t_k) can be sampled at any a: the
-    adjoints are transported on the path's grid and each node's potential is
-    sampled on the template's cells, one kernel call per node. A path solved
-    on a coarse grid so lifts to the start of a fine solve.
-    """
-    flow = backward_solve(config, path, flow)
-    quad = FieldQuadrature(config.field, template.midpoints())
-    potential_vals = config.potential.value(template.midpoints())
-    work = Workspace()
-    measures = []
-    for k in range(path.grid.nt):
-        quad.tiers(flow.x[k], 0, (), work, keep=1)
-        bracket_row = quad.bracket(work.kept, flow.z[k])
-        measures.append(_gibbs_from_bracket(config, template, potential_vals, bracket_row).gamma)
-    return path.replace_measures(measures)
 
 
 def cost_report(config, path, flow, prior, **extra) -> CostReport:
@@ -239,8 +222,8 @@ def picard_solve(
     test stay float64.
 
     The grid of ``init_path`` is the grid of the solve. The command-line
-    solve starts from the prior, or on a grid of res 32 or more from
-    ``lift_gibbs_image`` of a res-16 solve (see ``cli._solved_state``).
+    solve starts from the prior, or on a grid of res 32 or more from the
+    ``gibbs_image`` of a res-16 solve on its grid (see ``cli._solved_state``).
 
     The converged cost is the value of the control problem at (t0, gamma_0).
     A non-finite residual stops the iteration at once, unconverged.

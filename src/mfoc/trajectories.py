@@ -83,8 +83,9 @@ class EnsembleFlow:
     constant label block (n, 1). ``z`` holds the backward adjoints when
     populated; ``hess`` the second x-derivative of the value function along
     characteristics, (nt, n), when ``curvature_solve`` filled it;
-    ``bracket`` the per-node grid samples of the mean b . z coupling when a
-    Gibbs grid was supplied to the backward pass.
+    ``bracket`` the per-node samples of the mean b . z coupling on the cells
+    of the grid supplied to the backward pass, which may differ from the
+    path's own.
     """
 
     x: np.ndarray
@@ -184,22 +185,15 @@ def forward_solve(config: ProblemConfig, path: ControlPath) -> EnsembleFlow:
     for k in range(grid.nt - 1):
         quad, fold = nodes[k]
         nodes[k] = None  # the sweep has passed node k: its weights can go
-        xk = _rk4_forward(quad, fold, X[k], grid.dt, work)
+
+        def drift(y):
+            return quad.tiers(y, 0, (fold,), work)[0][0]
+
+        xk = _rk4_between(X[k], grid.dt, drift, drift, drift)
         if not np.all(np.isfinite(xk)):
             raise DivergenceError(f"forward state diverged at node {k + 1}")
         X[k + 1] = xk
     return EnsembleFlow(x=X, y=config.dataset.y.copy())
-
-
-def _rk4_forward(quad, fold, x, dt, work):
-    def drift(y):
-        return quad.tiers(y, 0, (fold,), work)[0][0]
-
-    k1 = drift(x)
-    k2 = drift(x + 0.5 * dt * k1)
-    k3 = drift(x + 0.5 * dt * k2)
-    k4 = drift(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # -- backward / tangent passes ----------------------------------------------------
@@ -228,25 +222,33 @@ def backward_solve(
     """Transport the adjoint Z backward along the stored features.
 
     The terminal condition is assigned exactly from the loss gradient. When
-    ``bracket_grid`` is given, the per-node grid samples of the averaged
-    b . Z coupling are assembled from the same activation evaluations and
-    stored on the returned flow. The sweep is order 1; ``curvature_solve``
-    transports the curvature.
+    ``bracket_grid`` is given, the returned flow also holds the per-node
+    samples of the coupling Phi_k = mean_i b(x_i(t_k), .) z_i(t_k) on its
+    cells: on the path's own grid from the kept tiers of the sweep's node
+    calls, on any other grid from one order-0 kernel call per node on its
+    cells. The sweep is order 1; ``curvature_solve`` transports the
+    curvature.
     """
     grid = path.grid
     if bracket_grid is not None and not path.is_grid:
         raise ConfigError("bracket assembly requires a grid path")
     nodes = _node_quadratures(config.field, path)
     work = Workspace()
-    # the bracket reduces over particles, so node calls keep the order-0 tier
-    keep = 0 if bracket_grid is None else 1
-
     Z = np.empty_like(flow.x)
     z = _terminal_adjoint(config, flow)
     Z[-1] = z
-    bracket = None
+    bracket, sampler, keep = None, None, 0
     if bracket_grid is not None:
         bracket = np.empty((grid.nt, bracket_grid.res**bracket_grid.dprime))
+        # the bracket reduces over particles: on the path's own grid the node
+        # calls keep their order-0 tier for it, elsewhere one call per node does
+        keep = int(bracket_grid.same_geometry(path.measures[0]))
+        sampler = nodes[0][0] if keep else FieldQuadrature(config.field, bracket_grid.midpoints())
+
+    def sample(j):
+        if not keep:
+            sampler.tiers(flow.x[j], 0, (), work, keep=1)
+        bracket[j] = sampler.bracket(work.kept, Z[j])
 
     right = None
     for k in range(grid.nt - 2, -1, -1):
@@ -254,7 +256,7 @@ def backward_solve(
         if right is None:
             right = _first(quad.tiers(flow.x[k + 1], 1, (fold,), work, keep))
             if bracket is not None:
-                bracket[-1] = quad.bracket(work.kept, Z[-1])
+                sample(k + 1)
         # grid paths share one support, so the left node's call also serves
         # interval k - 1, whose right node it is (each node is evaluated once)
         roll = path.is_grid and k > 0
@@ -268,7 +270,7 @@ def backward_solve(
             raise DivergenceError(f"backward state diverged at node {k}")
         Z[k] = z
         if bracket is not None:
-            bracket[k] = quad.bracket(work.kept, z)
+            sample(k)
         right = tuple(c[1] for c in node) if roll else None
         nodes[k] = None  # interval k - 1 needs only node k - 1's fold
     return replace(flow, z=Z, bracket=bracket)
@@ -309,8 +311,8 @@ class StagePass:
     drift: np.ndarray
     bx: np.ndarray
     bxx: Optional[np.ndarray]
-    s_eta: Optional[np.ndarray] = None
-    sx_eta: Optional[np.ndarray] = None
+    s_eta: np.ndarray
+    sx_eta: np.ndarray
 
 
 def stage_pass(
@@ -318,16 +320,13 @@ def stage_pass(
     path: ControlPath,
     flow: EnsembleFlow,
     etas: Sequence[PerturbationPath] = (),
-    stages: Optional[StagePass] = None,
     order: int = 2,
 ) -> StagePass:
     """One kernel evaluation per stage position of the linearized sweeps.
 
-    Without ``stages`` a pass of the given tier order builds the midpoints and
-    contracts the control folds there (grad_xx only at order 2, which only
-    the curvature sweeps need), and the folds of every perturbation in
-    ``etas``. With ``stages`` of the same path and flow, an order-1 pass at
-    the stored positions contracts only the folds of ``etas``.
+    A pass of the given tier order builds the midpoints and contracts the
+    control folds there (grad_xx only at order 2, which only the curvature
+    sweeps need), and the folds of every perturbation in ``etas``.
     """
     grid = path.grid
     if not path.is_grid:
@@ -335,20 +334,16 @@ def stage_pass(
     if any(eta.grid.nt != grid.nt or not eta.matches(path.measures[0]) for eta in etas):
         raise ConfigError("perturbation must live on the control path's grid")
     shape = (grid.nt - 1, 3, flow.n)
-    if stages is None:
-        nodes = _node_quadratures(config.field, path)
-        quad = nodes[0][0]
-        drift, bx = np.empty(shape + (1,)), np.empty(shape)
-        bxx = np.empty(shape) if order == 2 else None
-    else:
-        quad, order, nodes = stages.quad, 1, None
+    nodes = _node_quadratures(config.field, path)
+    quad = nodes[0][0]
+    drift, bx = np.empty(shape + (1,)), np.empty(shape)
+    bxx = np.empty(shape) if order == 2 else None
     s_eta = np.empty((len(etas),) + shape + (1,))
     sx_eta = np.empty((len(etas),) + shape)
 
-    # per interval: the control's fold when building, then one per perturbation
+    # per interval: the control's fold, then one per perturbation
     folds = [
-        ([nodes[k][1]] if nodes is not None else [])
-        + [quad.fold(eta.node(k).ravel(), eta.cell_volume) for eta in etas]
+        [nodes[k][1]] + [quad.fold(eta.node(k).ravel(), eta.cell_volume) for eta in etas]
         for k in range(shape[0])
     ]
     work = Workspace()
@@ -356,22 +351,19 @@ def stage_pass(
     def contract(x, uses):
         c = iter(zip(*quad.tiers(x, order, [f for k, _ in uses for f in folds[k]], work)))
         for k, s in uses:
-            if nodes is not None:
-                fold = next(c)
-                drift[k, s], bx[k, s] = fold[:2]
-                if bxx is not None:
-                    bxx[k, s] = fold[2]
+            fold = next(c)
+            drift[k, s], bx[k, s] = fold[:2]
+            if bxx is not None:
+                bxx[k, s] = fold[2]
             for p in range(len(etas)):
                 s_eta[p, k, s], sx_eta[p, k, s] = next(c)[:2]
 
     for j in range(grid.nt):
         contract(flow.x[j], [(k, s) for k, s in ((j - 1, 2), (j, 0)) if 0 <= k < shape[0]])
-    if stages is None:
-        x_mid = _hermite_midpoint(flow.x[:-1], flow.x[1:], drift[:, 0], drift[:, 2], grid.dt)
-        stages = StagePass(quad, x_mid, drift, bx, bxx)
+    x_mid = _hermite_midpoint(flow.x[:-1], flow.x[1:], drift[:, 0], drift[:, 2], grid.dt)
     for k in range(shape[0]):
-        contract(stages.x_mid[k], [(k, 1)])
-    return replace(stages, s_eta=s_eta, sx_eta=sx_eta) if etas else stages
+        contract(x_mid[k], [(k, 1)])
+    return StagePass(quad, x_mid, drift, bx, bxx, s_eta, sx_eta)
 
 
 def _curvature_sweep(config, flow, stages: StagePass, dt, terminal=(), columns=None):

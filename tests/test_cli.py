@@ -5,13 +5,15 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mfoc import cli, optimizer
-from conftest import prior_path
+from conftest import make_config, prior_path
 from mfoc.cli import (
     RunWriter,
     _initial_grid_path,
@@ -27,8 +29,15 @@ from mfoc.measures import (
     GridMeasure,
     relative_entropy,
 )
-from mfoc.model import TimeGrid
-from mfoc.trajectories import DivergenceError
+from mfoc.model import (
+    RIDGE_OUTER,
+    ActivationField,
+    FieldQuadrature,
+    TimeGrid,
+    Workspace,
+    config_value,
+)
+from mfoc.trajectories import DivergenceError, backward_solve, forward_solve
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = FIXTURES.parent / "src"
@@ -551,6 +560,39 @@ def test_fixtures_with_unit_dimensions_load():
         assert config.dataset.x.shape[1] == config.dataset.y.shape[1] == 1
 
 
+@pytest.mark.parametrize(
+    "command, setting",
+    [
+        ("stability", "stability.iters=2.5"),
+        ("solve", "seed=1.5"),
+        ("solve", "measure.res=true"),
+        ("solve", "grid.nt=9.5"),
+        ("solve", "solve.max_iters=false"),
+        ("solve", "epsilon=true"),
+        ("solve", "solve.tol=true"),
+        ("descent", "descent.step_size=false"),
+    ],
+)
+def test_boolean_or_fractional_number_exits_1(tmp_path, capsys, command, setting):
+    # an integer key takes no fraction and a number key no boolean: neither
+    # is truncated or read as 0 or 1
+    code, out = run(tmp_path, command, "--config", str(FIXTURES / "mini.json"), "--set", setting)
+    err = capsys.readouterr().err
+    key = setting.split("=")[0]
+    assert code == 1
+    assert err.startswith(f"configuration error: configuration key '{key}' expects ")
+    assert "Traceback" not in err and not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, value, expected",
+    [(int, 9.0, 9), (int, -2.0, -2), (int, 7, 7), (int, "12", 12), (float, 2, 2.0)],
+)
+def test_integral_and_plain_numbers_convert(kind, value, expected):
+    converted = config_value(kind, value, "key")
+    assert converted == expected and type(converted) is kind
+
+
 def test_set_on_a_non_object_document_exits_1(tmp_path, capsys):
     bad = tmp_path / "list.json"
     bad.write_text("[1, 2]")
@@ -744,7 +786,7 @@ def test_non_finite_coarse_residual_starts_the_fine_solve_at_the_prior(tmp_path,
         raise AssertionError("a coarse solve with a non-finite residual was lifted")
 
     monkeypatch.setattr(optimizer, "picard_residual", coarse_fails)
-    monkeypatch.setattr(cli, "lift_gibbs_image", no_lift)
+    monkeypatch.setattr(cli, "gibbs_image", no_lift)
     mini = FIXTURES / "mini.json"
     code, out = run(tmp_path, "solve", "--config", str(mini))
     assert code == 0
@@ -776,3 +818,96 @@ def test_two_grid_solution_is_no_farther_from_the_fixed_point(epsilon):
         return max(relative_entropy(nu, ref) for nu, ref in pairs)
 
     assert distance(two_grid.path) <= distance(direct.path)
+
+
+# -- the lift: the Gibbs image of a coarse path on a finer grid -----------------
+
+
+def reference_lift(config, path, flow, template):
+    """The lift as its own routine: an order-1 backward sweep on the path's
+    grid, then one order-0 kernel call per node on the template's cells."""
+    flow = backward_solve(config, path, flow)
+    quad = FieldQuadrature(config.field, template.midpoints())
+    potential_vals = config.potential.value(template.midpoints())
+    work = Workspace()
+    measures = []
+    for k in range(path.grid.nt):
+        quad.tiers(flow.x[k], 0, (), work, keep=1)
+        bracket_row = quad.bracket(work.kept, flow.z[k])
+        snapshot = optimizer._gibbs_from_bracket(config, template, potential_vals, bracket_row)
+        measures.append(snapshot.gamma)
+    return path.replace_measures(measures)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(support cells, order, keep) of every FieldQuadrature.tiers call."""
+    calls = []
+    original = FieldQuadrature.tiers
+
+    def counting(self, X, order, folds, work=None, keep=0):
+        calls.append((self.support.shape[0], order, keep))
+        return original(self, X, order, folds, work, keep)
+
+    monkeypatch.setattr(FieldQuadrature, "tiers", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, coarse_res, fine_res",
+    [("mini", 16, 32), ("desk", 16, 64), ("mini", 16, 33), ("ridge-logistic", 8, 12)],
+)
+def test_gibbs_image_on_another_grid_is_the_lift(name, coarse_res, fine_res):
+    # ridge-logistic: a three-parameter field whose support is not mirrored
+    if name == "ridge-logistic":
+        config = replace(make_config(n=8, nt=9), field=ActivationField(RIDGE_OUTER, "logistic"))
+    else:
+        config, _, _ = load_run_document(str(FIXTURES / f"{name}.json"), [])
+    coarse_path, _ = cli._prior_path(config, 4.0, coarse_res)
+    coarse = optimizer.picard_solve(config, coarse_path, max_iters=3)
+    template = cli._prior_path(config, 4.0, fine_res)[0].measures[0]
+    snapshots, flow = optimizer.gibbs_image(config, coarse.path, coarse.flow, template)
+    lifted = reference_lift(config, coarse.path, coarse.flow, template)
+    assert flow.bracket.shape == (config.grid.nt, fine_res**config.field.dprime)
+    assert len(snapshots) == config.grid.nt
+    for snap, nu in zip(snapshots, lifted.measures):
+        assert snap.gamma.values.shape == (fine_res,) * config.field.dprime
+        assert snap.gamma.values.tobytes() == nu.values.tobytes()
+
+
+def test_separate_template_of_the_path_geometry_takes_the_fused_route(kernel_calls):
+    config, tools, _ = load_run_document(str(FIXTURES / "desk.json"), [])
+    path, _ = _initial_grid_path(config, tools)
+    own = path.measures[0]
+    template = GridMeasure(own.halfwidth, own.res, np.ones_like(own.values))
+    snapshots, _ = optimizer.gibbs_image(config, path, forward_solve(config, path), template)
+    assert len(kernel_calls) == 385
+    assert {cells for cells, _, _ in kernel_calls} == {own.res**2}
+    kernel_calls.clear()
+    fused, _ = optimizer.gibbs_map_with_flow(config, path)
+    assert len(kernel_calls) == 385
+    for snap, ref in zip(snapshots, fused):
+        assert snap.gamma.values.tobytes() == ref.gamma.values.tobytes()
+        assert snap.phi.tobytes() == ref.phi.tobytes()
+
+
+def test_desk_solve_kernel_calls(kernel_calls):
+    # 6 Gibbs maps at res 16 and 1 at res 64, 385 calls each: 256 order-0
+    # forward calls, then a backward sweep of 65 node calls keeping the
+    # order-0 tier and 64 midpoint calls; between the levels the lift's
+    # coarse backward sweep (129 calls that keep nothing) and 65 order-0
+    # node calls on the fine cells
+    config, tools, _ = load_run_document(str(FIXTURES / "desk.json"), [])
+    result, _, coarse_iterations = _solved_state(config, tools)
+    assert (coarse_iterations, result.iterations) == (5, 0)
+    coarse, fine = 16**2, 64**2
+    assert Counter(kernel_calls) == {
+        (coarse, 0, 0): 6 * 256,
+        (coarse, 1, 1): 6 * 65,
+        (coarse, 1, 0): 6 * 64 + 129,
+        (fine, 0, 1): 65,
+        (fine, 0, 0): 256,
+        (fine, 1, 1): 65,
+        (fine, 1, 0): 64,
+    }
+    assert len(kernel_calls) == 7 * 385 + 129 + 65 == 2889

@@ -141,7 +141,7 @@ def reference_solve_v(config, path, flow, eta):
     return LinearizedMultiplier(v=V, dv=DV, config=config, path=path, eta=eta)
 
 
-def reference_linear_map_image(config, path, flow, eta, stages=None):
+def reference_linear_map_image(config, path, flow, eta):
     tangent = reference_tangent_solve(config, path, flow, eta)
     multiplier = reference_solve_v(config, path, flow, eta)
     return eta_from(config, path, flow, tangent, multiplier)
@@ -298,7 +298,7 @@ def reference_stability_probe(config, path, flow, iters, rng):
         for k, nu in enumerate(nus):
             v[k] -= nu * (np.sum(v[k]) / np.sum(nu))
         eta = PerturbationPath(path.grid, template.halfwidth, template.res, v)
-        return linearization.linear_map_image(config, path, flow, eta, stages=stages).values
+        return linearization.linear_map_image(config, path, flow, eta).values
 
     _, H, history, below, breakdown = _arnoldi(apply, v0, dot, iters)
     ritz = np.real_if_close(np.linalg.eigvals(H), tol=1e6)
@@ -440,9 +440,6 @@ def test_linear_map_image_matches_reference_loops(mini):
     config, _, path, flow, eta = mini
     ref = reference_linear_map_image(config, path, flow, eta).values
     assert np.array_equal(linear_map_image(config, path, flow, eta).values, ref)
-    stages = stage_pass(config, path, flow)
-    shared = linear_map_image(config, path, flow, eta, stages=stages).values
-    assert np.array_equal(shared, ref)
 
 
 def test_stability_probe_matches_reference_loops(mini, monkeypatch):
