@@ -267,9 +267,12 @@ def _not_converged(result) -> dict:
     stderr; empty when it converged."""
     if result.converged:
         return {}
-    residual = result.report.picard_residual
+    residual, node = result.report.picard_residual, result.support_node
+    # +inf: a Gibbs image at the floor where the iterate is not (never NaN)
     reason = "max-iters" if math.isfinite(residual) else "non-finite"
-    print(f"not converged: {reason} after {result.iterations} iterations", file=sys.stderr)
+    reason = "support" if residual == math.inf else reason
+    where = "" if node is None else f": node {node}'s Gibbs image is 0 where the iterate is not"
+    print(f"not converged: {reason} after {result.iterations} iterations{where}", file=sys.stderr)
     return {"status": "not-converged", "reason": reason}
 
 

@@ -550,12 +550,12 @@ def _range_map(config, path, flow, stages: StagePass, seed: PerturbationPath):
 def _stage_grams(path, flow, stages: StagePass) -> np.ndarray:
     """G[k, s] = A[k, s] nu_k A[k, 0]^T, (nt - 1, 3, 2n, 2n), for the rows
     A[k, s] = [b; grad_x b] at the states of stage s of interval k: one
-    kernel call per node and per midpoint, each keeping its tiers. The rows
-    are held over the longest prefix of the node weights only."""
-    quad, work = stages.quad, Workspace()
-    vol = path.measures[0].cell_volume
+    kernel call per node and per midpoint, each keeping its tiers over the
+    longest prefix of the node weights only, the cells its rows read."""
+    quad, vol = stages.quad, path.measures[0].cell_volume
     weights = [quad.gram_weights(nu.values.ravel(), vol) for nu in path.measures[:-1]]
     cells = max(w.shape[0] for w in weights)
+    work = Workspace(kept_cells=cells)
 
     def rows(x):
         quad.tiers(x, 1, (), work, keep=2)

@@ -191,25 +191,35 @@ _PREFIX_TOL = 2.0**-60
 
 
 class Workspace:
-    """Scratch buffers of one sweep, reused by every kernel call it makes.
+    """Scratch buffers of one sweep and the plans of its kernel calls.
 
-    A sweep creates one and drops it when it returns, so its buffers live
-    exactly as long as the sweep. Each buffer is flat and handed out as a
-    (rows, cols) view of its head, so calls whose cell counts differ share
-    it without reallocating. ``kept`` holds the tiers, over all states of the
-    call and the h evaluated cells in visiting order, of the latest call that
-    asked to keep them.
+    A sweep creates one and drops it when it returns, so its buffers and
+    plans live exactly as long as the sweep. Each buffer is flat and handed
+    out as a (rows, cols) view of its head, so calls whose cell counts
+    differ share it without reallocating. ``plans`` maps a call's layout
+    (its quadrature, state count, order, keep and the prefix of each
+    fold-tier) to what the layout decides: the operand [x, 1], the row
+    blocks, their buffer views and the output (``FieldQuadrature.tiers``).
+    Every call of the layout reuses it, such as the four RK4 stages of a
+    forward interval. A plan holds no fold, and a buffer that grows drops
+    the plans, whose views are of the buffer it replaces. ``kept`` holds
+    the tiers, over all states of the call and, in visiting order, the first
+    ``kept_cells`` evaluated cells (all h when None, and never fewer than
+    the call's prefix), of the latest call that asked to keep them.
     """
 
-    def __init__(self):
+    def __init__(self, kept_cells: Optional[int] = None):
         self._buffers = {}
         self.kept = None
+        self.kept_cells = kept_cells
+        self.plans = {}
 
     def buffer(self, name, rows: int, cols: int) -> np.ndarray:
         size = rows * cols
         buf = self._buffers.get(name)
         if buf is None or buf.shape[0] < size:
             buf = self._buffers[name] = np.empty(size)
+            self.plans.clear()  # they hold views of the buffer it replaces
         return buf[:size].reshape(rows, cols)
 
 
@@ -221,7 +231,8 @@ class FieldQuadrature:
     sweep passes the weight folds (``fold``) its stage position needs and
     gets back their per-particle contractions: the states go through the
     kernel in row blocks written into the sweep's ``Workspace``, so no
-    (n, m) tier array is allocated per call or held across positions. Only
+    (n, m) tier array is allocated per call or held across positions, and
+    what a call's layout decides is formed once per sweep. Only
     the reductions over particles (``bracket``, ``bracket_pair``) and the
     field rows of Gram matrices (``rows``, ``gram``) need a tier in full; a
     call writes it into the workspace on request. The folds
@@ -247,10 +258,10 @@ class FieldQuadrature:
     weight (see ``WeightFold``): a Gibbs density decays like exp(-ell(a)),
     so on a box sized for the prior's tail the far cells weigh nothing. A
     call evaluates each tier over the longest prefix among its fold-tiers,
-    and a tier it keeps for a particle reduction over all h cells, and
-    contracts each fold-tier over its own prefix, so a fold's contraction
-    is bitwise the same in every call that holds it. Any other support has h = M, support
-    order, no fold and no cut.
+    and a tier it keeps over the workspace's kept cells (all h for a
+    particle reduction), and contracts each fold-tier over its own prefix,
+    so a fold's contraction is bitwise the same in every call that holds
+    it. Any other support has h = M, support order, no fold and no cut.
     """
 
     def __init__(self, field: ActivationField, support: np.ndarray):
@@ -284,47 +295,60 @@ class FieldQuadrature:
         ``order`` is in {0, 1, 2}. Returns a tuple of order + 1 lists holding
         each fold's drift (n, 1), grad_x (n,) and, at order 2, grad_xx (n,),
         evaluated in row blocks through the buffers of ``work``. The first
-        ``keep`` tiers are also written over all n states and the h evaluated
-        cells, in visiting order, and left in ``work.kept``.
+        ``keep`` tiers are also written over all n states and the cells of
+        ``work.kept_cells``, in visiting order, and left in ``work.kept``.
+        The call writes the states into its layout's plan in ``work.plans``,
+        formed by the first call of the layout, and runs the arithmetic: per
+        row block the rank-2 product, the tier ufuncs and one contraction
+        per fold-tier.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         work = work if work is not None else Workspace()
-        x1 = _with_ones(X)
         names = ("_w_drift", "_w_gx", "_w_gxx")[: order + 1]
-        weights = [[getattr(f, name) for name in names] for f in folds]
-        # a kept tier serves a reduction over every cell; the others only
-        # the longest prefix, which is the length of the longest weight vector
-        prefix = max((w.shape[0] for ws in weights for w in ws), default=0)
-        m = self.h if keep else prefix
-        n = x1.shape[0]
+        weights = [getattr(f, name) for f in folds for name in names]
+        key = (self, X.shape[0], order, keep, *map(len, weights))
+        plan = work.plans.get(key)
+        if plan is None:
+            plan = work.plans[key] = self._plan(X.shape[0], order, key[4:], work, keep)
+        x, blocks, out, kept = plan
+        x[...] = X
+        sigma = _SIGMAS[self.field.sigma]
+        for x1, a12, tiers, terms in blocks:
+            _preactivation(x1, a12, tiers[0])
+            sigma(*tiers)
+            for (tier, dst), w in zip(terms, weights):
+                np.einsum("nm,m->n", tier, w, out=dst)
+        if keep:
+            work.kept = kept
+        out = out.copy()
+        return (list(out[:, 0, :, None]),) + tuple(list(out[:, j]) for j in range(1, order + 1))
+
+    def _plan(self, n: int, order: int, prefixes, work: Workspace, keep: int):
+        """What a call's layout decides: the state column of the operand
+        [x, 1] (n, 2), the row blocks, the output (folds, order + 1, n) and
+        the kept tiers. A block holds its rows of the operand, the columns
+        [a1; a2] of its widest tier, its tier buffers and one (tier, output)
+        pair per fold-tier, the tier cut to the fold-tier's prefix."""
+        # a kept tier serves a reduction over its cells; the others only
+        # the longest prefix
+        prefix = max(prefixes, default=0)
+        m = max(prefix, self.h if work.kept_cells is None else work.kept_cells) if keep else prefix
         # blocks of two rows at least: a one-row block runs its product
         # doubled and einsum sums its contractions in another order, so a
         # lone last row joins the block before it
         rows = max(2, _BLOCK_CELLS // max(m, 1))
-        starts = list(range(0, n, rows))
-        if len(starts) > 1 and starts[-1] == n - 1:
-            starts.pop()
         full = [work.buffer(("full", j), n, m) for j in range(keep)]
         block = [
             work.buffer(("block", j), min(rows + 1, n), prefix) for j in range(keep, order + 1)
         ]
-        out = np.empty((order + 1, len(folds), n))
-        for r0, r1 in zip(starts, starts[1:] + [n]):
+        x1, out, blocks, r0 = np.empty((n, 2)), np.empty((len(prefixes), n)), [], 0
+        x1[:, 1] = 1.0
+        for r1 in [*range(rows, n - 1, rows), n]:
             tiers = [t[r0:r1] for t in full] + [t[: r1 - r0] for t in block]
-            self._fill(x1[r0:r1], tiers)
-            for f, ws in enumerate(weights):
-                for j, w in enumerate(ws):
-                    np.einsum("nm,m->n", tiers[j][:, : w.shape[0]], w, out=out[j, f, r0:r1])
-        if keep:
-            work.kept = tuple(full)
-        return ([c[:, None] for c in out[0]],) + tuple(list(c) for c in out[1:])
-
-    def _fill(self, x1, tiers):
-        """Tiers of the states [x, 1] (n, 2) into the given buffers, each
-        over as many of the first evaluated cells, in visiting order, as it
-        has columns; the first buffer is the widest."""
-        _preactivation(x1, self._a12v[:, : tiers[0].shape[1]], tiers[0])
-        _SIGMAS[self.field.sigma](*tiers)
+            terms = [(tiers[i % (order + 1)][:, :p], out[i, r0:r1]) for i, p in enumerate(prefixes)]
+            blocks.append((x1[r0:r1], self._a12v[:, :m], tiers, terms))
+            r0 = r1
+        return x1[:, :1], blocks, out.reshape(-1, order + 1, n), tuple(full)
 
     def _fold(self, w, odd: bool) -> np.ndarray:
         """Weights (M,) of one tier folded onto the h evaluated cells, in
@@ -338,11 +362,12 @@ class FieldQuadrature:
         head = w[:r] - mirror if odd else w[:r] + mirror
         w = np.concatenate((head, w[r : self.h]))[self._visit]
         size = np.abs(w)
-        tol = float(np.sum(size)) * (_PREFIX_TOL / self.h)
+        tol = float(size.sum()) * (_PREFIX_TOL / self.h)
         if not math.isfinite(tol):
             return w  # non-finite weights reach every contraction
-        heavy = np.flatnonzero(size > tol)
-        return w[: heavy[-1] + 1 if heavy.size else 0]
+        heavy = (size > tol).nonzero()[0]
+        # a copy: a map holds its folds from the forward sweep to the backward
+        return w[: heavy[-1] + 1 if heavy.size else 0].copy()
 
     def _unfold(self, v, odd: bool) -> np.ndarray:
         """Samples (M,) of a particle reduction from its (h,) samples in

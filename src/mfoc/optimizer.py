@@ -35,7 +35,7 @@ from .measures import (
     relative_entropy,
 )
 from .model import ConfigError, ProblemConfig
-from .trajectories import EnsembleFlow, backward_solve, forward_solve
+from .trajectories import EnsembleFlow, _node_quadratures, backward_solve, forward_solve
 
 
 class PositivityError(RuntimeError):
@@ -66,7 +66,8 @@ class PicardResult:
     """``flow`` is the forward flow under ``path`` from the last Gibbs map,
     so callers need not solve it again. Its adjoint and bracket are dropped:
     held past the solve, they pin freed memory and raise the peak RSS of a
-    run."""
+    run. At a residual of +inf, ``support_node`` is the first node whose
+    Gibbs image is at ``LOG_FLOOR`` on a cell where the iterate is not."""
 
     path: ControlPath
     report: CostReport
@@ -74,6 +75,7 @@ class PicardResult:
     converged: bool
     residual_history: tuple
     flow: EnsembleFlow
+    support_node: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -111,13 +113,16 @@ def _gibbs_from_bracket(config, template, potential_vals, bracket_row):
 
 def gibbs_map_with_flow(config: ProblemConfig, path: ControlPath):
     """Gibbs image of a control path on its own grid, one snapshot per time
-    node, and the path's flow (``gibbs_image`` of its forward flow)."""
+    node, and the path's flow (``gibbs_image`` of its forward flow). The two
+    sweeps share the path's quadrature and folds, which the map drops."""
     _require_grid(path, "gibbs map")
-    return gibbs_image(config, path, forward_solve(config, path), path.measures[0])
+    nodes = _node_quadratures(config.field, path)
+    flow = forward_solve(config, path, nodes)
+    return gibbs_image(config, path, flow, path.measures[0], nodes)
 
 
 def gibbs_image(
-    config: ProblemConfig, path: ControlPath, flow: EnsembleFlow, template: GridMeasure
+    config: ProblemConfig, path: ControlPath, flow: EnsembleFlow, template: GridMeasure, nodes=None
 ):
     """Gibbs image of ``path`` on the grid of ``template``, one snapshot per
     time node, and the flow with its adjoint and bracket; ``flow`` is the
@@ -126,9 +131,10 @@ def gibbs_image(
     The backward pass samples the coupling potential on the template's
     cells, which need not be the path's: the Gibbs map sees a path only
     through its flow, so a path solved on a coarse grid lifts to the start
-    of a fine solve. Each node is normalized in log space.
+    of a fine solve. Each node is normalized in log space. ``nodes`` are as
+    in ``backward_solve``.
     """
-    flow = backward_solve(config, path, flow, bracket_grid=template)
+    flow = backward_solve(config, path, flow, bracket_grid=template, nodes=nodes)
     potential_vals = config.potential.value(template.midpoints())
     snapshots = tuple(
         _gibbs_from_bracket(config, template, potential_vals, row) for row in flow.bracket
@@ -289,6 +295,8 @@ def picard_solve(
         path = path.replace_measures(new_measures)
         iterations += 1
         snapshots, flow = gibbs_map_with_flow(config, path)
+    entropies = (relative_entropy(m, snap.gamma) for m, snap in zip(path.measures, snapshots))
+    support = (k for k, e in enumerate(entropies) if e == math.inf)
     return PicardResult(
         path=path,
         report=cost_report(
@@ -303,6 +311,7 @@ def picard_solve(
         converged=converged,
         residual_history=tuple(history),
         flow=replace(flow, z=None, bracket=None),
+        support_node=next(support, None) if history[-1] == math.inf else None,
     )
 
 
@@ -428,8 +437,8 @@ def langevin_descent_step(
     """
     if path.is_grid:
         raise ConfigError("langevin descent requires the particle backend")
-    flow = forward_solve(config, path)
-    flow = backward_solve(config, path, flow)
+    nodes = _node_quadratures(config.field, path)
+    flow = backward_solve(config, path, forward_solve(config, path, nodes), nodes=nodes)
     eps = config.epsilon
     new_measures = []
     resampled = 0

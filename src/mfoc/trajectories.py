@@ -22,9 +22,14 @@ Kernel work (shared by the forward, backward and stage passes): each stage
 position costs one ``FieldQuadrature.tiers`` call, which contracts the tiers
 against every weight fold that position needs and hands back per-particle
 vectors; the RK4 right-hand sides only see those. A sweep owns one
-``Workspace`` for the row blocks of all its calls, and only the particle
-reductions onto the measure grid (the node bracket) and the stability
-probe's Gram matrices ask for a tier in full.
+``Workspace`` for the buffers and plans of all its calls: a call whose
+layout (order, keep and fold-tier prefixes) an earlier call formed only
+writes its states and runs the arithmetic, as the four RK4 stages of a
+forward interval do. The forward and backward sweeps of a Gibbs map or a
+Langevin step share the path's folds, so each tier's weights are folded
+once per map. Only the particle reductions onto the measure grid (the node
+bracket) and the stability probe's Gram matrices, over the cells its rows
+read, ask for a tier in full.
 Each particle's contraction is a fixed-order numpy sum over support points
 (on a mirrored support, over the prefix of the folded half, in order of |a|,
 that carries the fold's weight, which the support and the weights alone
@@ -174,23 +179,24 @@ def meanfield_drift(field: ActivationField, x, m) -> np.ndarray:
 # -- forward pass ---------------------------------------------------------------
 
 
-def forward_solve(config: ProblemConfig, path: ControlPath) -> EnsembleFlow:
+def forward_solve(config: ProblemConfig, path: ControlPath, nodes=None) -> EnsembleFlow:
     """Push the dataset features through the mean-field ODE, one RK4 step per
-    interval of the path's grid with the control frozen at its left node."""
+    interval of the path's grid with the control frozen at its left node.
+    ``nodes`` are the path's ``_node_quadratures`` when a backward sweep of
+    the same path shares them, so that each fold forms its weights once."""
     grid = path.grid
     X = np.empty((grid.nt, config.dataset.n, 1))
     X[0] = config.dataset.x
-    nodes = _node_quadratures(config.field, path)
+    nodes = _node_quadratures(config.field, path) if nodes is None else nodes
     work = Workspace()
     for k in range(grid.nt - 1):
         quad, fold = nodes[k]
-        nodes[k] = None  # the sweep has passed node k: its weights can go
 
         def drift(y):
             return quad.tiers(y, 0, (fold,), work)[0][0]
 
         xk = _rk4_between(X[k], grid.dt, drift, drift, drift)
-        if not np.all(np.isfinite(xk)):
+        if not np.isfinite(xk).all():
             raise DivergenceError(f"forward state diverged at node {k + 1}")
         X[k + 1] = xk
     return EnsembleFlow(x=X, y=config.dataset.y.copy())
@@ -218,6 +224,7 @@ def backward_solve(
     path: ControlPath,
     flow: EnsembleFlow,
     bracket_grid: Optional[GridMeasure] = None,
+    nodes=None,
 ) -> EnsembleFlow:
     """Transport the adjoint Z backward along the stored features.
 
@@ -227,12 +234,13 @@ def backward_solve(
     cells: on the path's own grid from the kept tiers of the sweep's node
     calls, on any other grid from one order-0 kernel call per node on its
     cells. The sweep is order 1; ``curvature_solve`` transports the
-    curvature.
+    curvature. ``nodes`` are the forward sweep's ``_node_quadratures`` when
+    it shares them; the sweep drops each node once it has passed it.
     """
     grid = path.grid
     if bracket_grid is not None and not path.is_grid:
         raise ConfigError("bracket assembly requires a grid path")
-    nodes = _node_quadratures(config.field, path)
+    nodes = _node_quadratures(config.field, path) if nodes is None else nodes
     work = Workspace()
     Z = np.empty_like(flow.x)
     z = _terminal_adjoint(config, flow)
@@ -266,7 +274,7 @@ def backward_solve(
         x_mid = _hermite_midpoint(flow.x[k], flow.x[k + 1], left[0], right[0], grid.dt)
         mid = _first(quad.tiers(x_mid, 1, (fold,), work))
         z = _rk4_between(z, -grid.dt, _adjoint_rhs(right), _adjoint_rhs(mid), _adjoint_rhs(left))
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise DivergenceError(f"backward state diverged at node {k}")
         Z[k] = z
         if bracket is not None:

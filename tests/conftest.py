@@ -6,9 +6,12 @@ from mfoc.model import (
     ActivationField,
     ConfinementPotential,
     Dataset,
+    FieldQuadrature,
     ProblemConfig,
     TerminalLoss,
     TimeGrid,
+    _SIGMAS,
+    _preactivation,
     _with_ones,
 )
 
@@ -92,6 +95,34 @@ def desk_solution(desk_config):
     return desk_config, prior, result
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(support cells, order, keep) of every FieldQuadrature.tiers call."""
+    calls = []
+    original = FieldQuadrature.tiers
+
+    def counting(self, X, order, folds, work=None, keep=0):
+        calls.append((self.support.shape[0], order, keep))
+        return original(self, X, order, folds, work, keep)
+
+    monkeypatch.setattr(FieldQuadrature, "tiers", counting)
+    return calls
+
+
+@pytest.fixture
+def fold_calls(monkeypatch):
+    """(support cells, parity) of every weight fold a FieldQuadrature forms."""
+    calls = []
+    original = FieldQuadrature._fold
+
+    def counting(self, w, odd):
+        calls.append((self.support.shape[0], odd))
+        return original(self, w, odd)
+
+    monkeypatch.setattr(FieldQuadrature, "_fold", counting)
+    return calls
+
+
 def relative_eta(base, grid, fn, profile=None):
     """Zero-mass perturbation proportional to a base grid density."""
     from mfoc.measures import PerturbationPath
@@ -120,7 +151,8 @@ def tier_arrays(quad, X, order):
     """Activation tiers at the states X (n, 1): order + 1 (n, h) arrays."""
     X = np.atleast_2d(X)
     tiers = tuple(np.empty((X.shape[0], quad.h)) for _ in range(order + 1))
-    quad._fill(_with_ones(X), tiers)
+    _preactivation(_with_ones(X), quad._a12v, tiers[0])
+    _SIGMAS[quad.field.sigma](*tiers)
     return tiers
 
 
@@ -155,8 +187,6 @@ def full_contraction(fold, tiers, j):
 
 def sigma_triplet(name, z):
     """sigma, sigma' and sigma'' of z as fresh arrays."""
-    from mfoc.model import _SIGMAS
-
     out = (np.array(z, dtype=float), np.empty(np.shape(z)), np.empty(np.shape(z)))
     _SIGMAS[name](*out)
     return out

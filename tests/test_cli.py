@@ -660,27 +660,48 @@ def test_fp_step_past_substep_cap_exits_2_with_reason(tmp_path, capsys):
     assert "fokker-planck step 10 " in reason and "the cap is 1024" in reason
 
 
+def support_config(tmp_path):
+    """mini's points and their negatives, labels negated, over a horizon of
+    10 with nt 17, res 16, epsilon 0.05 and damping 0.1: the third Picard
+    iterate's Gibbs image at node 0 falls to the floor on cells where the
+    iterate is above it, so the residual is +inf."""
+    doc = json.loads((FIXTURES / "mini.json").read_text())
+    points = doc["dataset"]["points"]
+    doc["dataset"]["points"] = [[x, -y] for x, y in points] + [[-x, y] for x, y in points]
+    doc["grid"].update(T=10.0, nt=17)
+    doc["measure"]["res"] = 16
+    doc["epsilon"] = 0.05
+    doc["solve"]["damping"] = 0.1
+    path = tmp_path / "support.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 @pytest.mark.parametrize("command", ["solve", "stability", "pl-scan"])
-@pytest.mark.parametrize("reason", ["max-iters", "non-finite"])
+@pytest.mark.parametrize("reason", ["max-iters", "non-finite", "support"])
 def test_unconverged_solve_exits_2_with_reason(
     tmp_path, capsys, monkeypatch, command, reason
 ):
+    args = ["--config", str(FIXTURES / "mini.json"), "--set", "solve.max_iters=1"]
     if reason == "non-finite":
         monkeypatch.setattr(optimizer, "picard_residual", lambda path, snaps: math.nan)
-    config = str(FIXTURES / "mini.json")
-    code, out = run(tmp_path, command, "--config", config, "--set", "solve.max_iters=1")
+    if reason == "support":
+        args = ["--config", str(support_config(tmp_path))]
+    code, out = run(tmp_path, command, *args)
     err = capsys.readouterr().err
     assert code == 2
-    # a non-finite residual stops the solve before its first iteration
-    iterations = 1 if reason == "max-iters" else 0
-    assert err == f"not converged: {reason} after {iterations} iterations\n"
+    # a NaN residual stops the solve before its first iteration, and the
+    # support config's +inf after its third; the latter names its node
+    iterations = {"max-iters": 1, "non-finite": 0, "support": 3}[reason]
+    where = ": node 0's Gibbs image is 0 where the iterate is not" if reason == "support" else ""
+    assert err == f"not converged: {reason} after {iterations} iterations{where}\n"
     text = (out / "summary.json").read_text()
-    assert "NaN" not in text
+    assert "NaN" not in text and "Infinity" not in text
     summary = json.loads(text)
     assert summary["status"] == "not-converged" and summary["reason"] == reason
     if command == "solve":
         assert summary["converged"] is False
-        assert (summary["residual"] is None) == (reason == "non-finite")
+        assert (summary["residual"] is None) == (reason != "max-iters")
 
 
 @pytest.mark.parametrize(
@@ -839,20 +860,6 @@ def reference_lift(config, path, flow, template):
     return path.replace_measures(measures)
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """(support cells, order, keep) of every FieldQuadrature.tiers call."""
-    calls = []
-    original = FieldQuadrature.tiers
-
-    def counting(self, X, order, folds, work=None, keep=0):
-        calls.append((self.support.shape[0], order, keep))
-        return original(self, X, order, folds, work, keep)
-
-    monkeypatch.setattr(FieldQuadrature, "tiers", counting)
-    return calls
-
-
 @pytest.mark.parametrize(
     "name, coarse_res, fine_res",
     [("mini", 16, 32), ("desk", 16, 64), ("mini", 16, 33), ("ridge-logistic", 8, 12)],
@@ -911,3 +918,41 @@ def test_desk_solve_kernel_calls(kernel_calls):
         (fine, 1, 0): 64,
     }
     assert len(kernel_calls) == 7 * 385 + 129 + 65 == 2889
+
+
+def test_desk_gibbs_maps_fold_each_weight_once(fold_calls):
+    # the forward sweep folds each interval's drift weights and the backward
+    # sweep, which shares its folds, only their grad_x: 128 folds per map at
+    # res 16 and at res 64 (192 when each sweep formed its own). The lift's
+    # coarse sweep folds both tiers of its nodes; the fine cells, which it
+    # only samples, take no fold
+    config, tools, _ = load_run_document(str(FIXTURES / "desk.json"), [])
+    fine, _ = _initial_grid_path(config, tools)
+    coarse, _ = cli._prior_path(config, fine.measures[0].halfwidth, 16)
+    for path in (coarse, fine):
+        fold_calls.clear()
+        optimizer.gibbs_map_with_flow(config, path)
+        cells = path.measures[0].values.size
+        assert Counter(fold_calls) == {(cells, True): 64, (cells, False): 64}
+    flow = forward_solve(config, coarse)
+    fold_calls.clear()
+    optimizer.gibbs_image(config, coarse, flow, fine.measures[0])
+    assert Counter(fold_calls) == {(16**2, True): 64, (16**2, False): 64}
+
+
+def test_desk_gram_pass_keeps_only_the_cells_its_rows_read(tmp_path, monkeypatch):
+    # the rows of the desk solution's Gram pass read the longest prefix of
+    # its Gram weights, 1244 of the 2048 evaluated cells, and the 129 calls
+    # that keep their tiers for them keep no more
+    widths = []
+    original = FieldQuadrature.rows
+
+    def recording(self, kept, cells):
+        widths.append((cells, *(tier.shape[1] for tier in kept)))
+        return original(self, kept, cells)
+
+    monkeypatch.setattr(FieldQuadrature, "rows", recording)
+    args = ["stability", "--config", str(FIXTURES / "desk.json"), "--set", "stability.iters=1"]
+    code, _ = run(tmp_path, *args)
+    assert code == 0
+    assert Counter(widths) == {(1244, 1244, 1244): 129}

@@ -4,12 +4,19 @@ must exist, or ``perfbench/run.py --trace 1`` breaks."""
 
 import importlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from mfoc.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _spans():
@@ -37,3 +44,17 @@ def test_child_marks_resolve():
     assert sorted(wrapped) == ["_initial_grid_path", "sample_prior"]
     for attr in wrapped:
         assert callable(getattr(cli, attr, None)), attr
+
+
+def test_traced_kernel_calls_are_the_calls_of_the_command(tmp_path, kernel_calls):
+    # the tracer counts model.tiers through spans._count_tiers, which reads
+    # the kernel's arguments; a drift of the kernel's API would lose calls
+    report = tmp_path / "report.json"
+    args = ["solve", "--config", str(ROOT / "fixtures" / "mini.json")]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    child = [sys.executable, str(PERFBENCH / "child.py"), "trace", str(report), "--"]
+    traced_out = str(tmp_path / "traced")
+    subprocess.run([*child, *args, "--out", traced_out], env=env, check=True, timeout=300)
+    spans = json.loads(report.read_text())["trace"]["spans"]
+    assert main([*args, "--out", str(tmp_path / "direct")]) == 0
+    assert spans["model.tiers"]["calls"] == len(kernel_calls) > 0

@@ -557,6 +557,65 @@ def test_fold_contraction_is_the_same_in_every_call(family, res):
             assert [c.tobytes() for c in contractions] == [c[0].tobytes() for c in alone]
 
 
+def _plan_supports():
+    """A mirrored grid (2048 evaluated cells, blocks of 32 rows when a tier is
+    kept), a particle support (2000 cells, unmirrored) and an unmirrored
+    ridge-logistic grid (4096 cells, blocks of 16 rows when kept)."""
+    tanh, logistic = ActivationField(COMPONENTWISE, "tanh"), ActivationField(RIDGE_OUTER, "logistic")
+    particles = sample_prior(ConfinementPotential(), 2, 2000, np.random.default_rng(5))
+    return {
+        "mirrored-64": FieldQuadrature(tanh, grid_support(tanh, 64)),
+        "particles-2000": FieldQuadrature(tanh, particles),
+        "ridge-logistic-16": FieldQuadrature(logistic, grid_support(logistic, 16)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_plan_supports()))
+def test_planned_calls_match_reference_contractions(case):
+    # one workspace serves every call, so plans are formed, reused across fold
+    # sets of the same prefixes and dropped as its buffers grow; n = 1 is a
+    # one-row block and n = 33 ends on a lone row that joins the block before
+    quad = _plan_supports()[case]
+    folds = tail_folds(quad)
+    rng = np.random.default_rng(7)
+    work = Workspace()
+    for _ in range(2):
+        for n in (1, 2, 33, 37):
+            X = 2.0 * rng.normal(size=(n, 1))
+            for order in (0, 1, 2):
+                tiers = tier_arrays(quad, X, order)
+                for keep in range(min(order + 1, 2) + 1):
+                    for fs in (folds, folds[::-1], folds[:1], []):
+                        got = quad.tiers(X, order, fs, work, keep)
+                        refs = (fold_drift, fold_grad_x, fold_grad_xx)[: order + 1]
+                        assert len(got) == order + 1
+                        for contractions, ref in zip(got, refs):
+                            assert [c.tobytes() for c in contractions] == [
+                                ref(f, tiers).tobytes() for f in fs
+                            ]
+                        if keep:
+                            assert [t.tobytes() for t in work.kept] == [
+                                t.tobytes() for t in tiers[:keep]
+                            ]
+
+
+@pytest.mark.parametrize("case", sorted(_plan_supports()))
+def test_kept_tiers_span_the_cells_of_the_workspace(case):
+    # a kept tier spans the workspace's kept cells, or the call's prefix
+    # when that is longer
+    quad = _plan_supports()[case]
+    folds = tail_folds(quad)
+    X = 2.0 * np.random.default_rng(9).normal(size=(33, 1))
+    tiers = tier_arrays(quad, X, 1)
+    for cells in (1, quad.h // 3, quad.h):
+        work = Workspace(kept_cells=cells)
+        for fs in ([], folds):
+            quad.tiers(X, 1, fs, work, keep=2)
+            width = max([cells] + [getattr(f, name).shape[0] for f in fs for name in TIER_WEIGHTS[:2]])
+            assert [t.shape for t in work.kept] == [(33, width)] * 2
+            assert [t.tobytes() for t in work.kept] == [t[:, :width].tobytes() for t in tiers]
+
+
 # -- Gram matrices of the field rows -------------------------------------------
 
 
