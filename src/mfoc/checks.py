@@ -146,14 +146,7 @@ def check_fisher_properties(config) -> CheckResult:
     mids = nu.midpoints()
     for _ in range(20):
         beta = rng.uniform(-0.5, 0.5, nu.dprime)
-        tilted = GridMeasure.from_log_values(
-            nu.halfwidth,
-            nu.res,
-            (np.log(np.maximum(nu.values, 1e-300)).ravel() + mids @ beta).reshape(
-                nu.values.shape
-            ),
-        )
-        worst = min(worst, fisher_divergence(tilted, nu))
+        worst = min(worst, fisher_divergence(nu.tilted(mids @ beta), nu))
     ok = self_div == 0.0 and worst >= 0.0
     return CheckResult(
         "fisher-divergence-properties",
@@ -307,15 +300,7 @@ def check_duality_residual(config) -> CheckResult:
     for nt in (9, 17):
         fixture = _fixture(config, nt=nt)
         prior = _prior(config)
-        mids = prior.measure.midpoints()
-        tilted = GridMeasure.from_log_values(
-            prior.measure.halfwidth,
-            prior.measure.res,
-            (
-                np.log(np.maximum(prior.measure.values, 1e-300)).ravel()
-                - 0.8 * mids[:, 0]
-            ).reshape(prior.measure.values.shape),
-        )
+        tilted = prior.measure.tilted(-0.8 * prior.measure.midpoints()[:, 0])
         path = ControlPath.constant(fixture.grid, tilted)
         residuals.append(duality_residual(fixture, path, probe))
     ratio = residuals[0] / residuals[1]
@@ -329,15 +314,7 @@ def check_duality_residual(config) -> CheckResult:
 def check_fv_mass_conservation(config) -> CheckResult:
     fixture = _fixture(config)
     prior = _prior(config)
-    mids = prior.measure.midpoints()
-    tilted = GridMeasure.from_log_values(
-        prior.measure.halfwidth,
-        prior.measure.res,
-        (
-            np.log(np.maximum(prior.measure.values, 1e-300)).ravel()
-            + 0.3 * np.cos(mids[:, 0])
-        ).reshape(prior.measure.values.shape),
-    )
+    tilted = prior.measure.tilted(0.3 * np.cos(prior.measure.midpoints()[:, 0]))
     path = ControlPath.constant(fixture.grid, tilted)
     step = fp_descent_step(fixture, path, 1e-3, prior=prior)
     worst = max(abs(nu.mass() - 1.0) for nu in step.path.measures)

@@ -12,6 +12,12 @@ header row and LF line endings, so reruns with identical configuration are
 byte-identical. Wall-clock time lives in the manifest only, which is the one
 deliberately non-reproducible artifact.
 
+Every tool setting is declared once, in ``_SETTINGS``, with its default
+(which fixes its type) and its admissible range; ``_tool`` reads one where
+its command needs it. Every table a command writes row by row goes through
+``RunWriter.write_csv``, which formats an integer cell with ``str``, None
+as an empty field and any other number as ``csvtext.fmt``.
+
 A run file is written as it is formatted: ``RunWriter.write_text`` takes a
 string or an iterable of text or bytes chunks and writes and hashes each
 chunk as it arrives, and path files (``nu_star.csv``, ``final_state.csv``)
@@ -36,7 +42,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import __version__, csvtext, faults
+from . import __version__, csvtext
 from .checks import run_battery
 from .linearization import pl_scan, stability_probe
 from .measures import (
@@ -44,7 +50,6 @@ from .measures import (
     AdmissibilityError,
     ControlPath,
     DegenerateMeasureError,
-    GridMeasure,
     ParticleMeasure,
     PriorMeasure,
     measure_to_csv,
@@ -70,34 +75,30 @@ EXIT_INVARIANT = 3
 # resolution of the coarse level of a solve on a grid of at least twice it
 COARSE_RES = 16
 
-_MEASURE_KEYS = {"res", "box_halfwidth"}
-_SOLVE_KEYS = {"damping", "tol", "max_iters"}
-_DESCENT_KEYS = {"backend", "steps", "step_size", "particles", "init_tilt"}
-_STABILITY_KEYS = {"iters", "margin"}
-_PL_KEYS = {"radius", "samples"}
-_TOOL_SECTIONS = {
-    "measure": _MEASURE_KEYS,
-    "solve": _SOLVE_KEYS,
-    "descent": _DESCENT_KEYS,
-    "stability": _STABILITY_KEYS,
-    "pl_scan": _PL_KEYS,
+# every tool setting: its default, whose type the setting takes, and its
+# admissible range as a test and the rule it states; the descent command
+# checks the backend itself
+_SETTINGS = {
+    "measure.res": (64, lambda v: v >= MIN_RES, f">= {MIN_RES}"),
+    "measure.box_halfwidth": (4.0, lambda v: math.isfinite(v) and v > 0.0, "finite and > 0"),
+    "solve.damping": (0.5, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "solve.tol": (1e-8, lambda v: v > 0.0, "> 0"),
+    "solve.max_iters": (500, lambda v: v >= 0, ">= 0"),
+    "descent.backend": ("grid", None, None),
+    "descent.steps": (100, lambda v: v >= 0, ">= 0"),
+    "descent.step_size": (1e-3, lambda v: math.isfinite(v) and v > 0.0, "finite and > 0"),
+    "descent.particles": (2000, lambda v: v >= 1, ">= 1"),
+    "descent.init_tilt": (0.3, math.isfinite, "finite"),
+    "stability.iters": (10, lambda v: v >= 1, ">= 1"),
+    "stability.margin": (0.1, lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"),
+    "pl_scan.radius": (0.1, lambda v: v >= 0.0, ">= 0"),  # 0 is the degenerate scan
+    "pl_scan.samples": (200, lambda v: v >= 1, ">= 1"),
 }
-# admissible range of a tool setting: the test and the rule it states
-_RANGES = {
-    "measure.res": (lambda v: v >= MIN_RES, f">= {MIN_RES}"),
-    "measure.box_halfwidth": (lambda v: math.isfinite(v) and v > 0.0, "finite and > 0"),
-    "solve.damping": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "solve.tol": (lambda v: v > 0.0, "> 0"),
-    "solve.max_iters": (lambda v: v >= 0, ">= 0"),
-    "descent.steps": (lambda v: v >= 0, ">= 0"),
-    "descent.step_size": (lambda v: math.isfinite(v) and v > 0.0, "finite and > 0"),
-    "descent.init_tilt": (math.isfinite, "finite"),
-    "descent.particles": (lambda v: v >= 1, ">= 1"),
-    "stability.iters": (lambda v: v >= 1, ">= 1"),
-    "stability.margin": (lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"),
-    "pl_scan.samples": (lambda v: v >= 1, ">= 1"),
-    "pl_scan.radius": (lambda v: v >= 0.0, ">= 0"),  # 0 is the degenerate scan
-}
+# the keys of each tool section, the sections in the order of the table
+_TOOL_SECTIONS: dict[str, set] = {}
+for _dotted in _SETTINGS:
+    _section, _key = _dotted.split(".")
+    _TOOL_SECTIONS.setdefault(_section, set()).add(_key)
 
 
 def _split_document(doc: dict):
@@ -172,6 +173,11 @@ class RunWriter:
             raise OutputError(exc) from exc
         self.files.append({"name": name, "sha256": digest.hexdigest()})
 
+    def write_csv(self, name: str, header: Iterable[str], rows: Iterable[Iterable]):
+        """Write a CSV run file: the header, then one line per row."""
+        lines = [",".join(header), *(",".join(map(_csv_cell, row)) for row in rows)]
+        self.write_text(name, "\n".join(lines) + "\n")
+
     def write_json(self, name: str, payload: dict):
         self.write_text(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -192,20 +198,28 @@ class RunWriter:
             raise OutputError(exc) from exc
 
 
-def _tool(tools, section, key, default):
-    """A tool setting, converted to the type of its default and checked
-    against its range in ``_RANGES``."""
-    dotted = f"{section}.{key}"
+def _csv_cell(x) -> str:
+    """A CSV field: an integer as ``str`` prints it, None as empty, any other
+    number as ``csvtext.fmt`` prints it."""
+    if x is None:
+        return ""
+    return str(x) if isinstance(x, (int, np.integer)) else csvtext.fmt(x)
+
+
+def _tool(tools, dotted):
+    """The tool setting ``section.key`` of ``_SETTINGS``, converted to the
+    type of its default and checked against its range."""
+    default, admissible, rule = _SETTINGS[dotted]
+    section, key = dotted.split(".")
     value = config_value(type(default), tools.get(section, {}).get(key, default), dotted)
-    if dotted in _RANGES and not _RANGES[dotted][0](value):
-        rule = _RANGES[dotted][1]
+    if admissible is not None and not admissible(value):
         raise ConfigError(f"configuration key '{dotted}' must be {rule}, got {value}")
     return value
 
 
 def _initial_grid_path(config, tools):
-    res = _tool(tools, "measure", "res", 64)
-    halfwidth = _tool(tools, "measure", "box_halfwidth", 4.0)
+    res = _tool(tools, "measure.res")
+    halfwidth = _tool(tools, "measure.box_halfwidth")
     return _prior_path(config, halfwidth, res)
 
 
@@ -245,9 +259,9 @@ def _solved_state(config, tools):
     """
     path, prior = _initial_grid_path(config, tools)
     settings = {
-        "damping": _tool(tools, "solve", "damping", 0.5),
-        "tol": _tool(tools, "solve", "tol", 1e-8),
-        "max_iters": _tool(tools, "solve", "max_iters", 500),
+        "damping": _tool(tools, "solve.damping"),
+        "tol": _tool(tools, "solve.tol"),
+        "max_iters": _tool(tools, "solve.max_iters"),
     }
     template = path.measures[0]
     coarse_iterations = 0
@@ -279,10 +293,7 @@ def _not_converged(result) -> dict:
 def cmd_solve(config, tools, writer) -> int:
     result, _, coarse_iterations = _solved_state(config, tools)
     failure = _not_converged(result)
-    lines = ["iteration,residual"]
-    for i, r in enumerate(result.residual_history):
-        lines.append(f"{i},{csvtext.fmt(r)}")
-    writer.write_text("residuals.csv", "\n".join(lines) + "\n")
+    writer.write_csv("residuals.csv", ["iteration", "residual"], enumerate(result.residual_history))
     writer.write_text("nu_star.csv", _path_to_csv(result.path))
     report = result.report
     summary = {
@@ -301,27 +312,16 @@ def cmd_solve(config, tools, writer) -> int:
 
 def _tilted_start(path, amplitude):
     """Deterministic perturbed start for descent runs."""
-    template = path.measures[0]
-    mids = template.midpoints()
-    psi = (np.cos(mids[:, 0]) - 0.4 * np.sin(0.7 * mids[:, 1])).reshape(
-        template.values.shape
-    )
-    measures = [
-        GridMeasure.from_log_values(
-            template.halfwidth,
-            template.res,
-            np.log(np.maximum(nu.values, 1e-300)) + amplitude * psi,
-        )
-        for nu in path.measures
-    ]
-    return path.replace_measures(measures)
+    mids = path.measures[0].midpoints()
+    psi = np.cos(mids[:, 0]) - 0.4 * np.sin(0.7 * mids[:, 1])
+    return path.replace_measures(nu.tilted(amplitude * psi) for nu in path.measures)
 
 
 def cmd_descent(config, tools, writer) -> int:
-    backend = _tool(tools, "descent", "backend", "grid")
-    steps = _tool(tools, "descent", "steps", 100)
-    h = _tool(tools, "descent", "step_size", 1e-3)
-    tilt = _tool(tools, "descent", "init_tilt", 0.3)
+    backend = _tool(tools, "descent.backend")
+    steps = _tool(tools, "descent.steps")
+    h = _tool(tools, "descent.step_size")
+    tilt = _tool(tools, "descent.init_tilt")
     if backend == "grid":
         return _descent_grid(config, tools, writer, steps, h, tilt)
     if backend == "particle":
@@ -332,7 +332,7 @@ def cmd_descent(config, tools, writer) -> int:
 def _descent_grid(config, tools, writer, steps, h, tilt) -> int:
     base, prior = _initial_grid_path(config, tools)
     path = _tilted_start(base, tilt)
-    rows = ["step,cost,terminal,entropy,fisher,dj_over_h"]
+    rows = []
     # row k holds the cost at the start of step k; the last, the final cost
     for k in range(steps + 1):
         if k < steps:
@@ -340,13 +340,11 @@ def _descent_grid(config, tools, writer, steps, h, tilt) -> int:
             report, path = out.report, out.path
         else:
             report = total_cost(config, path, with_fisher=True, prior=prior)
-        dj = "" if k == 0 else csvtext.fmt((report.cost - prev_cost) / h)
-        rows.append(
-            f"{k},{csvtext.fmt(report.cost)},{csvtext.fmt(report.terminal)},"
-            f"{csvtext.fmt(report.entropy)},{csvtext.fmt(report.fisher)},{dj}"
-        )
+        dj = None if k == 0 else (report.cost - prev_cost) / h
+        rows.append((k, report.cost, report.terminal, report.entropy, report.fisher, dj))
         prev_cost = report.cost
-    writer.write_text("series.csv", "\n".join(rows) + "\n")
+    header = ["step", "cost", "terminal", "entropy", "fisher", "dj_over_h"]
+    writer.write_csv("series.csv", header, rows)
     writer.write_text("final_state.csv", _path_to_csv(path))
     writer.write_json(
         "summary.json",
@@ -362,38 +360,26 @@ def _descent_grid(config, tools, writer, steps, h, tilt) -> int:
 
 
 def _descent_particle(config, tools, writer, steps, h, tilt) -> int:
-    m = _tool(tools, "descent", "particles", 2000)
+    m = _tool(tools, "descent.particles")
     rng = rng_for(config.seed, "descent-particle")
-    points = sample_prior(config.potential, config.field.dprime, m, rng)
+    dprime = config.field.dprime
+    points = sample_prior(config.potential, dprime, m, rng)
     path = ControlPath.constant(config.grid, ParticleMeasure(points))
     rows = []
-    header = (
-        "step,node,"
-        + ",".join(f"mean_a{i}" for i in range(config.field.dprime))
-        + ","
-        + ",".join(f"var_a{i}" for i in range(config.field.dprime))
-        + ",resampled"
-    )
-    rows.append(header)
 
     def emit(step, resampled):
         for k, nu in enumerate(path.measures):
             means = np.mean(nu.points, axis=0)
             variances = np.var(nu.points, axis=0)
-            rows.append(
-                f"{step},{k},"
-                + ",".join(csvtext.fmt(v) for v in means)
-                + ","
-                + ",".join(csvtext.fmt(v) for v in variances)
-                + f",{resampled}"
-            )
+            rows.append((step, k, *means, *variances, resampled))
 
     emit(0, 0)
     for s in range(steps):
         out = langevin_descent_step(config, path, h, rng)
         path = out.path
         emit(s + 1, out.resampled)
-    writer.write_text("series.csv", "\n".join(rows) + "\n")
+    columns = [f"{stat}_a{i}" for stat in ("mean", "var") for i in range(dprime)]
+    writer.write_csv("series.csv", ["step", "node", *columns, "resampled"], rows)
     buf = io.StringIO()
     measure_to_csv(path.measures[-1], buf)
     writer.write_text("final_particles.csv", buf.getvalue())
@@ -412,8 +398,8 @@ def _descent_particle(config, tools, writer, steps, h, tilt) -> int:
 
 def cmd_stability(config, tools, writer) -> int:
     # the probe's settings are checked before the solve they follow
-    iters = _tool(tools, "stability", "iters", 10)
-    margin = _tool(tools, "stability", "margin", 0.1)
+    iters = _tool(tools, "stability.iters")
+    margin = _tool(tools, "stability.margin")
     result, _, _ = _solved_state(config, tools)
     failure = _not_converged(result)
     if failure:
@@ -427,10 +413,7 @@ def cmd_stability(config, tools, writer) -> int:
         margin=margin,
         rng=rng_for(config.seed, "stability-probe"),
     )
-    rows = ["index,ritz_value"]
-    for i, val in enumerate(report.details["ritz"]):
-        rows.append(f"{i},{csvtext.fmt(val)}")
-    writer.write_text("ritz.csv", "\n".join(rows) + "\n")
+    writer.write_csv("ritz.csv", ["index", "ritz_value"], enumerate(report.details["ritz"]))
     writer.write_json(
         "summary.json",
         {
@@ -447,8 +430,8 @@ def cmd_stability(config, tools, writer) -> int:
 
 def cmd_pl_scan(config, tools, writer) -> int:
     # the scan's settings are checked before the solve they follow
-    radius = _tool(tools, "pl_scan", "radius", 0.1)
-    samples = _tool(tools, "pl_scan", "samples", 200)
+    radius = _tool(tools, "pl_scan.radius")
+    samples = _tool(tools, "pl_scan.samples")
     result, prior, _ = _solved_state(config, tools)
     failure = _not_converged(result)
     if failure:
@@ -463,14 +446,9 @@ def cmd_pl_scan(config, tools, writer) -> int:
         rng=rng_for(config.seed, "pl-scan"),
         prior=prior,
     )
-    rows = ["sample,entropy,cost,gap,fisher,ratio"]
-    for row in report.details["rows"]:
-        ratio = csvtext.fmt(row["ratio"]) if "ratio" in row else ""
-        rows.append(
-            f"{row['sample']},{csvtext.fmt(row['entropy'])},{csvtext.fmt(row['cost'])},"
-            f"{csvtext.fmt(row['gap'])},{csvtext.fmt(row['fisher'])},{ratio}"
-        )
-    writer.write_text("samples.csv", "\n".join(rows) + "\n")
+    columns = ["sample", "entropy", "cost", "gap", "fisher", "ratio"]
+    rows = [[row.get(column) for column in columns] for row in report.details["rows"]]
+    writer.write_csv("samples.csv", columns, rows)
     ratio = report.pl_ratio
     writer.write_json(
         "summary.json",
@@ -542,12 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K=V",
         help="override a configuration entry by dotted path (repeatable)",
     )
-    parser.add_argument(
-        "--inject-fault",
-        default=None,
-        choices=sorted(faults.KNOWN_FAULTS),
-        help="testing aid: corrupt a named internal quantity",
-    )
     return parser
 
 
@@ -560,19 +532,15 @@ def main(argv=None) -> int:
     out_dir = Path(args.out or os.environ.get("OUTPUT_DIR", "out"))
     try:
         config, tools, doc = load_run_document(args.config, args.set, args.seed)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         writer = RunWriter(out_dir, args.command, doc)
-        if args.inject_fault:
-            faults.inject(args.inject_fault)
         return _run(COMMANDS[args.command], config, tools, writer)
     except OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    finally:
-        faults.clear()
 
 
 def _run(command, config, tools, writer) -> int:

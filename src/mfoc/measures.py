@@ -98,6 +98,15 @@ class GridMeasure:
         log_mass = _logsumexp(lv.ravel()) + dprime * math.log(2.0 * halfwidth / res)
         return cls(halfwidth, res, np.exp(lv - log_mass))
 
+    def tilted(self, log_weight) -> "GridMeasure":
+        """The normalized measure of density proportional to this one's,
+        floored at ``LOG_FLOOR``, times ``exp(log_weight)``; one weight per
+        cell, in the order of ``midpoints``."""
+        log_values = np.log(np.maximum(self.values, LOG_FLOOR))
+        return GridMeasure.from_log_values(
+            self.halfwidth, self.res, log_values + np.reshape(log_weight, self.values.shape)
+        )
+
 
 @dataclass(frozen=True)
 class ParticleMeasure:

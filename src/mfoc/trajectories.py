@@ -66,7 +66,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import faults
 from .measures import (
     ControlPath,
     GridMeasure,
@@ -291,10 +290,7 @@ def _first(contractions):
 
 def _terminal_adjoint(config, flow):
     """Loss gradient at the terminal features, (n, 1)."""
-    z = config.loss.grad_x(flow.x[-1], flow.y)
-    if faults.active("adjoint-sign"):
-        z = -z
-    return z
+    return config.loss.grad_x(flow.x[-1], flow.y)
 
 
 def _adjoint_rhs(stage):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfoc import cli, optimizer
+from mfoc import cli, optimizer, trajectories
 from conftest import make_config, prior_path
 from mfoc.cli import (
     RunWriter,
@@ -255,15 +255,12 @@ class TestCheck:
         code = main(["check", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 1
 
-    def test_injected_fault_exits_3(self, tmp_path, capsys):
-        code, out = run(
-            tmp_path,
-            "check",
-            "--config",
-            str(FIXTURES / "mini.json"),
-            "--inject-fault",
-            "adjoint-sign",
+    def test_injected_fault_exits_3(self, tmp_path, capsys, monkeypatch):
+        terminal_adjoint = trajectories._terminal_adjoint
+        monkeypatch.setattr(
+            trajectories, "_terminal_adjoint", lambda config, flow: -terminal_adjoint(config, flow)
         )
+        code, out = run(tmp_path, "check", "--config", str(FIXTURES / "mini.json"))
         assert code == 3
         summary = read_summary(out)
         failing = [r["name"] for r in summary["results"] if not r["ok"]]
@@ -459,6 +456,27 @@ class TestRunWriter:
             on_disk = hashlib.sha256((out / entry["name"]).read_bytes()).hexdigest()
             assert entry["sha256"] == on_disk, entry["name"]
 
+    def test_csv_cells_print_as_format_17g(self, tmp_path):
+        cells = [math.inf, -math.inf, math.nan, -0.0, np.float64(1.0 / 3.0), 5e-324, np.int64(7)]
+        writer = RunWriter(tmp_path, "solve", {})
+        writer.write_csv("t.csv", ["a", "b"], [(x, None) for x in cells])
+        rows = "".join(f"{format(x, '.17g')},\n" for x in cells)
+        assert (tmp_path / "t.csv").read_text() == "a,b\n" + rows
+
+
+def test_tool_defaults_are_in_range():
+    for dotted, (default, admissible, _) in cli._SETTINGS.items():
+        assert cli._tool({}, dotted) == default
+        assert admissible is None or admissible(default), dotted
+
+
+def test_fixture_tool_keys_are_settings():
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = json.loads(path.read_text())
+        for section in cli._TOOL_SECTIONS:
+            for key in doc.get(section, {}):
+                assert f"{section}.{key}" in cli._SETTINGS, (path.name, section, key)
+
 
 # -- failure semantics ---------------------------------------------------------
 
@@ -513,7 +531,8 @@ def test_malformed_set_value_exits_1(tmp_path, capsys, setting, named):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--bogus"], ["--seed", "abc"], ["--threads", "4"], None],  # None: no --config
+    # None: no --config; --threads and --inject-fault are retired flags
+    [["--bogus"], ["--seed", "abc"], ["--threads", "4"], ["--inject-fault", "adjoint-sign"], None],
 )
 def test_malformed_flag_exits_1(tmp_path, capsys, flags):
     args = ["--config", str(FIXTURES / "mini.json"), *flags] if flags else []
@@ -599,6 +618,26 @@ def test_set_on_a_non_object_document_exits_1(tmp_path, capsys):
     code, _ = run(tmp_path, "solve", "--config", str(bad), "--set", "grid.nt=9")
     assert code == 1
     assert capsys.readouterr().err.startswith("configuration error")
+
+
+@pytest.mark.parametrize(
+    "content, overrides",
+    [
+        (b"\xff\xfe{}", []),  # not UTF-8
+        (b"[" * 100000, []),  # nested past the recursion limit
+        (None, ["--set", "solve.tol=" + "[" * 100000]),
+    ],
+)
+def test_undecodable_configuration_exits_1(tmp_path, capsys, content, overrides):
+    config = FIXTURES / "mini.json"
+    if content is not None:
+        config = tmp_path / "bad.json"
+        config.write_bytes(content)
+    code, out = run(tmp_path, "solve", "--config", str(config), *overrides)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and not out.exists()
 
 
 def assert_numerical_failure(code, out, err, name):

@@ -61,6 +61,17 @@ class TestNormalize:
         with pytest.raises(DegenerateMeasureError):
             normalize(GridMeasure(4.0, 8, np.zeros((8, 8))))
 
+    def test_tilt_matches_hand_built_form(self):
+        nu = prior_2d(res=16).measure
+        values = nu.values.copy()
+        values[:3] = 0.0  # floored cells
+        nu = nu.with_values(values)
+        weight = 0.3 * np.cos(nu.midpoints()[:, 0]) - nu.midpoints() @ [0.2, -0.4]
+        hand = (np.log(np.maximum(values, 1e-300)).ravel() + weight).reshape(values.shape)
+        want = GridMeasure.from_log_values(nu.halfwidth, nu.res, hand)
+        assert np.array_equal(nu.tilted(weight).values, want.values)
+        assert np.all(want.values[:3] < 1e-290)
+
 
 class TestRelativeEntropy:
     def test_self_entropy_zero(self):

@@ -46,6 +46,19 @@ def test_child_marks_resolve():
         assert callable(getattr(cli, attr, None)), attr
 
 
+@pytest.mark.parametrize("settings", [[], ["--set", "descent.backend=particle"]])
+def test_child_reaches_the_setup_mark(tmp_path, settings):
+    # a command that stops calling a marked name would leave setup_s unmeasured
+    report = tmp_path / "report.json"
+    command = "descent" if settings else "solve"
+    args = [command, "--config", str(ROOT / "fixtures" / "mini.json"), *settings]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    child = [sys.executable, str(PERFBENCH / "child.py"), "setup", str(report), "--"]
+    out = str(tmp_path / "out")
+    subprocess.run([*child, *args, "--out", out], env=env, check=True, timeout=300)
+    assert json.loads(report.read_text())["setup_mark"] is not None
+
+
 def test_traced_kernel_calls_are_the_calls_of_the_command(tmp_path, kernel_calls):
     # the tracer counts model.tiers through spans._count_tiers, which reads
     # the kernel's arguments; a drift of the kernel's API would lose calls

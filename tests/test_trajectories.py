@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from mfoc import faults
 from mfoc.measures import (
     ControlPath,
     GridMeasure,
@@ -203,18 +202,6 @@ class TestBackwardSolve:
 
         fd2 = (u_at(flow.x[k] + h) - 2 * u_at(flow.x[k]) + u_at(flow.x[k] - h)) / h**2
         assert np.max(np.abs(fd2 - flow.hess[k])) < 1e-4
-
-    def test_adjoint_sign_fault_detected(self):
-        config = make_config(n=4, nt=5)
-        path, _ = prior_path(config, res=16)
-        flow = forward_solve(config, path)
-        try:
-            faults.inject("adjoint-sign")
-            bad = backward_solve(config, path, flow)
-        finally:
-            faults.clear()
-        good = backward_solve(config, path, flow)
-        assert np.allclose(bad.z[-1], -good.z[-1])
 
 
 class TestPermutationInvariance:
