@@ -31,7 +31,6 @@ from .model import Dataset, ProblemConfig, TimeGrid, rng_for
 from .optimizer import fp_descent_step, gibbs_map_with_flow, picard_solve, total_cost
 from .trajectories import (
     backward_solve,
-    curvature_solve,
     default_test_functions,
     duality_residual,
     forward_solve,
@@ -72,6 +71,14 @@ def _prior(config):
 def _prior_path(config):
     prior = _prior(config)
     return ControlPath.constant(config.grid, prior.measure), prior
+
+
+def _relative_eta(grid, base, fn):
+    """The zero-mass perturbation base (g - <g, base>) at every node of
+    ``grid``, for g = ``fn`` at the cell midpoints."""
+    g = np.asarray(fn(base.midpoints())).reshape(base.values.shape)
+    g = g - float(np.sum(g * base.values)) * base.cell_volume
+    return PerturbationPath(grid, base.halfwidth, base.res, np.stack([base.values * g] * grid.nt))
 
 
 def check_field_gradients(config) -> CheckResult:
@@ -267,20 +274,8 @@ def check_tangent_linearity(config) -> CheckResult:
     path, prior = _prior_path(fixture)
     flow = forward_solve(fixture, path)
     base = path.measures[0]
-    mids = base.midpoints()
-
-    def eta_for(fn):
-        g = np.asarray(fn(mids)).reshape(base.values.shape)
-        g = g - float(np.sum(g * base.values)) * base.cell_volume
-        return PerturbationPath(
-            fixture.grid,
-            base.halfwidth,
-            base.res,
-            np.stack([base.values * g] * fixture.grid.nt),
-        )
-
-    e1 = eta_for(lambda m: np.cos(m[:, 0]))
-    e2 = eta_for(lambda m: np.sin(0.7 * m[:, 1]))
+    e1 = _relative_eta(fixture.grid, base, lambda m: np.cos(m[:, 0]))
+    e2 = _relative_eta(fixture.grid, base, lambda m: np.sin(0.7 * m[:, 1]))
     t1 = tangent_solve(fixture, path, flow, e1).dx
     t2 = tangent_solve(fixture, path, flow, e2).dx
     combo = PerturbationPath(
@@ -327,19 +322,9 @@ def check_linearized_map_mass(config) -> CheckResult:
     fixture = _fixture(config)
     path, prior = _prior_path(fixture)
     result = picard_solve(fixture, path, tol=1e-9, max_iters=200)
-    flow = curvature_solve(fixture, result.path, result.flow)
     base = result.path.measures[0]
-    mids = base.midpoints()
-    g = np.cos(1.1 * mids[:, 0]).reshape(base.values.shape)
-    g = g - float(np.sum(g * base.values)) * base.cell_volume
-
-    eta = PerturbationPath(
-        fixture.grid,
-        base.halfwidth,
-        base.res,
-        np.stack([base.values * g] * fixture.grid.nt),
-    )
-    image = linear_map_image(fixture, result.path, flow, eta)
+    eta = _relative_eta(fixture.grid, base, lambda m: np.cos(1.1 * m[:, 0]))
+    image = linear_map_image(fixture, result.path, result.flow, eta)
     vol = image.cell_volume
     worst = max(
         abs(float(np.sum(image.node(k))) * vol) for k in range(fixture.grid.nt)

@@ -52,6 +52,7 @@ from .measures import (
     DegenerateMeasureError,
     ParticleMeasure,
     PriorMeasure,
+    check_prior_box,
     measure_to_csv,
     moment,
 )
@@ -136,6 +137,8 @@ def load_run_document(path: str, overrides, seed=None):
         doc["seed"] = int(seed)
     problem_doc, tools = _split_document(doc)
     config = load_problem_config(problem_doc)
+    # the prior's box is checked before a run directory exists
+    check_prior_box(config.potential, _tool(tools, "measure.box_halfwidth"), config.field.dprime)
     return config, tools, doc
 
 

@@ -30,8 +30,7 @@ from .measures import (
     relative_entropy,
 )
 from .model import ConfigError, Dataset, FieldQuadrature, ProblemConfig, Workspace
-from .optimizer import _fisher_from_snapshots, _prior_for, cost_report
-from .optimizer import gibbs_map_with_flow, total_cost
+from .optimizer import _prior_for, total_cost
 from .trajectories import (
     EnsembleFlow,
     StagePass,
@@ -53,8 +52,7 @@ __all__ = [
     "eta_from",
     "linear_map_image",
     "quadratic_form",
-    "cross_term_via_tangent",
-    "cross_term_via_multiplier",
+    "cross_term_duality",
     "second_derivative_check",
     "stability_probe",
     "pl_scan",
@@ -167,22 +165,20 @@ def eta_from(
     flow: EnsembleFlow,
     tangent: TangentFlow,
     multiplier: LinearizedMultiplier,
-    quad: Optional[FieldQuadrature] = None,
 ) -> PerturbationPath:
     """Kernel-direction image of the linearized system.
 
     At every node and support point the bracket combines the tangent action
     on b(., a) . grad_x(u) with the ensemble average of b(., a) . grad_x(v);
     centering by its control-average makes the node mass vanish exactly, and
-    the result is scaled by -nu / epsilon. ``quad`` is the quadrature on the
-    path's grid support when the caller already has one (``StagePass.quad``).
+    the result is scaled by -nu / epsilon. ``flow`` carries the adjoint and
+    the curvature (``curvature_solve``).
     """
     if flow.hess is None:
         raise ConfigError("eta_from needs a flow with transported curvature")
     grid = path.grid
     template = path.measures[0]
-    if quad is None:
-        quad = FieldQuadrature(config.field, template.midpoints())
+    quad = FieldQuadrature(config.field, template.midpoints())
     vol = template.cell_volume
     shape = template.values.shape
     out = np.empty((grid.nt,) + shape)
@@ -214,66 +210,49 @@ def linear_map_image(
     flow: EnsembleFlow,
     eta: PerturbationPath,
 ) -> PerturbationPath:
-    """One application of the linearized fixed-point map; tangent and
-    multiplier share one kernel pass."""
+    """One application of the linearized fixed-point map. ``flow`` needs
+    only the forward features: one order-2 stage pass gives the adjoint, the
+    curvature, the tangent and the multiplier."""
     stages = stage_pass(config, path, flow, (eta,))
+    flow = curvature_solve(config, path, flow, stages)
     tangent = TangentFlow(dx=_tangent_dx(stages, path.grid.dt), flow=flow, eta=eta)
     multiplier = _multiplier(config, path, flow, eta, stages)
-    return eta_from(config, path, flow, tangent, multiplier, stages.quad)
+    return eta_from(config, path, flow, tangent, multiplier)
 
 
-def cross_term_via_tangent(config, path, flow, eta_bracket, tangent) -> float:
-    """Time integral of < b(., eta^2) grad u ; rho^1 >.
+def cross_term_duality(config, path, flow, e1, e2) -> tuple:
+    """The cross term of the second derivative, the time integral of
+    < b(., e2) grad u ; rho^1 >, as the pair (via the tangent rho^1 of
+    ``e1``, via the multiplier of ``e2``); the two agree up to the
+    discretization of the duality relation.
 
-    Accumulated per particle inside a backward RK4 pass, which restarts at
-    every node and therefore respects the left-frozen control branches; the
-    tangent values inside an interval are reconstructed by the same cubic
-    Hermite rule the solvers use. The tangent must carry its source so the
-    in-interval derivative of dX is available. One order-2 stage pass holds
-    the stage data of the tangent's source and of ``eta_bracket``.
+    One order-2 stage pass holds the stage data of both perturbations. One
+    backward RK4 pass, which restarts at every node and so respects the
+    left-frozen control branches, carries after z and h the tangent side's
+    accumulated integrand P, and the multiplier's flow Jacobian K, gradient
+    accumulator R and accumulated drift of ``e1`` against grad_x v, W.
+    Inside an interval the tangent takes the solvers' cubic Hermite value.
     """
-    if tangent.eta is None:
-        raise ConfigError("cross term needs a tangent that carries its source")
-    stages = stage_pass(config, path, flow, (tangent.eta, eta_bracket))
+    stages = stage_pass(config, path, flow, (e1, e2))
     dt = path.grid.dt
     # tangent at the left node, the Hermite midpoint and the right node
-    dx = tangent.dx[:, :, 0]
+    dx = _tangent_dx(stages, dt)[:, :, 0]
     ends = np.stack([dx[:-1], dx[1:]], axis=1)
     ddx = stages.bx[:, ::2] * ends + stages.s_eta[0, :, ::2, :, 0]
     dx_stage = [dx[:-1], _hermite_midpoint(dx[:-1], dx[1:], ddx[:, 0], ddx[:, 1], dt), dx[1:]]
 
     def columns(k, i, s):
-        # P, the accumulated integrand, after z and h
+        # P, K, R, W after z and h
+        bx, s1 = stages.bx[k, i], stages.s_eta[0, k, i][:, 0]
         s2, sx2 = stages.s_eta[1, k, i][:, 0], stages.sx_eta[1, k, i]
-        return (-(sx2 * s[:, 0] + s2 * s[:, 1]) * dx_stage[i][k],)
-
-    for _, state in _curvature_sweep(config, flow, stages, dt, (0.0,), columns):
-        pass
-    return float(np.mean(state[:, 2]))
-
-
-def cross_term_via_multiplier(config, path, flow, eta_drift, multiplier) -> float:
-    """Same quantity through the multiplier side of the duality relation.
-
-    Re-integrates the multiplier states of ``multiplier.eta`` backward and
-    accumulates the ensemble average of the signed drift of ``eta_drift``
-    against the multiplier's x-gradient, inside the same RK4 pass. One
-    order-2 stage pass holds the stage data of both perturbations.
-    """
-    stages = stage_pass(config, path, flow, (multiplier.eta, eta_drift))
-
-    def columns(k, i, s):
-        # K, R, W after z and h
-        bx = stages.bx[k, i]
-        s2, sx2 = stages.s_eta[0, k, i][:, 0], stages.sx_eta[0, k, i]
-        s1 = stages.s_eta[1, k, i][:, 0]
-        z, h, kk, rr = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
+        z, h, kk, rr = s[:, 0], s[:, 1], s[:, 3], s[:, 4]
         gp = sx2 * z + s2 * h
-        return -bx * kk, -gp / kk, -s1 * kk * rr
+        return -gp * dx_stage[i][k], -bx * kk, -gp / kk, -s1 * kk * rr
 
-    for _, state in _curvature_sweep(config, flow, stages, path.grid.dt, (1.0, 0.0, 0.0), columns):
+    # the flow Jacobian K is the identity at the terminal time
+    for _, state in _curvature_sweep(config, flow, stages, dt, (0.0, 1.0, 0.0, 0.0), columns):
         pass
-    return float(np.mean(state[:, 4]))
+    return float(np.mean(state[:, 2])), float(np.mean(state[:, 5]))
 
 
 def quadratic_form(
@@ -335,26 +314,16 @@ def second_derivative_check(
     j0 = total_cost(config, path, prior=prior).cost
     per_lambda = {}
     note = None
-    usable = []
     for lam in lambdas:
-        floor = float(
-            np.min(
-                [np.min(nu.values + lam * e) for nu, e in zip(path.measures, eta.values)]
-            )
-        )
-        floor_minus = float(
-            np.min(
-                [np.min(nu.values - lam * e) for nu, e in zip(path.measures, eta.values)]
-            )
-        )
-        if min(floor, floor_minus) < 0.0:
+        try:
+            plus, minus = perturbed_path(path, eta, lam), perturbed_path(path, eta, -lam)
+        except ConfigError:
             note = f"ladder truncated at lambda={lam:g}: density would go negative"
             continue
-        jp = total_cost(config, perturbed_path(path, eta, lam), prior=prior).cost
-        jm = total_cost(config, perturbed_path(path, eta, -lam), prior=prior).cost
+        jp = total_cost(config, plus, prior=prior).cost
+        jm = total_cost(config, minus, prior=prior).cost
         per_lambda[lam] = (jp - 2.0 * j0 + jm) / lam**2
-        usable.append(lam)
-    fd2 = per_lambda[min(usable)] if usable else math.nan
+    fd2 = per_lambda[min(per_lambda)] if per_lambda else math.nan
     details = {"per_lambda": per_lambda}
     if note:
         details["note"] = note
@@ -685,10 +654,8 @@ def pl_scan(
         candidate, ent = tilt_to_entropy(path, psi, profile, target)
         if candidate is None:
             continue
-        snapshots, flow = gibbs_map_with_flow(config, candidate)
-        fisher = _fisher_from_snapshots(config, candidate, snapshots)
-        # the gibbs map's flow already carries the pushed-forward ensemble
-        cost = cost_report(config, candidate, flow, prior).cost
+        report = total_cost(config, candidate, with_fisher=True, prior=prior)
+        cost, fisher = report.cost, report.fisher
         gap = cost - j_star
         row = {
             "sample": s,

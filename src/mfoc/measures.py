@@ -12,6 +12,7 @@ order).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -22,6 +23,7 @@ from . import csvtext
 from .model import ConfigError, ConfinementPotential, TimeGrid
 
 LOG_FLOOR = 1e-300
+PRIOR_TAIL_TOL = 1e-10
 
 
 class DegenerateMeasureError(ValueError):
@@ -83,7 +85,9 @@ class GridMeasure:
     def with_values(self, values: np.ndarray) -> "GridMeasure":
         return GridMeasure(self.halfwidth, self.res, values)
 
-    def same_geometry(self, other: "GridMeasure") -> bool:
+    def same_geometry(self, other) -> bool:
+        """Whether ``other``, a grid measure or a perturbation path, lives on
+        this box at this resolution and dimension."""
         return (
             self.res == other.res
             and self.dprime == other.dprime
@@ -218,13 +222,6 @@ class PerturbationPath:
             self.grid, self.halfwidth, self.res, factor * self.values
         )
 
-    def matches(self, measure: GridMeasure) -> bool:
-        return (
-            self.res == measure.res
-            and self.dprime == measure.dprime
-            and math.isclose(self.halfwidth, measure.halfwidth, rel_tol=1e-12)
-        )
-
 
 @dataclass(frozen=True)
 class PriorMeasure:
@@ -235,13 +232,8 @@ class PriorMeasure:
     potential: ConfinementPotential
 
     @classmethod
-    def build(cls, potential, halfwidth, res, dprime, tail_tol=1e-10):
-        tail = prior_tail_mass(potential, halfwidth, dprime)
-        if tail > tail_tol:
-            raise ConfigError(
-                f"box halfwidth {halfwidth} leaves prior tail mass {tail:.2e} "
-                f"above {tail_tol:.0e}; enlarge the box"
-            )
+    def build(cls, potential, halfwidth, res, dprime):
+        check_prior_box(potential, halfwidth, dprime)
         probe = GridMeasure(halfwidth, res, np.zeros((res,) * dprime))
         log_unnorm = -potential.value(probe.midpoints()).reshape((res,) * dprime)
         measure = GridMeasure.from_log_values(halfwidth, res, log_unnorm)
@@ -249,11 +241,25 @@ class PriorMeasure:
         return cls(measure, log_z, potential)
 
 
+def check_prior_box(potential, halfwidth, dprime):
+    """Raise ``ConfigError`` unless the box of the given halfwidth leaves at
+    most ``PRIOR_TAIL_TOL`` of the prior's mass outside."""
+    tail = prior_tail_mass(potential, halfwidth, dprime)
+    if not tail <= PRIOR_TAIL_TOL:
+        raise ConfigError(
+            f"box halfwidth {halfwidth} leaves prior tail mass {tail:.2e} "
+            f"above {PRIOR_TAIL_TOL:.0e}; enlarge the box"
+        )
+
+
+@functools.lru_cache(maxsize=8)
+@np.errstate(over="ignore")  # exp(-inf) = 0 is the tail of a huge coefficient
 def prior_tail_mass(potential, halfwidth, dprime, radial_points=20000) -> float:
     """Relative mass of exp(-ell) outside the box, via the radial tail.
 
     The box contains the ball of radius `halfwidth`, so a radial quadrature
-    of the quartic tail bounds the truncated mass from above.
+    of the quartic tail bounds the truncated mass from above. Memoized: a
+    run checks its box on loading and builds its priors on the same box.
     """
     surface = 2.0 * math.pi ** (dprime / 2.0) / math.gamma(dprime / 2.0)
     r_out = np.linspace(halfwidth, halfwidth + 8.0, radial_points)
@@ -266,6 +272,8 @@ def prior_tail_mass(potential, halfwidth, dprime, radial_points=20000) -> float:
         -potential.c1 * r_all**4 - potential.c2 * r_all**2
     )
     total = surface * np.trapezoid(dens_all, r_all)
+    if not total > 0.0:
+        raise ConfigError("the potential leaves the prior exp(-ell) no mass in double precision")
     return float(tail / total)
 
 

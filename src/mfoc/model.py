@@ -486,8 +486,8 @@ class ConfinementPotential:
     c2: float = 0.5
 
     def __post_init__(self):
-        if not (self.c1 > 0 and self.c2 > 0):
-            raise ConfigError("potential coefficients must be positive")
+        if not (0 < self.c1 < math.inf and 0 < self.c2 < math.inf):
+            raise ConfigError("potential coefficients must be positive and finite")
 
     def value(self, a):
         a = np.asarray(a, dtype=float)
@@ -577,8 +577,8 @@ class TimeGrid:
     nt: int = 65
 
     def __post_init__(self):
-        if not (0.0 <= self.t0 < self.horizon):
-            raise ConfigError("need 0 <= t0 < T")
+        if not (0.0 <= self.t0 < self.horizon < math.inf):
+            raise ConfigError("need 0 <= t0 < T with T finite")
         if self.nt < 2:
             raise ConfigError("need at least two time nodes")
 
@@ -608,8 +608,8 @@ class ProblemConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ConfigError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigError("epsilon must be positive and finite")
         if self.dataset.x.shape[1] != 1 or self.dataset.y.shape[1] != 1:
             raise ConfigError("dataset features and labels must be scalars")
         if not -(2**63) <= int(self.seed) < 2**64:

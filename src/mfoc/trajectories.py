@@ -43,17 +43,18 @@ exact zero when a2 = -0, which no grid midpoint is) at any BLAS thread
 count.
 
 Every linearized sweep (tangent, multiplier, linearized map, quadratic form
-and both cross terms) reads its stage data from one ``stage_pass``, which
-contracts the control fold and the folds of any number of perturbations in
-the same call. ``duality_residual`` and ``meanfield_drift`` pass their folds
-to the kernel in the same way, so no sweep of the package builds tier
-arrays.
+and the cross-term duality) reads its stage data from one ``stage_pass``,
+which contracts the control fold and the folds of any number of
+perturbations in the same call. ``duality_residual`` and
+``meanfield_drift`` pass their folds to the kernel in the same way, so no
+sweep of the package builds tier arrays.
 
 ``backward_solve`` is the order-1 adjoint sweep of the Gibbs map and the
 Langevin step. The pair (z, h) of adjoint and curvature h = grad_xx u has
 one backward RK4 driver, ``_curvature_sweep``, on an order-2 stage pass:
 ``curvature_solve`` stores its node states on the flow, and the multiplier
-and both cross terms add their accumulator columns to the same state.
+and both sides of the cross-term duality add their accumulator columns to
+the same state; RK4 is elementwise per column, so stacking changes no bit.
 
 Features and labels are scalars: states are (n, 1) arrays, and the kernel
 hands back drifts as (n, 1) and their x-derivatives as (n,) vectors.
@@ -335,7 +336,7 @@ def stage_pass(
     grid = path.grid
     if not path.is_grid:
         raise ConfigError("linearized sweeps require the grid backend")
-    if any(eta.grid.nt != grid.nt or not eta.matches(path.measures[0]) for eta in etas):
+    if any(eta.grid.nt != grid.nt or not path.measures[0].same_geometry(eta) for eta in etas):
         raise ConfigError("perturbation must live on the control path's grid")
     shape = (grid.nt - 1, 3, flow.n)
     nodes = _node_quadratures(config.field, path)

@@ -571,6 +571,25 @@ def test_dimensions_other_than_one_exit_1(tmp_path, capsys, setting, named):
     assert "Traceback" not in err and not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "setting, named",
+    [
+        ("epsilon=inf", "epsilon"),
+        ("grid.T=inf", "T finite"),
+        ("potential.c1=inf", "potential coefficients"),
+        # finite, but exp(-ell) underflows to 0 past the origin
+        ("potential.c2=1e300", "prior"),
+        ("potential.c1=1e306", "prior"),  # and c1 |a|^4 overflows
+    ],
+)
+def test_non_finite_problem_parameters_exit_1(tmp_path, capsys, recwarn, setting, named):
+    code, out = run(tmp_path, "solve", "--config", str(FIXTURES / "mini.json"), "--set", setting)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("configuration error: ") and err.count("\n") == 1 and named in err
+    assert "Traceback" not in err and not recwarn.list and not out.exists()
+
+
 def test_fixtures_with_unit_dimensions_load():
     for path in sorted(FIXTURES.glob("*.json")):
         doc = json.loads(path.read_text())

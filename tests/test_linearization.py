@@ -7,8 +7,7 @@ from mfoc.linearization import (
     PerturbationPath,
     _arnoldi,
     _ritz_residual,
-    cross_term_via_multiplier,
-    cross_term_via_tangent,
+    cross_term_duality,
     eta_from,
     linear_map_image,
     pl_scan,
@@ -275,10 +274,7 @@ class TestCrossTermDuality:
             eta_family(config, result.path.measures[0], 4, seed=43),
         )
         for e1, e2 in pairs:
-            tangent1 = tangent_solve(config, result.path, flow, e1)
-            mult2 = solve_v(config, result.path, flow, e2)
-            lhs = cross_term_via_tangent(config, result.path, flow, e2, tangent1)
-            rhs = cross_term_via_multiplier(config, result.path, flow, e1, mult2)
+            lhs, rhs = cross_term_duality(config, result.path, flow, e1, e2)
             assert abs(lhs - rhs) <= 1e-4 * max(abs(lhs), abs(rhs), 1e-6), (lhs, rhs)
 
 

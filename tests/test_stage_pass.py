@@ -18,8 +18,7 @@ from mfoc.linearization import (
     SecondOrderReport,
     _arnoldi,
     _ritz_residual,
-    cross_term_via_multiplier,
-    cross_term_via_tangent,
+    cross_term_duality,
     eta_from,
     linear_map_image,
     quadratic_form,
@@ -180,7 +179,7 @@ def reference_quadratic_form(config, path, flow, eta):
     return config.epsilon * weighted + 2.0 * cross
 
 
-def reference_cross_term_via_tangent(config, path, flow, eta_bracket, tangent):
+def reference_cross_term_tangent_side(config, path, flow, eta_bracket, tangent):
     nodes = _node_quadratures(config.field, path)
     vol = eta_bracket.cell_volume
     dt = path.grid.dt
@@ -226,7 +225,7 @@ def reference_cross_term_via_tangent(config, path, flow, eta_bracket, tangent):
     return float(np.mean(state[:, 2]))
 
 
-def reference_cross_term_via_multiplier(config, path, flow, eta_drift, multiplier):
+def reference_cross_term_multiplier_side(config, path, flow, eta_drift, multiplier):
     nodes = _node_quadratures(config.field, path)
     vol = eta_drift.cell_volume
     dt = path.grid.dt
@@ -509,11 +508,10 @@ def test_cross_terms_match_reference_loops(mini, eta_pairs):
     for e1, e2 in eta_pairs:
         tangent1 = tangent_solve(config, path, flow, e1)
         mult2 = solve_v(config, path, flow, e2)
-        lhs = cross_term_via_tangent(config, path, flow, e2, tangent1)
-        rhs = cross_term_via_multiplier(config, path, flow, e1, mult2)
+        lhs, rhs = cross_term_duality(config, path, flow, e1, e2)
         assert lhs != 0.0
-        assert lhs == reference_cross_term_via_tangent(config, path, flow, e2, tangent1)
-        assert rhs == reference_cross_term_via_multiplier(config, path, flow, e1, mult2)
+        assert lhs == reference_cross_term_tangent_side(config, path, flow, e2, tangent1)
+        assert rhs == reference_cross_term_multiplier_side(config, path, flow, e1, mult2)
 
 
 # -- kernel calls on mini (nt = 9) ---------------------------------------------
@@ -527,6 +525,14 @@ def test_standalone_sweeps_make_one_pass(mini, tiers_calls):
     tiers_calls.clear()
     solve_v(config, path, flow, eta)
     assert tiers_calls == [2] * 17
+
+
+def test_linear_map_image_transports_the_curvature_itself(mini):
+    config, _, path, flow, eta = mini
+    forward = replace(flow, z=None, hess=None)
+    image = linear_map_image(config, path, forward, eta).values
+    assert np.abs(image).max() > 0.0
+    assert np.array_equal(image, linear_map_image(config, path, flow, eta).values)
 
 
 def test_linear_map_image_shares_the_pass(mini, tiers_calls):
@@ -590,13 +596,9 @@ def test_quadratic_form_makes_one_order_1_pass(mini, tiers_calls):
 
 
 def test_cross_terms_make_one_order_2_pass_each(mini, eta_pairs, tiers_calls):
+    # one pass for both sides of the duality: no tangent or multiplier is
+    # solved first
     config, _, path, flow, _ = mini
     e1, e2 = eta_pairs[0]
-    tangent1 = tangent_solve(config, path, flow, e1)
-    mult2 = solve_v(config, path, flow, e2)
-    tiers_calls.clear()
-    cross_term_via_tangent(config, path, flow, e2, tangent1)
-    assert tiers_calls == [2] * 17
-    tiers_calls.clear()
-    cross_term_via_multiplier(config, path, flow, e1, mult2)
+    cross_term_duality(config, path, flow, e1, e2)
     assert tiers_calls == [2] * 17
