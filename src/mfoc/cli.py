@@ -12,9 +12,10 @@ header row and LF line endings, so reruns with identical configuration are
 byte-identical. Wall-clock time lives in the manifest only, which is the one
 deliberately non-reproducible artifact.
 
-Every tool setting is declared once, in ``_SETTINGS``, with its default
-(which fixes its type) and its admissible range; ``_tool`` reads one where
-its command needs it. Every table a command writes row by row goes through
+Every key of the document is declared once, in ``model.DOCUMENT_KEYS``, with
+its default and its range. A command reads a tool setting with
+``model.setting`` where it needs it, so a setting is checked only by the
+commands that use it. Every table a command writes row by row goes through
 ``RunWriter.write_csv``, which formats an integer cell with ``str``, None
 as an empty field and any other number as ``csvtext.fmt``.
 
@@ -46,7 +47,6 @@ from . import __version__, csvtext
 from .checks import run_battery
 from .linearization import pl_scan, stability_probe
 from .measures import (
-    MIN_RES,
     AdmissibilityError,
     ControlPath,
     DegenerateMeasureError,
@@ -56,7 +56,7 @@ from .measures import (
     measure_to_csv,
     moment,
 )
-from .model import ConfigError, config_section, config_value, load_problem_config, rng_for
+from .model import ConfigError, load_problem_config, rng_for, setting
 from .optimizer import (
     PositivityError,
     fp_descent_step,
@@ -75,39 +75,6 @@ EXIT_INVARIANT = 3
 
 # resolution of the coarse level of a solve on a grid of at least twice it
 COARSE_RES = 16
-
-# every tool setting: its default, whose type the setting takes, and its
-# admissible range as a test and the rule it states; the descent command
-# checks the backend itself
-_SETTINGS = {
-    "measure.res": (64, lambda v: v >= MIN_RES, f">= {MIN_RES}"),
-    "measure.box_halfwidth": (4.0, lambda v: math.isfinite(v) and v > 0.0, "finite and > 0"),
-    "solve.damping": (0.5, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "solve.tol": (1e-8, lambda v: v > 0.0, "> 0"),
-    "solve.max_iters": (500, lambda v: v >= 0, ">= 0"),
-    "descent.backend": ("grid", None, None),
-    "descent.steps": (100, lambda v: v >= 0, ">= 0"),
-    "descent.step_size": (1e-3, lambda v: math.isfinite(v) and v > 0.0, "finite and > 0"),
-    "descent.particles": (2000, lambda v: v >= 1, ">= 1"),
-    "descent.init_tilt": (0.3, math.isfinite, "finite"),
-    "stability.iters": (10, lambda v: v >= 1, ">= 1"),
-    "stability.margin": (0.1, lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"),
-    "pl_scan.radius": (0.1, lambda v: v >= 0.0, ">= 0"),  # 0 is the degenerate scan
-    "pl_scan.samples": (200, lambda v: v >= 1, ">= 1"),
-}
-# the keys of each tool section, the sections in the order of the table
-_TOOL_SECTIONS: dict[str, set] = {}
-for _dotted in _SETTINGS:
-    _section, _key = _dotted.split(".")
-    _TOOL_SECTIONS.setdefault(_section, set()).add(_key)
-
-
-def _split_document(doc: dict):
-    """Separate tool sections from the problem document; both strict."""
-    problem = {key: value for key, value in doc.items() if key not in _TOOL_SECTIONS}
-    tools = {key: config_section(doc, key, allowed) for key, allowed in _TOOL_SECTIONS.items()}
-    return problem, tools
-
 
 def _apply_override(doc: dict, dotted: str, raw: str):
     try:
@@ -135,11 +102,10 @@ def load_run_document(path: str, overrides, seed=None):
         _apply_override(doc, dotted, raw)
     if seed is not None:
         doc["seed"] = int(seed)
-    problem_doc, tools = _split_document(doc)
-    config = load_problem_config(problem_doc)
+    config = load_problem_config(doc)
     # the prior's box is checked before a run directory exists
-    check_prior_box(config.potential, _tool(tools, "measure.box_halfwidth"), config.field.dprime)
-    return config, tools, doc
+    check_prior_box(config.potential, setting(doc, "measure.box_halfwidth"), config.field.dprime)
+    return config, doc
 
 
 class OutputError(Exception):
@@ -188,7 +154,7 @@ class RunWriter:
         manifest = {
             "command": self.command,
             "config": self.doc,
-            "seed": self.doc.get("seed", 0),
+            "seed": setting(self.doc, "seed"),
             "version": __version__,
             "wall_clock_s": time.monotonic() - self.started,
             "files": self.files,
@@ -209,20 +175,9 @@ def _csv_cell(x) -> str:
     return str(x) if isinstance(x, (int, np.integer)) else csvtext.fmt(x)
 
 
-def _tool(tools, dotted):
-    """The tool setting ``section.key`` of ``_SETTINGS``, converted to the
-    type of its default and checked against its range."""
-    default, admissible, rule = _SETTINGS[dotted]
-    section, key = dotted.split(".")
-    value = config_value(type(default), tools.get(section, {}).get(key, default), dotted)
-    if admissible is not None and not admissible(value):
-        raise ConfigError(f"configuration key '{dotted}' must be {rule}, got {value}")
-    return value
-
-
-def _initial_grid_path(config, tools):
-    res = _tool(tools, "measure.res")
-    halfwidth = _tool(tools, "measure.box_halfwidth")
+def _initial_grid_path(config, doc):
+    res = setting(doc, "measure.res")
+    halfwidth = setting(doc, "measure.box_halfwidth")
     return _prior_path(config, halfwidth, res)
 
 
@@ -249,7 +204,7 @@ def _json_float(x):
     return x if math.isfinite(x) else None
 
 
-def _solved_state(config, tools):
+def _solved_state(config, doc):
     """Picard solution on the measure grid, its prior and the iterations of
     its coarse level.
 
@@ -260,11 +215,11 @@ def _solved_state(config, tools):
     residual is not finite. The fine solve alone decides convergence and
     counts the result's iterations.
     """
-    path, prior = _initial_grid_path(config, tools)
+    path, prior = _initial_grid_path(config, doc)
     settings = {
-        "damping": _tool(tools, "solve.damping"),
-        "tol": _tool(tools, "solve.tol"),
-        "max_iters": _tool(tools, "solve.max_iters"),
+        "damping": setting(doc, "solve.damping"),
+        "tol": setting(doc, "solve.tol"),
+        "max_iters": setting(doc, "solve.max_iters"),
     }
     template = path.measures[0]
     coarse_iterations = 0
@@ -293,8 +248,8 @@ def _not_converged(result) -> dict:
     return {"status": "not-converged", "reason": reason}
 
 
-def cmd_solve(config, tools, writer) -> int:
-    result, _, coarse_iterations = _solved_state(config, tools)
+def cmd_solve(config, doc, writer) -> int:
+    result, _, coarse_iterations = _solved_state(config, doc)
     failure = _not_converged(result)
     writer.write_csv("residuals.csv", ["iteration", "residual"], enumerate(result.residual_history))
     writer.write_text("nu_star.csv", _path_to_csv(result.path))
@@ -320,20 +275,20 @@ def _tilted_start(path, amplitude):
     return path.replace_measures(nu.tilted(amplitude * psi) for nu in path.measures)
 
 
-def cmd_descent(config, tools, writer) -> int:
-    backend = _tool(tools, "descent.backend")
-    steps = _tool(tools, "descent.steps")
-    h = _tool(tools, "descent.step_size")
-    tilt = _tool(tools, "descent.init_tilt")
+def cmd_descent(config, doc, writer) -> int:
+    backend = setting(doc, "descent.backend")
+    steps = setting(doc, "descent.steps")
+    h = setting(doc, "descent.step_size")
+    tilt = setting(doc, "descent.init_tilt")
     if backend == "grid":
-        return _descent_grid(config, tools, writer, steps, h, tilt)
+        return _descent_grid(config, doc, writer, steps, h, tilt)
     if backend == "particle":
-        return _descent_particle(config, tools, writer, steps, h, tilt)
+        return _descent_particle(config, doc, writer, steps, h, tilt)
     raise ConfigError(f"unknown descent backend {backend!r}")
 
 
-def _descent_grid(config, tools, writer, steps, h, tilt) -> int:
-    base, prior = _initial_grid_path(config, tools)
+def _descent_grid(config, doc, writer, steps, h, tilt) -> int:
+    base, prior = _initial_grid_path(config, doc)
     path = _tilted_start(base, tilt)
     rows = []
     # row k holds the cost at the start of step k; the last, the final cost
@@ -362,8 +317,8 @@ def _descent_grid(config, tools, writer, steps, h, tilt) -> int:
     return EXIT_OK
 
 
-def _descent_particle(config, tools, writer, steps, h, tilt) -> int:
-    m = _tool(tools, "descent.particles")
+def _descent_particle(config, doc, writer, steps, h, tilt) -> int:
+    m = setting(doc, "descent.particles")
     rng = rng_for(config.seed, "descent-particle")
     dprime = config.field.dprime
     points = sample_prior(config.potential, dprime, m, rng)
@@ -399,11 +354,11 @@ def _descent_particle(config, tools, writer, steps, h, tilt) -> int:
     return EXIT_OK
 
 
-def cmd_stability(config, tools, writer) -> int:
+def cmd_stability(config, doc, writer) -> int:
     # the probe's settings are checked before the solve they follow
-    iters = _tool(tools, "stability.iters")
-    margin = _tool(tools, "stability.margin")
-    result, _, _ = _solved_state(config, tools)
+    iters = setting(doc, "stability.iters")
+    margin = setting(doc, "stability.margin")
+    result, _, _ = _solved_state(config, doc)
     failure = _not_converged(result)
     if failure:
         writer.write_json("summary.json", failure)
@@ -431,11 +386,11 @@ def cmd_stability(config, tools, writer) -> int:
     return EXIT_OK
 
 
-def cmd_pl_scan(config, tools, writer) -> int:
+def cmd_pl_scan(config, doc, writer) -> int:
     # the scan's settings are checked before the solve they follow
-    radius = _tool(tools, "pl_scan.radius")
-    samples = _tool(tools, "pl_scan.samples")
-    result, prior, _ = _solved_state(config, tools)
+    radius = setting(doc, "pl_scan.radius")
+    samples = setting(doc, "pl_scan.samples")
+    result, prior, _ = _solved_state(config, doc)
     failure = _not_converged(result)
     if failure:
         writer.write_json("summary.json", failure)
@@ -465,7 +420,7 @@ def cmd_pl_scan(config, tools, writer) -> int:
     return EXIT_OK
 
 
-def cmd_check(config, tools, writer) -> int:
+def cmd_check(config, doc, writer) -> int:
     results = run_battery(config)
     width = max(len(r.name) for r in results)
     lines = []
@@ -534,22 +489,22 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code else EXIT_OK
     out_dir = Path(args.out or os.environ.get("OUTPUT_DIR", "out"))
     try:
-        config, tools, doc = load_run_document(args.config, args.set, args.seed)
+        config, doc = load_run_document(args.config, args.set, args.seed)
     except (ConfigError, OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         writer = RunWriter(out_dir, args.command, doc)
-        return _run(COMMANDS[args.command], config, tools, writer)
+        return _run(COMMANDS[args.command], config, doc, writer)
     except OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 
-def _run(command, config, tools, writer) -> int:
+def _run(command, config, doc, writer) -> int:
     """Exit code of one command; the manifest is written however it ends."""
     try:
-        return command(config, tools, writer)
+        return command(config, doc, writer)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

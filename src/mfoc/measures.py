@@ -303,10 +303,6 @@ def relative_entropy(mu: GridMeasure, nu: GridMeasure) -> float:
     return float(np.sum(p[active] * (logp[active] - logq[active]))) * mu.cell_volume
 
 
-# np.gradient, behind the finite-volume gradients, needs two cells per axis
-MIN_RES = 2
-
-
 def _log_ratio_gradient(mu: GridMeasure, nu: GridMeasure):
     log_ratio = np.log(np.maximum(mu.values, LOG_FLOOR)) - np.log(
         np.maximum(nu.values, LOG_FLOOR)

@@ -1,5 +1,6 @@
 """Problem primitives: activation field, confinement potential, terminal loss,
-dataset, time grid and the global problem configuration.
+dataset, time grid, the global problem configuration and the keys of the run
+document that describes it.
 
 Conventions used throughout the package:
 
@@ -618,27 +619,85 @@ class ProblemConfig:
 
 # -- configuration document ---------------------------------------------------
 
-_FIELD_KEYS = {"family", "sigma", "d1"}
-_POTENTIAL_KEYS = {"c1", "c2"}
-_LOSS_KEYS = {"kind", "d1", "d2"}
-_DATASET_KEYS = {"points"}
-_GRID_KEYS = {"t0", "T", "nt"}
-_PROBLEM_KEYS = {"epsilon", "seed", "field", "potential", "loss", "dataset", "grid"}
+# np.gradient, behind the finite-volume gradients, needs two cells per axis
+MIN_RES = 2
+# the default of a key the document must give
+REQUIRED = object()
+# a dimension key: features and labels are scalars throughout the package
+_UNIT = (lambda v: v == 1, "1")
+
+# every key of the run document, top-level or ``section.key``: its default,
+# whose type a given value takes (a required key's value is read as given),
+# and its admissible range as a test and the rule it states. The problem's
+# dataclasses check their own values; a tool setting is checked by the
+# command that reads it, and the descent command checks the backend itself.
+DOCUMENT_KEYS = {
+    "epsilon": (REQUIRED, None, None),
+    "seed": (0, None, None),
+    "field.family": (COMPONENTWISE, None, None),
+    "field.sigma": ("tanh", None, None),
+    "field.d1": (1, *_UNIT),
+    "potential.c1": (0.25, None, None),
+    "potential.c2": (0.5, None, None),
+    "loss.kind": ("quadratic", None, None),
+    "loss.d1": (1, *_UNIT),
+    "loss.d2": (1, *_UNIT),
+    "dataset.points": (REQUIRED, None, None),
+    "grid.t0": (0.0, None, None),
+    "grid.T": (1.0, None, None),
+    "grid.nt": (65, None, None),
+    "measure.res": (64, lambda v: v >= MIN_RES, f">= {MIN_RES}"),
+    "measure.box_halfwidth": (4.0, lambda v: math.isfinite(v) and v > 0.0, "finite and > 0"),
+    "solve.damping": (0.5, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "solve.tol": (1e-8, lambda v: v > 0.0, "> 0"),
+    "solve.max_iters": (500, lambda v: v >= 0, ">= 0"),
+    "descent.backend": ("grid", None, None),
+    "descent.steps": (100, lambda v: v >= 0, ">= 0"),
+    "descent.step_size": (1e-3, lambda v: math.isfinite(v) and v > 0.0, "finite and > 0"),
+    "descent.particles": (2000, lambda v: v >= 1, ">= 1"),
+    "descent.init_tilt": (0.3, math.isfinite, "finite"),
+    "stability.iters": (10, lambda v: v >= 1, ">= 1"),
+    "stability.margin": (0.1, lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"),
+    "pl_scan.radius": (0.1, lambda v: v >= 0.0, ">= 0"),  # 0 is the degenerate scan
+    "pl_scan.samples": (200, lambda v: v >= 1, ">= 1"),
+}
 
 
-def _reject_unknown(section: dict, allowed: set, where: str):
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown configuration key {where}{key!r}")
+def _check_keys(doc: dict) -> None:
+    """Fail on a document or section that is not an object, on a key that
+    ``DOCUMENT_KEYS`` does not declare and on a missing part of the problem."""
+    if not isinstance(doc, dict):
+        raise ConfigError("configuration document must be a JSON object")
+    for name, section in doc.items():
+        if name in DOCUMENT_KEYS and "." not in name:
+            continue
+        if not any(dotted.startswith(name + ".") for dotted in DOCUMENT_KEYS):
+            raise ConfigError(f"unknown configuration key {name!r}")
+        if not isinstance(section, dict):
+            raise ConfigError(f"configuration key {name!r} must be a JSON object")
+        for key in section:
+            if f"{name}.{key}" not in DOCUMENT_KEYS:
+                raise ConfigError(f"unknown configuration key '{name}.{key}'")
+    for name in ("epsilon", "dataset", "grid"):
+        if name not in doc:
+            raise ConfigError(f"missing configuration key {name!r}")
 
 
-def config_section(doc: dict, name: str, allowed: set) -> dict:
-    """The sub-object ``doc[name]`` (empty when absent); unknown keys fail."""
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"configuration key {name!r} must be a JSON object")
-    _reject_unknown(section, allowed, name + ".")
-    return section
+def setting(doc: dict, dotted: str):
+    """The key ``dotted`` of ``DOCUMENT_KEYS`` in a document that passed
+    ``_check_keys``: its default when absent, else its value converted to
+    the type of the default and checked against its range."""
+    default, admissible, rule = DOCUMENT_KEYS[dotted]
+    *section, key = dotted.split(".")
+    node = doc.get(section[0], {}) if section else doc
+    if key not in node:
+        if default is REQUIRED:
+            raise ConfigError(f"missing configuration key {dotted!r}")
+        return default
+    value = node[key] if default is REQUIRED else config_value(type(default), node[key], dotted)
+    if admissible is not None and not admissible(value):
+        raise ConfigError(f"configuration key '{dotted}' must be {rule}, got {value}")
+    return value
 
 
 def config_value(kind, value, key: str):
@@ -656,60 +715,20 @@ def config_value(kind, value, key: str):
         raise ConfigError(message) from None
 
 
-def _unit_dimension(section: dict, name: str, key: str) -> None:
-    """Check a dimension key, which must be 1 when given: features and
-    labels are scalars throughout the package."""
-    value = config_value(int, section.get(key, 1), f"{name}.{key}")
-    if value != 1:
-        raise ConfigError(f"configuration key '{name}.{key}' must be 1, got {value}")
-
-
 def load_problem_config(doc: dict) -> ProblemConfig:
-    """Build a ProblemConfig from a parsed JSON document; unknown keys fail."""
-    if not isinstance(doc, dict):
-        raise ConfigError("configuration document must be a JSON object")
-    _reject_unknown(doc, _PROBLEM_KEYS, "")
-    for name in ("epsilon", "dataset", "grid"):
-        if name not in doc:
-            raise ConfigError(f"missing configuration key {name!r}")
-
-    fsec = config_section(doc, "field", _FIELD_KEYS)
-    _unit_dimension(fsec, "field", "d1")
-    field = ActivationField(
-        family=fsec.get("family", COMPONENTWISE), sigma=fsec.get("sigma", "tanh")
-    )
-
-    psec = config_section(doc, "potential", _POTENTIAL_KEYS)
-    potential = ConfinementPotential(
-        c1=config_value(float, psec.get("c1", 0.25), "potential.c1"),
-        c2=config_value(float, psec.get("c2", 0.5), "potential.c2"),
-    )
-
-    lsec = config_section(doc, "loss", _LOSS_KEYS)
-    _unit_dimension(lsec, "loss", "d1")
-    _unit_dimension(lsec, "loss", "d2")
-    loss = TerminalLoss(kind=lsec.get("kind", "quadratic"))
-
-    dsec = config_section(doc, "dataset", _DATASET_KEYS)
-    if "points" not in dsec:
-        raise ConfigError("missing configuration key 'dataset.points'")
-    dataset = Dataset.from_pairs(dsec["points"])
-
-    gsec = config_section(doc, "grid", _GRID_KEYS)
-    grid = TimeGrid(
-        t0=config_value(float, gsec.get("t0", 0.0), "grid.t0"),
-        horizon=config_value(float, gsec.get("T", 1.0), "grid.T"),
-        nt=config_value(int, gsec.get("nt", 65), "grid.nt"),
-    )
-
+    """Build a ProblemConfig from a parsed JSON document; its keys are
+    checked, the tool settings are left to the commands that read them."""
+    _check_keys(doc)
+    for dotted in ("field.d1", "loss.d1", "loss.d2"):
+        setting(doc, dotted)  # checked, not kept: every dimension is 1
     return ProblemConfig(
-        epsilon=config_value(float, doc["epsilon"], "epsilon"),
-        field=field,
-        potential=potential,
-        loss=loss,
-        dataset=dataset,
-        grid=grid,
-        seed=config_value(int, doc.get("seed", 0), "seed"),
+        field=ActivationField(setting(doc, "field.family"), setting(doc, "field.sigma")),
+        potential=ConfinementPotential(setting(doc, "potential.c1"), setting(doc, "potential.c2")),
+        loss=TerminalLoss(setting(doc, "loss.kind")),
+        dataset=Dataset.from_pairs(setting(doc, "dataset.points")),
+        grid=TimeGrid(setting(doc, "grid.t0"), setting(doc, "grid.T"), setting(doc, "grid.nt")),
+        epsilon=config_value(float, setting(doc, "epsilon"), "epsilon"),
+        seed=setting(doc, "seed"),
     )
 
 

@@ -45,9 +45,8 @@ count.
 Every linearized sweep (tangent, multiplier, linearized map, quadratic form
 and the cross-term duality) reads its stage data from one ``stage_pass``,
 which contracts the control fold and the folds of any number of
-perturbations in the same call. ``duality_residual`` and
-``meanfield_drift`` pass their folds to the kernel in the same way, so no
-sweep of the package builds tier arrays.
+perturbations in the same call. ``duality_residual`` passes its folds to
+the kernel in the same way, so no sweep of the package builds tier arrays.
 
 ``backward_solve`` is the order-1 adjoint sweep of the Gibbs map and the
 Langevin step. The pair (z, h) of adjoint and curvature h = grad_xx u has
@@ -166,14 +165,6 @@ def _node_quadratures(field: ActivationField, path: ControlPath):
         quad = FieldQuadrature(field, support)
         out.append((quad, quad.fold(weights)))
     return out
-
-
-def meanfield_drift(field: ActivationField, x, m) -> np.ndarray:
-    """Mean drift int b(x, a) dm(a) for a single state x."""
-    support, weights = _measure_arrays(m)
-    quad = FieldQuadrature(field, support)
-    x = np.asarray(x, dtype=float).reshape(1, 1)
-    return quad.tiers(x, 0, (quad.fold(weights),))[0][0][0]
 
 
 # -- forward pass ---------------------------------------------------------------

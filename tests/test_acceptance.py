@@ -8,7 +8,6 @@ otherwise.
 """
 
 import hashlib
-import json
 import math
 import time
 from dataclasses import replace
@@ -19,10 +18,8 @@ import pytest
 
 from mfoc.cli import main as cli_main
 from mfoc.linearization import (
-    PerturbationPath,
     cross_term_duality,
     pl_scan,
-    quadratic_form,
     rho_action,
     second_derivative_check,
     solve_v,
@@ -31,7 +28,6 @@ from mfoc.measures import (
     ControlPath,
     GridMeasure,
     ParticleMeasure,
-    PriorMeasure,
     pinsker_check,
     relative_entropy,
 )

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfoc import cli, optimizer, trajectories
+from mfoc import cli, model, optimizer, trajectories
 from conftest import make_config, prior_path
 from mfoc.cli import (
     RunWriter,
@@ -32,10 +32,12 @@ from mfoc.measures import (
 from mfoc.model import (
     RIDGE_OUTER,
     ActivationField,
+    ConfigError,
     FieldQuadrature,
     TimeGrid,
     Workspace,
     config_value,
+    load_problem_config,
 )
 from mfoc.trajectories import DivergenceError, backward_solve, forward_solve
 
@@ -406,8 +408,8 @@ def test_solve_converges_on_mini_at_small_epsilon(tmp_path):
 
 class TestPathCsv:
     def test_solved_mini_path_matches_reference(self):
-        config, tools, _ = load_run_document(str(FIXTURES / "mini.json"), [])
-        result, _, _ = _solved_state(config, tools)
+        config, doc = load_run_document(str(FIXTURES / "mini.json"), [])
+        result, _, _ = _solved_state(config, doc)
         assert result is not None
         text = b"".join(_path_to_csv(result.path)).decode()
         assert text == reference_path_to_csv(result.path)
@@ -464,18 +466,41 @@ class TestRunWriter:
         assert (tmp_path / "t.csv").read_text() == "a,b\n" + rows
 
 
-def test_tool_defaults_are_in_range():
-    for dotted, (default, admissible, _) in cli._SETTINGS.items():
-        assert cli._tool({}, dotted) == default
+def test_defaults_load_and_are_in_range():
+    assert len(model.DOCUMENT_KEYS) == 28
+    for dotted, (default, admissible, _) in model.DOCUMENT_KEYS.items():
+        if default is model.REQUIRED:
+            with pytest.raises(ConfigError, match=f"^missing configuration key '{dotted}'$"):
+                model.setting({}, dotted)
+            continue
+        assert model.setting({}, dotted) == default
         assert admissible is None or admissible(default), dotted
 
 
-def test_fixture_tool_keys_are_settings():
+def test_fixture_keys_are_declared():
     for path in sorted(FIXTURES.glob("*.json")):
         doc = json.loads(path.read_text())
-        for section in cli._TOOL_SECTIONS:
-            for key in doc.get(section, {}):
-                assert f"{section}.{key}" in cli._SETTINGS, (path.name, section, key)
+        for name, value in doc.items():
+            keys = [f"{name}.{key}" for key in value] if isinstance(value, dict) else [name]
+            for dotted in keys:
+                assert dotted in model.DOCUMENT_KEYS, (path.name, dotted)
+
+
+@pytest.mark.parametrize("missing", ["epsilon", "dataset.points"])
+def test_missing_required_key_is_named(missing):
+    doc = json.loads((FIXTURES / "mini.json").read_text())
+    *section, key = missing.split(".")
+    (doc[section[0]] if section else doc).pop(key)
+    with pytest.raises(ConfigError, match=f"^missing configuration key '{missing}'$"):
+        load_problem_config(doc)
+
+
+@pytest.mark.parametrize("override", ["bogus=1", "field.bogus=1", "solve.bogus=1"])
+def test_unknown_key_is_named_by_its_dotted_path(tmp_path, capsys, override):
+    code, out = run(tmp_path, "solve", "--config", str(FIXTURES / "mini.json"), "--set", override)
+    dotted = override.split("=")[0]
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == f"configuration error: unknown configuration key '{dotted}'\n"
 
 
 # -- failure semantics ---------------------------------------------------------
@@ -594,7 +619,7 @@ def test_fixtures_with_unit_dimensions_load():
     for path in sorted(FIXTURES.glob("*.json")):
         doc = json.loads(path.read_text())
         assert doc["field"]["d1"] == doc["loss"]["d1"] == doc["loss"]["d2"] == 1
-        config, _, _ = load_run_document(str(path), [])
+        config, _ = load_run_document(str(path), [])
         assert config.dataset.x.shape[1] == config.dataset.y.shape[1] == 1
 
 
@@ -822,9 +847,9 @@ def test_probe_settings_are_checked_before_the_solve(
 def _direct_solve(document, *overrides):
     """A Picard solve from the prior on the document's measure grid, with its
     solve settings."""
-    config, tools, _ = load_run_document(str(document), list(overrides))
-    path, _ = _initial_grid_path(config, tools)
-    return optimizer.picard_solve(config, path, **tools["solve"])
+    config, doc = load_run_document(str(document), list(overrides))
+    path, _ = _initial_grid_path(config, doc)
+    return optimizer.picard_solve(config, path, **doc.get("solve", {}))
 
 
 def assert_solve_outputs_equal(out, result):
@@ -874,10 +899,10 @@ def test_non_finite_coarse_residual_starts_the_fine_solve_at_the_prior(tmp_path,
 
 
 def test_lifted_start_converges_without_fine_iterations_on_desk():
-    config, tools, _ = load_run_document(str(FIXTURES / "desk.json"), [])
-    result, _, coarse_iterations = _solved_state(config, tools)
+    config, doc = load_run_document(str(FIXTURES / "desk.json"), [])
+    result, _, coarse_iterations = _solved_state(config, doc)
     assert result.converged and result.iterations == 0
-    assert result.report.picard_residual <= tools["solve"]["tol"]
+    assert result.report.picard_residual <= doc["solve"]["tol"]
     assert coarse_iterations > 0
 
 
@@ -886,8 +911,8 @@ def test_two_grid_solution_is_no_farther_from_the_fixed_point(epsilon):
     # the distance to a tol-1e-13 reference is the largest per-node relative
     # entropy; the two-grid solve is held to the direct solve's
     desk = FIXTURES / "desk.json"
-    config, tools, _ = load_run_document(str(desk), [f"epsilon={epsilon}"])
-    two_grid, _, _ = _solved_state(config, tools)
+    config, doc = load_run_document(str(desk), [f"epsilon={epsilon}"])
+    two_grid, _, _ = _solved_state(config, doc)
     direct = _direct_solve(desk, f"epsilon={epsilon}")
     reference = optimizer.picard_solve(config, direct.path, tol=1e-13)
     assert two_grid.converged and direct.converged and reference.converged
@@ -927,7 +952,7 @@ def test_gibbs_image_on_another_grid_is_the_lift(name, coarse_res, fine_res):
     if name == "ridge-logistic":
         config = replace(make_config(n=8, nt=9), field=ActivationField(RIDGE_OUTER, "logistic"))
     else:
-        config, _, _ = load_run_document(str(FIXTURES / f"{name}.json"), [])
+        config, _ = load_run_document(str(FIXTURES / f"{name}.json"), [])
     coarse_path, _ = cli._prior_path(config, 4.0, coarse_res)
     coarse = optimizer.picard_solve(config, coarse_path, max_iters=3)
     template = cli._prior_path(config, 4.0, fine_res)[0].measures[0]
@@ -941,8 +966,8 @@ def test_gibbs_image_on_another_grid_is_the_lift(name, coarse_res, fine_res):
 
 
 def test_separate_template_of_the_path_geometry_takes_the_fused_route(kernel_calls):
-    config, tools, _ = load_run_document(str(FIXTURES / "desk.json"), [])
-    path, _ = _initial_grid_path(config, tools)
+    config, doc = load_run_document(str(FIXTURES / "desk.json"), [])
+    path, _ = _initial_grid_path(config, doc)
     own = path.measures[0]
     template = GridMeasure(own.halfwidth, own.res, np.ones_like(own.values))
     snapshots, _ = optimizer.gibbs_image(config, path, forward_solve(config, path), template)
@@ -962,8 +987,8 @@ def test_desk_solve_kernel_calls(kernel_calls):
     # order-0 tier and 64 midpoint calls; between the levels the lift's
     # coarse backward sweep (129 calls that keep nothing) and 65 order-0
     # node calls on the fine cells
-    config, tools, _ = load_run_document(str(FIXTURES / "desk.json"), [])
-    result, _, coarse_iterations = _solved_state(config, tools)
+    config, doc = load_run_document(str(FIXTURES / "desk.json"), [])
+    result, _, coarse_iterations = _solved_state(config, doc)
     assert (coarse_iterations, result.iterations) == (5, 0)
     coarse, fine = 16**2, 64**2
     assert Counter(kernel_calls) == {
@@ -984,8 +1009,8 @@ def test_desk_gibbs_maps_fold_each_weight_once(fold_calls):
     # res 16 and at res 64 (192 when each sweep formed its own). The lift's
     # coarse sweep folds both tiers of its nodes; the fine cells, which it
     # only samples, take no fold
-    config, tools, _ = load_run_document(str(FIXTURES / "desk.json"), [])
-    fine, _ = _initial_grid_path(config, tools)
+    config, doc = load_run_document(str(FIXTURES / "desk.json"), [])
+    fine, _ = _initial_grid_path(config, doc)
     coarse, _ = cli._prior_path(config, fine.measures[0].halfwidth, 16)
     for path in (coarse, fine):
         fold_calls.clear()

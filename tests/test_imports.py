@@ -1,13 +1,17 @@
-"""Every name a package module imports is used there or re-exported through
-its ``__all__``: a dead import is the trace of a removed code path. The
-check reads the source with the standard-library ``ast`` module only."""
+"""Every name a package or test module imports is used there or
+re-exported through its ``__all__``: a dead import is the trace of a removed
+code path. The check reads the source with the standard-library ``ast``
+module only."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mfoc"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "mfoc"
+# the package and the tests; perfbench/ changes only with the benchmark
+MODULES = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -29,9 +33,9 @@ def unused_imports(source: str) -> list:
     return [name for name in imported if name not in used]
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+@pytest.mark.parametrize("module", MODULES, ids=lambda path: path.name)
 def test_module_uses_every_import(module):
-    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+    assert unused_imports(module.read_text(encoding="utf-8")) == []
 
 
 def test_guard_catches_a_dead_import():

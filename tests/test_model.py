@@ -1,4 +1,3 @@
-import math
 
 import mpmath
 import numpy as np

@@ -13,7 +13,6 @@ from mfoc.measures import (
     GridMeasure,
     ParticleMeasure,
     moment,
-    normalize,
     relative_entropy,
 )
 from mfoc.model import Dataset, rng_for
@@ -30,15 +29,15 @@ from mfoc.optimizer import (
     total_cost,
 )
 from mfoc.trajectories import forward_solve
-from conftest import make_config, make_prior, prior_path, refined, relative_eta
+from conftest import make_config, make_prior, prior_path, refined
 
 MINI = Path(__file__).resolve().parent.parent / "fixtures" / "mini.json"
 
 
 def mini_start(*sets):
     """Configuration and prior path of fixtures/mini.json with overrides."""
-    config, tools, _ = load_run_document(str(MINI), list(sets))
-    return config, _initial_grid_path(config, tools)[0]
+    config, doc = load_run_document(str(MINI), list(sets))
+    return config, _initial_grid_path(config, doc)[0]
 
 
 def damped_step(config, path, damping):

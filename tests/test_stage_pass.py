@@ -353,8 +353,8 @@ def solved_case(name):
         config = replace(make_config(n=8, nt=9), field=ActivationField(RIDGE_OUTER, "logistic"))
         result = picard_solve(config, prior_path(config, res=12)[0], tol=1e-10)
     else:
-        config, tools, _ = load_run_document(str(FIXTURES / f"{name}.json"), [])
-        result, _, _ = _solved_state(config, tools)
+        config, doc = load_run_document(str(FIXTURES / f"{name}.json"), [])
+        result, _, _ = _solved_state(config, doc)
     assert result.converged
     return config, result.path, result.flow
 
@@ -364,8 +364,8 @@ def solved_case(name):
 
 @pytest.fixture(scope="module")
 def mini():
-    config, tools, _ = load_run_document(str(MINI), [])
-    result, _, _ = _solved_state(config, tools)
+    config, doc = load_run_document(str(MINI), [])
+    result, _, _ = _solved_state(config, doc)
     assert result is not None
     path = result.path
     flow = curvature_solve(config, path, result.flow)
@@ -376,7 +376,7 @@ def mini():
         lambda m: np.cos(1.1 * m[:, 0] - 0.4 * m[:, 1]),
         profile=lambda t: 1.0 + 0.5 * np.sin(2.0 * t),
     )
-    return config, tools, path, flow, eta
+    return config, doc, path, flow, eta
 
 
 @pytest.fixture(scope="module")
@@ -406,12 +406,12 @@ def tiers_calls(monkeypatch):
     return calls
 
 
-def _probe(config, tools, path, flow):
+def _probe(config, doc, path, flow):
     return stability_probe(
         config,
         path,
         flow,
-        iters=int(tools["stability"]["iters"]),
+        iters=int(doc["stability"]["iters"]),
         rng=rng_for(config.seed, "stability-probe"),
     )
 
@@ -444,9 +444,9 @@ def test_linear_map_image_matches_reference_loops(mini):
 def test_stability_probe_matches_reference_loops(mini, monkeypatch):
     # the probe no longer applies linear_map_image, so it agrees with the
     # grid-vector probe over the reference loops at round-off, not bitwise
-    config, tools, path, flow, _ = mini
-    iters = int(tools["stability"]["iters"])
-    new = _probe(config, tools, path, flow)
+    config, doc, path, flow, _ = mini
+    iters = int(doc["stability"]["iters"])
+    new = _probe(config, doc, path, flow)
     monkeypatch.setattr(linearization, "linear_map_image", reference_linear_map_image)
     ref = reference_stability_probe(
         config, path, flow, iters, rng_for(config.seed, "stability-probe")
@@ -556,11 +556,11 @@ def test_stability_probe_builds_stage_data_once(mini, tiers_calls):
 
 
 def test_stability_probe_transports_the_curvature_itself(mini, tiers_calls):
-    config, tools, path, flow, _ = mini
+    config, doc, path, flow, _ = mini
     forward = replace(flow, z=None, hess=None)
-    report = _probe(config, tools, path, forward)
+    report = _probe(config, doc, path, forward)
     calls = len(tiers_calls)
-    assert repr(report) == repr(_probe(config, tools, path, flow))
+    assert repr(report) == repr(_probe(config, doc, path, flow))
     assert len(tiers_calls) == 2 * calls
 
 

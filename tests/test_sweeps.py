@@ -30,7 +30,6 @@ from mfoc.optimizer import picard_solve, sample_prior
 from mfoc.trajectories import (
     DivergenceError,
     _hermite_midpoint,
-    _measure_arrays,
     _node_quadratures,
     _rk4_between,
     backward_solve,
@@ -38,7 +37,6 @@ from mfoc.trajectories import (
     default_test_functions,
     duality_residual,
     forward_solve,
-    meanfield_drift,
 )
 
 from conftest import (
@@ -193,20 +191,13 @@ def reference_duality_residual(config, path, probe, flow):
     return abs(push_forward - float(np.mean(psi)))
 
 
-def reference_meanfield_drift(field, x, m):
-    support, weights = _measure_arrays(m)
-    quad = FieldQuadrature(field, support)
-    x = np.asarray(x, dtype=float).reshape(1, 1)
-    return fold_drift(quad.fold(weights), tier_arrays(quad, x, 0))[0]
-
-
 # -- fixtures ------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def mini():
-    config, tools, _ = load_run_document(str(MINI), [])
-    path, _ = _initial_grid_path(config, tools)
+    config, doc = load_run_document(str(MINI), [])
+    path, _ = _initial_grid_path(config, doc)
     # a few Picard steps give a path away from the prior
     return config, picard_solve(config, path, max_iters=3).path
 
@@ -238,8 +229,8 @@ def test_curvature_solve_matches_reference_hessian_loop(mini, family):
     config, path = mini
     if family != config.field.family:
         overrides = [f"field.family={family}", "measure.res=16"]
-        config, tools, _ = load_run_document(str(MINI), overrides)
-        path = picard_solve(config, _initial_grid_path(config, tools)[0], max_iters=3).path
+        config, doc = load_run_document(str(MINI), overrides)
+        path = picard_solve(config, _initial_grid_path(config, doc)[0], max_iters=3).path
     flow = forward_solve(config, path)
     new = curvature_solve(config, path, flow)
     z, hess, _ = reference_backward_solve(config, path, flow, with_hessian=True)
@@ -268,17 +259,6 @@ def test_duality_residual_matches_reference_loop(mini):
         new = duality_residual(config, path, probe, flow)
         assert new == reference_duality_residual(config, path, probe, flow), probe.name
     assert any(duality_residual(config, path, p, flow) > 0.0 for p in probes)
-
-
-def test_meanfield_drift_matches_reference(mini):
-    config, path = mini
-    rng = rng_for(config.seed, "sweep-test")
-    particles = ParticleMeasure(sample_prior(config.potential, config.field.dprime, 300, rng))
-    for m in (path.measures[0], path.measures[-1], particles):
-        for x in (-1.3, 0.0, 0.7):
-            new = meanfield_drift(config.field, [x], m)
-            assert new.shape == (1,)
-            assert np.array_equal(new, reference_meanfield_drift(config.field, [x], m))
 
 
 # -- the fused kernel against the folds ------------------------------------------
@@ -870,8 +850,8 @@ def test_lone_last_row_joins_the_block_before_it(monkeypatch):
 
 @pytest.mark.parametrize("name", ["desk", "mini"])
 def test_fixture_quadratures_take_the_mirrored_route(name):
-    config, tools, _ = load_run_document(str(FIXTURES / f"{name}.json"), [])
-    path, _ = _initial_grid_path(config, tools)
+    config, doc = load_run_document(str(FIXTURES / f"{name}.json"), [])
+    path, _ = _initial_grid_path(config, doc)
     quad = _node_quadratures(config.field, path)[0][0]
     assert quad.h == quad.support.shape[0] // 2
 

@@ -3,22 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from mfoc.measures import (
-    ControlPath,
-    GridMeasure,
-    ParticleMeasure,
-    PerturbationPath,
-    normalize,
-)
-from mfoc.model import ActivationField, ConfinementPotential, Dataset, FieldQuadrature, TimeGrid
+from mfoc.measures import ControlPath, GridMeasure, ParticleMeasure, PerturbationPath
+from mfoc.model import ActivationField, ConfinementPotential, Dataset, FieldQuadrature
 from mfoc.trajectories import (
     DivergenceError,
+    _measure_arrays,
     backward_solve,
     curvature_solve,
     default_test_functions,
     duality_residual,
     forward_solve,
-    meanfield_drift,
     tangent_solve,
 )
 from conftest import make_config, prior_path, refined
@@ -39,17 +33,24 @@ def tilted_path(config, **kw):
     return ControlPath.constant(config.grid, tilted_grid(**kw))
 
 
+def mean_drift(field, x, m):
+    """int b(x, a) dm(a) at the one state x, (1,), from one kernel call."""
+    support, weights = _measure_arrays(m)
+    quad = FieldQuadrature(field, support)
+    return quad.tiers(np.array([[x]]), 0, (quad.fold(weights),))[0][0][0]
+
+
 class TestMeanfieldDrift:
     def test_symmetric_prior_gives_zero(self):
         config = make_config(n=4)
         _, prior = prior_path(config)
-        v = meanfield_drift(config.field, [0.7], prior.measure)
+        v = mean_drift(config.field, 0.7, prior.measure)
         assert abs(v[0]) < 1e-14
 
     def test_point_mass(self):
         config = make_config(n=4)
         a_star = np.array([[1.2, -0.3]])
-        v = meanfield_drift(config.field, [0.5], ParticleMeasure(a_star))
+        v = mean_drift(config.field, 0.5, ParticleMeasure(a_star))
         want = config.field.value([0.5], a_star[0])
         assert np.allclose(v, want)
 
@@ -62,8 +63,8 @@ class TestMeanfieldDrift:
             lv = -np.sum((mids - [0.5, -0.2]) ** 2, axis=1) / (2 * 0.6**2)
             return GridMeasure.from_log_values(4.0, res, lv.reshape(res, res))
 
-        coarse = meanfield_drift(config.field, [0.3], gauss(64))
-        fine = meanfield_drift(config.field, [0.3], gauss(512))
+        coarse = mean_drift(config.field, 0.3, gauss(64))
+        fine = mean_drift(config.field, 0.3, gauss(512))
         assert coarse[0] == pytest.approx(fine[0], rel=1e-6)
 
 
@@ -285,8 +286,6 @@ class TestTangentSolve:
         flow = forward_solve(config, path)
         eta = self._bump_eta(config, res=res)
         tangent = tangent_solve(config, path, flow, eta)
-        from mfoc.trajectories import _measure_arrays
-
         quad = FieldQuadrature(config.field, base.midpoints())
         w_eta = eta.node(0).ravel() * eta.cell_volume
         b_eta = quad.tiers(flow.x[0], 0, (quad.fold(w_eta),))[0][0]
@@ -350,13 +349,13 @@ class TestRidgeFamilySymmetry:
         field = ActivationField(family=RIDGE_OUTER)
         prior = PriorMeasure.build(POT, 4.0, 24, field.dprime)
         for x in (-1.2, 0.0, 0.7, 2.1):
-            v = meanfield_drift(field, [x], prior.measure)
+            v = mean_drift(field, x, prior.measure)
             assert abs(v[0]) < 1e-14
 
 
 class TestNodeQuadratures:
     def test_grid_path_shares_support_and_keeps_weights(self):
-        from mfoc.trajectories import _measure_arrays, _node_quadratures
+        from mfoc.trajectories import _node_quadratures
 
         config = make_config(n=4, nt=4)
         path = ControlPath(
