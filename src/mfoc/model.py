@@ -129,34 +129,23 @@ class ActivationField:
 
     # -- batched evaluation (the Langevin step) -------------------------------
 
-    def grad_a_batch(self, X, A, weights):
+    def grad_a_batch(self, X, A, tiers, weights):
         """sum_n weights_n grad_a b(X_n, a) at every row a of A, shape (m, dprime).
 
-        X and weights are (n, 1), A is (m, dprime); the parameter columns are
-        summed from (n, m) arrays.
+        X and weights are (n, 1), A is (m, dprime) and ``tiers`` are sigma and
+        sigma' (n, m) at the pairs (X_n, a), as a ``FieldQuadrature.tiers``
+        call keeps them. Each parameter column is one (n, m) array summed
+        against the weights, written over the tiers: no (n, m) array is
+        allocated, and the tiers are spent.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        ridge = self.family == RIDGE_OUTER
-        # sigma is written over the pre-activation and sigma'' is never formed:
-        # a Langevin step calls this once per node, and every (n, m) array
-        # it frees is memory the allocator may hand back and re-fault
-        s = np.empty((X.shape[0], A.shape[0]))
-        _preactivation(_with_ones(X), (A[:, 1:3] if ridge else A[:, :2]).T, s)
-        s1 = np.empty_like(s)
-        _SIGMAS[self.sigma](s, s1)
-        if ridge:
-            s1a0 = s1 * A[None, :, 0]
-            return _contract_columns((s, s1a0 * X, s1a0), weights)
-        # sigma itself is not needed here: its array takes s1 * x
-        return _contract_columns((np.multiply(s1, X, out=s), s1), weights)
-
-
-def _with_ones(X):
-    """The left operand [x, 1] (n, 2) of the pre-activation of states X (n, 1)."""
-    x1 = np.ones((X.shape[0], 2))
-    x1[:, 0] = X[:, 0]
-    return x1
+        s, s1 = tiers
+        head = ()
+        if self.family == RIDGE_OUTER:
+            head = (_contract_columns((s,), weights),)
+            s1 *= A[None, :, 0]  # sigma' a0
+        # sigma is spent: its array takes s1 x
+        tail = _contract_columns((np.multiply(s1, X, out=s), s1), weights)
+        return np.hstack(head + (tail,))
 
 
 def _preactivation(x1, a12, out):
@@ -198,15 +187,20 @@ class Workspace:
     plans live exactly as long as the sweep. Each buffer is flat and handed
     out as a (rows, cols) view of its head, so calls whose cell counts
     differ share it without reallocating. ``plans`` maps a call's layout
-    (its quadrature, state count, order, keep and the prefix of each
-    fold-tier) to what the layout decides: the operand [x, 1], the row
-    blocks, their buffer views and the output (``FieldQuadrature.tiers``).
-    Every call of the layout reuses it, such as the four RK4 stages of a
-    forward interval. A plan holds no fold, and a buffer that grows drops
-    the plans, whose views are of the buffer it replaces. ``kept`` holds
-    the tiers, over all states of the call and, in visiting order, the first
-    ``kept_cells`` evaluated cells (all h when None, and never fewer than
-    the call's prefix), of the latest call that asked to keep them.
+    (its count h of evaluated cells, state count, order, keep, first tier
+    and the prefix of each fold-tier) to what the layout decides: the
+    operand [x, 1], the row blocks, their buffer views and the output
+    (``FieldQuadrature.tiers``). Every call of the layout reuses it, such as
+    the four RK4 stages of a forward interval, or the calls of a particle
+    path's nodes, whose supports differ but whose layouts agree. A plan
+    holds no quadrature and no fold, so a sweep that drops a node frees its
+    support, and a buffer that grows drops the plans, whose views are of the
+    buffer it replaces.
+    ``kept`` holds the tiers, over all states of the call and, in visiting
+    order, the first ``kept_cells`` evaluated cells (all h when None, and
+    never fewer than the call's prefix), of the latest call that asked to
+    keep them: sigma and sigma' of a particle node call, which the Langevin
+    step contracts into its parameter gradient.
     """
 
     def __init__(self, kept_cells: Optional[int] = None):
@@ -234,13 +228,15 @@ class FieldQuadrature:
     kernel in row blocks written into the sweep's ``Workspace``, so no
     (n, m) tier array is allocated per call or held across positions, and
     what a call's layout decides is formed once per sweep. Only
-    the reductions over particles (``bracket``, ``bracket_pair``) and the
-    field rows of Gram matrices (``rows``, ``gram``) need a tier in full; a
-    call writes it into the workspace on request. The folds
-    carry the parameter columns in their weights, so every contraction is
-    one (n, p) by (p,) product. The pre-activation a1 x + a2 of a row block
-    is one rank-2 product [x, 1] (rows, 2) by [a1; a2] (2, p), written by
-    BLAS straight into the tier buffer (``_preactivation``). OpenBLAS's
+    the reductions over particles (``bracket``, ``bracket_pair``), the
+    field rows of Gram matrices (``rows``, ``gram``) and the Langevin
+    gradient (``grad_a``, from sigma and sigma' of a backward node call)
+    need a tier in full; a call writes it into the workspace on request.
+    The folds carry the parameter columns in their weights, so every
+    contraction is one (n, p) by (p,) product. The pre-activation a1 x + a2
+    of a row block is one rank-2 product [x, 1] (rows, 2) by [a1; a2]
+    (2, p), written by BLAS straight into the tier buffer
+    (``_preactivation``). OpenBLAS's
     dgemm forms each entry as round(round(x a1) + 1 a2), so its bits are
     those of the outer product x a1 followed by the sum with a2. The one
     exception is the sign of an exact zero: x a1 = -0 with a2 = -0 gives +0
@@ -270,8 +266,8 @@ class FieldQuadrature:
         self.support = np.atleast_2d(np.asarray(support, dtype=float))
         # the componentwise family has no outer weight a0
         ridge = field.family == RIDGE_OUTER
-        self._a0 = np.ascontiguousarray(self.support[:, 0]) if ridge else None
-        self._a1 = np.ascontiguousarray(self.support[:, -2])
+        self._a0 = self.support[:, 0] if ridge else None
+        self._a1 = self.support[:, -2]
         m = self.support.shape[0]
         mirrored = field.sigma == "tanh" and np.array_equal(self.support[::-1], -self.support)
         # support cells the kernel evaluates; the last M - h mirror the first
@@ -290,12 +286,22 @@ class FieldQuadrature:
         if ridge:
             self._a0v = self._a0 if self._visit is None else self._a0[: self.h][self._visit]
 
-    def tiers(self, X, order: int, folds, work: Optional[Workspace] = None, keep: int = 0):
+    def tiers(
+        self,
+        X,
+        order: int,
+        folds,
+        work: Optional[Workspace] = None,
+        keep: int = 0,
+        drift: bool = True,
+    ):
         """Fold contractions of the activation tiers at states X (n, 1).
 
         ``order`` is in {0, 1, 2}. Returns a tuple of order + 1 lists holding
         each fold's drift (n, 1), grad_x (n,) and, at order 2, grad_xx (n,),
-        evaluated in row blocks through the buffers of ``work``. The first
+        evaluated in row blocks through the buffers of ``work``. A call with
+        ``drift=False`` contracts no drift, and its drift list is empty; sigma
+        is still evaluated, over the cells its derivatives need. The first
         ``keep`` tiers are also written over all n states and the cells of
         ``work.kept_cells``, in visiting order, and left in ``work.kept``.
         The call writes the states into its layout's plan in ``work.plans``,
@@ -305,31 +311,36 @@ class FieldQuadrature:
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         work = work if work is not None else Workspace()
-        names = ("_w_drift", "_w_gx", "_w_gxx")[: order + 1]
+        first = 0 if drift else 1
+        names = ("_w_drift", "_w_gx", "_w_gxx")[first : order + 1]
         weights = [getattr(f, name) for f in folds for name in names]
-        key = (self, X.shape[0], order, keep, *map(len, weights))
+        key = (self.h, X.shape[0], order, keep, first, *map(len, weights))
         plan = work.plans.get(key)
         if plan is None:
-            plan = work.plans[key] = self._plan(X.shape[0], order, key[4:], work, keep)
-        x, blocks, out, kept = plan
+            plan = work.plans[key] = self._plan(X.shape[0], order, first, key[5:], work, keep)
+        x, m, blocks, out, kept = plan
         x[...] = X
+        a12 = self._a12v[:, :m]
         sigma = _SIGMAS[self.field.sigma]
-        for x1, a12, tiers, terms in blocks:
+        for x1, tiers, terms in blocks:
             _preactivation(x1, a12, tiers[0])
             sigma(*tiers)
             for (tier, dst), w in zip(terms, weights):
                 np.einsum("nm,m->n", tier, w, out=dst)
         if keep:
             work.kept = kept
-        out = out.copy()
-        return (list(out[:, 0, :, None]),) + tuple(list(out[:, j]) for j in range(1, order + 1))
+        contractions = [list(c) for c in out.copy().transpose(1, 0, 2)]
+        drifts = [d[:, None] for d in contractions.pop(0)] if drift else []
+        return (drifts, *contractions)
 
-    def _plan(self, n: int, order: int, prefixes, work: Workspace, keep: int):
+    def _plan(self, n: int, order: int, first: int, prefixes, work: Workspace, keep: int):
         """What a call's layout decides: the state column of the operand
-        [x, 1] (n, 2), the row blocks, the output (folds, order + 1, n) and
-        the kept tiers. A block holds its rows of the operand, the columns
-        [a1; a2] of its widest tier, its tier buffers and one (tier, output)
-        pair per fold-tier, the tier cut to the fold-tier's prefix."""
+        [x, 1] (n, 2), the width of its widest tier, the row blocks, the
+        output (folds, order + 1 - first, n) and the kept tiers. A block
+        holds its rows of the operand, its tier buffers and one (tier,
+        output) pair per fold-tier from tier ``first`` up, the tier cut to
+        the fold-tier's prefix. The columns [a1; a2] come from the calling
+        quadrature, so calls on supports of equal h share the plan."""
         # a kept tier serves a reduction over its cells; the others only
         # the longest prefix
         prefix = max(prefixes, default=0)
@@ -346,10 +357,13 @@ class FieldQuadrature:
         x1[:, 1] = 1.0
         for r1 in [*range(rows, n - 1, rows), n]:
             tiers = [t[r0:r1] for t in full] + [t[: r1 - r0] for t in block]
-            terms = [(tiers[i % (order + 1)][:, :p], out[i, r0:r1]) for i, p in enumerate(prefixes)]
-            blocks.append((x1[r0:r1], self._a12v[:, :m], tiers, terms))
+            terms = [
+                (tiers[first + i % (order + 1 - first)][:, :p], out[i, r0:r1])
+                for i, p in enumerate(prefixes)
+            ]
+            blocks.append((x1[r0:r1], tiers, terms))
             r0 = r1
-        return x1[:, :1], blocks, out.reshape(-1, order + 1, n), tuple(full)
+        return x1[:, :1], m, blocks, out.reshape(-1, order + 1 - first, n), tuple(full)
 
     def _fold(self, w, odd: bool) -> np.ndarray:
         """Weights (M,) of one tier folded onto the h evaluated cells, in
@@ -389,6 +403,19 @@ class FieldQuadrature:
         out = self._unfold(np.einsum("nm,n->m", tiers[0], z_ens[:, 0]), odd=True)
         out /= z_ens.shape[0]
         return out if self._a0 is None else out * self._a0
+
+    def grad_a(self, X, tiers, weights: np.ndarray) -> np.ndarray:
+        """Support samples (M, dprime) of sum_n weights_n grad_a b(X_n, .)
+        from the tiers (sigma, sigma') a call at the states X kept over all
+        h cells, which ``ActivationField.grad_a_batch`` spends. On a mirrored
+        support each column is even (componentwise family) or odd (ridge
+        family) between a cell and its partner, and extends by parity."""
+        if self._visit is None:
+            return self.field.grad_a_batch(X, self.support, tiers, weights)
+        cells = self.support[: self.h][self._visit]
+        half = self.field.grad_a_batch(X, cells, tiers, weights)
+        odd = self._a0 is not None
+        return np.stack([self._unfold(c, odd) for c in half.T], axis=1)
 
     def bracket_pair(self, tiers, vec_dx: np.ndarray, vec_b: np.ndarray) -> np.ndarray:
         """Support samples of mean_i [grad_x b vec_dx_i + b vec_b_i] from kept

@@ -432,38 +432,40 @@ def langevin_descent_step(
 
     Every particle moves by -h (eps grad ell + grad_a Phi_t) plus
     sqrt(2 eps h) Gaussian noise, with Phi's parameter gradient evaluated
-    against the flow of the current particle path. Non-finite particles are
-    resampled from the prior and counted.
+    against the flow of the current particle path. The backward sweep hands
+    each node's kept tiers to the step, which contracts them into the
+    gradient and writes the deterministic move into the node's new
+    particles; the noise is drawn afterwards in node order. Non-finite
+    particles are resampled from the prior and counted.
     """
     if path.is_grid:
         raise ConfigError("langevin descent requires the particle backend")
     nodes = _node_quadratures(config.field, path)
-    flow = backward_solve(config, path, forward_solve(config, path, nodes), nodes=nodes)
+    flow = forward_solve(config, path, nodes)
     eps = config.epsilon
+    descends = step > 0.0
+    moved = [None] * path.grid.nt if descends else [m.points.copy() for m in path.measures]
+
+    def descend(k, quad, tiers, z):
+        pts = path.measures[k].points
+        grad_phi = quad.grad_a(flow.x[k], tiers, z) / flow.n
+        moved[k] = pts - step * (eps * config.potential.grad(pts) + grad_phi)
+
+    backward_solve(config, path, flow, nodes=nodes, visit=descend if descends else None)
     new_measures = []
     resampled = 0
-    for k in range(path.grid.nt):
-        pts = path.measures[k].points
-        noise = rng.standard_normal(pts.shape)
-        if step > 0.0:
-            grad_phi = _bracket_grad_a(config, flow, k, pts)
-            drift = eps * config.potential.grad(pts) + grad_phi
-            new_pts = pts - step * drift + math.sqrt(2.0 * eps * step) * noise
-        else:
-            new_pts = pts.copy()
+    for new_pts in moved:
+        noise = rng.standard_normal(new_pts.shape)
+        if descends:
+            new_pts += math.sqrt(2.0 * eps * step) * noise
         bad = ~np.all(np.isfinite(new_pts), axis=1)
         if np.any(bad):
             count = int(np.sum(bad))
             new_pts[bad] = sample_prior(
-                config.potential, pts.shape[1], count, rng
+                config.potential, new_pts.shape[1], count, rng
             )
             resampled += count
         new_measures.append(ParticleMeasure(new_pts))
     return LangevinStepResult(
         path=path.replace_measures(new_measures), resampled=resampled
     )
-
-
-def _bracket_grad_a(config, flow, k, points) -> np.ndarray:
-    """grad_a of mean_i b(x_i(t_k), a) . z_i(t_k) at the given points."""
-    return config.field.grad_a_batch(flow.x[k], points, flow.z[k]) / flow.n

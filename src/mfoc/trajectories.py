@@ -25,11 +25,12 @@ vectors; the RK4 right-hand sides only see those. A sweep owns one
 ``Workspace`` for the buffers and plans of all its calls: a call whose
 layout (order, keep and fold-tier prefixes) an earlier call formed only
 writes its states and runs the arithmetic, as the four RK4 stages of a
-forward interval do. The forward and backward sweeps of a Gibbs map or a
+forward interval and the like calls of a particle path's nodes do. The forward and backward sweeps of a Gibbs map or a
 Langevin step share the path's folds, so each tier's weights are folded
 once per map. Only the particle reductions onto the measure grid (the node
-bracket) and the stability probe's Gram matrices, over the cells its rows
-read, ask for a tier in full.
+bracket), the stability probe's Gram matrices, over the cells its rows
+read, and the Langevin step's parameter gradient, from the backward node
+calls, ask for a tier in full.
 Each particle's contraction is a fixed-order numpy sum over support points
 (on a mirrored support, over the prefix of the folded half, in order of |a|,
 that carries the fold's weight, which the support and the weights alone
@@ -69,7 +70,6 @@ import numpy as np
 from .measures import (
     ControlPath,
     GridMeasure,
-    ParticleMeasure,
     PerturbationPath,
 )
 from .model import ActivationField, ConfigError, FieldQuadrature, ProblemConfig, Workspace
@@ -145,25 +145,18 @@ def default_test_functions():
 # -- measure plumbing ----------------------------------------------------------
 
 
-def _measure_arrays(m):
-    """(support points, weights) realizing integration against m."""
-    if isinstance(m, GridMeasure):
-        return m.midpoints(), m.values.ravel() * m.cell_volume
-    if isinstance(m, ParticleMeasure):
-        return m.points, np.full(m.m, 1.0 / m.m)
-    raise ConfigError(f"unsupported measure type {type(m).__name__}")
-
-
 def _node_quadratures(field: ActivationField, path: ControlPath):
-    """Per-node (quadrature, control fold); grid paths share one support."""
+    """Per-node (quadrature, control fold); grid paths share one support, and
+    the folds of particle nodes with equal counts one uniform weight array."""
     if path.is_grid:
         quad = FieldQuadrature(field, path.measures[0].midpoints())
         return [(quad, quad.fold(m.values.ravel(), m.cell_volume)) for m in path.measures]
-    out = []
+    out, uniform = [], {}
     for m in path.measures:
-        support, weights = _measure_arrays(m)
-        quad = FieldQuadrature(field, support)
-        out.append((quad, quad.fold(weights)))
+        if m.m not in uniform:
+            uniform[m.m] = np.full(m.m, 1.0 / m.m)
+        quad = FieldQuadrature(field, m.points)
+        out.append((quad, quad.fold(uniform[m.m])))
     return out
 
 
@@ -216,6 +209,7 @@ def backward_solve(
     flow: EnsembleFlow,
     bracket_grid: Optional[GridMeasure] = None,
     nodes=None,
+    visit: Optional[Callable] = None,
 ) -> EnsembleFlow:
     """Transport the adjoint Z backward along the stored features.
 
@@ -225,8 +219,18 @@ def backward_solve(
     cells: on the path's own grid from the kept tiers of the sweep's node
     calls, on any other grid from one order-0 kernel call per node on its
     cells. The sweep is order 1; ``curvature_solve`` transports the
-    curvature. ``nodes`` are the forward sweep's ``_node_quadratures`` when
-    it shares them; the sweep drops each node once it has passed it.
+    curvature. Each interval's midpoint call contracts grad_x alone, the
+    one thing the adjoint reads there. ``nodes`` are the forward sweep's
+    ``_node_quadratures`` when it shares them; the sweep drops each node
+    once it has passed it (the layout plans hold no quadrature, so a
+    particle node's support is freed with it).
+
+    ``visit(k, quad, tiers, z)``, when given, is called at each node k once
+    Z[k] = z is known, with the tiers (sigma, sigma') that the call at X[k]
+    on node k's support ``quad`` kept over all its evaluated cells: the
+    left-node call of interval k, and for the last node one extra call. The
+    tiers are the sweep's buffers, valid until ``visit`` returns. The
+    Langevin step takes its parameter gradient from them.
     """
     grid = path.grid
     if bracket_grid is not None and not path.is_grid:
@@ -236,6 +240,10 @@ def backward_solve(
     Z = np.empty_like(flow.x)
     z = _terminal_adjoint(config, flow)
     Z[-1] = z
+    if visit is not None:
+        quad = nodes[-1][0]
+        quad.tiers(flow.x[-1], 1, (), work, keep=2)
+        visit(grid.nt - 1, quad, work.kept, z)
     bracket, sampler, keep = None, None, 0
     if bracket_grid is not None:
         bracket = np.empty((grid.nt, bracket_grid.res**bracket_grid.dprime))
@@ -243,6 +251,8 @@ def backward_solve(
         # calls keep their order-0 tier for it, elsewhere one call per node does
         keep = int(bracket_grid.same_geometry(path.measures[0]))
         sampler = nodes[0][0] if keep else FieldQuadrature(config.field, bracket_grid.midpoints())
+    # the left-node calls keep sigma and sigma' for ``visit``
+    node_keep = keep if visit is None else 2
 
     def sample(j):
         if not keep:
@@ -260,16 +270,18 @@ def backward_solve(
         # interval k - 1, whose right node it is (each node is evaluated once)
         roll = path.is_grid and k > 0
         folds = (fold, nodes[k - 1][1]) if roll else (fold,)
-        node = quad.tiers(flow.x[k], 1, folds, work, keep)
+        node = quad.tiers(flow.x[k], 1, folds, work, node_keep)
         left = _first(node)
         x_mid = _hermite_midpoint(flow.x[k], flow.x[k + 1], left[0], right[0], grid.dt)
-        mid = _first(quad.tiers(x_mid, 1, (fold,), work))
-        z = _rk4_between(z, -grid.dt, _adjoint_rhs(right), _adjoint_rhs(mid), _adjoint_rhs(left))
+        mid = quad.tiers(x_mid, 1, (fold,), work, drift=False)[1][0]
+        z = _rk4_between(z, -grid.dt, _adjoint_rhs(right[1]), _adjoint_rhs(mid), _adjoint_rhs(left[1]))
         if not np.isfinite(z).all():
             raise DivergenceError(f"backward state diverged at node {k}")
         Z[k] = z
         if bracket is not None:
             sample(k)
+        if visit is not None:
+            visit(k, quad, work.kept, z)
         right = tuple(c[1] for c in node) if roll else None
         nodes[k] = None  # interval k - 1 needs only node k - 1's fold
     return replace(flow, z=Z, bracket=bracket)
@@ -285,8 +297,8 @@ def _terminal_adjoint(config, flow):
     return config.loss.grad_x(flow.x[-1], flow.y)
 
 
-def _adjoint_rhs(stage):
-    bx = stage[1][:, None]
+def _adjoint_rhs(bx):
+    bx = bx[:, None]
     return lambda z: -bx * z
 
 

@@ -12,7 +12,6 @@ from mfoc.model import (
     TimeGrid,
     _SIGMAS,
     _preactivation,
-    _with_ones,
 )
 
 DESK_RES = 64
@@ -101,9 +100,9 @@ def kernel_calls(monkeypatch):
     calls = []
     original = FieldQuadrature.tiers
 
-    def counting(self, X, order, folds, work=None, keep=0):
+    def counting(self, X, order, folds, work=None, keep=0, **kwargs):
         calls.append((self.support.shape[0], order, keep))
-        return original(self, X, order, folds, work, keep)
+        return original(self, X, order, folds, work, keep, **kwargs)
 
     monkeypatch.setattr(FieldQuadrature, "tiers", counting)
     return calls
@@ -145,6 +144,13 @@ def relative_eta(base, grid, fn, profile=None):
 # contractions. The full_* helpers evaluate every support cell against the
 # unfolded weights instead, as the kernel does on a support that is not
 # mirrored.
+
+
+def _with_ones(X):
+    """The left operand [x, 1] (n, 2) of the pre-activation of states X (n, 1)."""
+    x1 = np.ones((X.shape[0], 2))
+    x1[:, 0] = X[:, 0]
+    return x1
 
 
 def tier_arrays(quad, X, order):

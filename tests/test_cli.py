@@ -311,6 +311,10 @@ class TestDeterminism:
             ("solve", []),
             ("stability", ["--set", "stability.iters=5"]),
             ("descent", ["--set", "descent.backend=particle"]),
+            (
+                "descent",
+                ["--set", "descent.backend=particle", "--set", "field.family=ridge-with-outer-weight"],
+            ),
             ("descent", []),
             ("pl-scan", ["--set", "pl_scan.samples=2"]),
             ("check", []),

@@ -1,21 +1,29 @@
 
+import dataclasses
+import inspect
+
 import mpmath
 import numpy as np
 import pytest
 
+from mfoc.linearization import pl_scan, stability_probe
 from mfoc.model import (
     COMPONENTWISE,
+    DOCUMENT_KEYS,
     RIDGE_OUTER,
     ActivationField,
     ConfigError,
     ConfinementPotential,
     Dataset,
     FieldQuadrature,
+    ProblemConfig,
     TerminalLoss,
     TimeGrid,
+    Workspace,
     load_problem_config,
     rng_for,
 )
+from mfoc.optimizer import picard_solve
 
 
 def central_diff(fn, x, step=1e-5):
@@ -112,7 +120,9 @@ class TestActivationField:
             quad = FieldQuadrature(field, A)
             b, bx, _ = quad.tiers(X, 2, [quad.fold(e) for e in np.eye(11)])
             for i in range(7):
-                ga = field.grad_a_batch(X[i : i + 1], A, np.ones((1, 1)))
+                work = Workspace()
+                quad.tiers(X[i : i + 1], 1, (), work, keep=2)
+                ga = field.grad_a_batch(X[i : i + 1], A, work.kept, np.ones((1, 1)))
                 for j in range(11):
                     assert np.allclose(b[j][i], field.value(X[i], A[j]))
                     gx_ij, ga_ij = field.jacobians(X[i], A[j])
@@ -247,3 +257,35 @@ class TestGrowthBounds:
                 a = rng.uniform(-4, 4, field.dprime)
                 gx, _ = field.jacobians(x, a)
                 assert np.max(np.abs(gx)) <= 1.0 + float(a @ a) + 1e-12
+
+
+# every Python default that repeats a default of the run document, by the
+# document key it repeats: a library caller gets what the CLI gets
+REPEATED_DEFAULTS = [
+    (picard_solve, "damping", "solve.damping"),
+    (picard_solve, "tol", "solve.tol"),
+    (picard_solve, "max_iters", "solve.max_iters"),
+    (stability_probe, "iters", "stability.iters"),
+    (stability_probe, "margin", "stability.margin"),
+    (pl_scan, "radius", "pl_scan.radius"),
+    (pl_scan, "samples", "pl_scan.samples"),
+    (ConfinementPotential, "c1", "potential.c1"),
+    (ConfinementPotential, "c2", "potential.c2"),
+    (TimeGrid, "t0", "grid.t0"),
+    (TimeGrid, "horizon", "grid.T"),
+    (TimeGrid, "nt", "grid.nt"),
+    (ActivationField, "family", "field.family"),
+    (ActivationField, "sigma", "field.sigma"),
+    (TerminalLoss, "kind", "loss.kind"),
+    (ProblemConfig, "seed", "seed"),
+]
+
+
+@pytest.mark.parametrize("owner, name, key", REPEATED_DEFAULTS)
+def test_python_defaults_equal_the_document_table(owner, name, key):
+    if dataclasses.is_dataclass(owner):
+        default = {f.name: f.default for f in dataclasses.fields(owner)}[name]
+    else:
+        default = inspect.signature(owner).parameters[name].default
+    expected = DOCUMENT_KEYS[key][0]
+    assert (default, type(default)) == (expected, type(expected))

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from mfoc.cli import main
+from mfoc.model import ActivationField
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -59,11 +60,20 @@ def test_child_reaches_the_setup_mark(tmp_path, settings):
     assert json.loads(report.read_text())["setup_mark"] is not None
 
 
-def test_traced_kernel_calls_are_the_calls_of_the_command(tmp_path, kernel_calls):
+@pytest.mark.parametrize("command", [["solve"], ["descent", "--set", "descent.backend=particle"]])
+def test_traced_kernel_calls_are_the_calls_of_the_command(tmp_path, kernel_calls, monkeypatch, command):
     # the tracer counts model.tiers through spans._count_tiers, which reads
-    # the kernel's arguments; a drift of the kernel's API would lose calls
+    # the kernel's arguments; a drift of the kernel's API would lose calls.
+    # A particle descent also contracts the kept tiers in grad_a_batch
+    gradients, original = [], ActivationField.grad_a_batch
+
+    def counting(self, *args):
+        gradients.append(args[1].shape[0])
+        return original(self, *args)
+
+    monkeypatch.setattr(ActivationField, "grad_a_batch", counting)
     report = tmp_path / "report.json"
-    args = ["solve", "--config", str(ROOT / "fixtures" / "mini.json")]
+    args = [command[0], "--config", str(ROOT / "fixtures" / "mini.json"), *command[1:]]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
     child = [sys.executable, str(PERFBENCH / "child.py"), "trace", str(report), "--"]
     traced_out = str(tmp_path / "traced")
@@ -71,3 +81,5 @@ def test_traced_kernel_calls_are_the_calls_of_the_command(tmp_path, kernel_calls
     spans = json.loads(report.read_text())["trace"]["spans"]
     assert main([*args, "--out", str(tmp_path / "direct")]) == 0
     assert spans["model.tiers"]["calls"] == len(kernel_calls) > 0
+    traced = spans.get("model.grad_a_batch", {"calls": 0})["calls"]
+    assert traced == len(gradients) and (traced > 0) == (command[0] == "descent")

@@ -3,15 +3,18 @@ kernel against the tier-holding loops they replaced, the fused kernel against
 the weight folds, and the kernel's mirrored route against sums over every
 support cell."""
 
+import math
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mfoc import cli, optimizer
+from mfoc import cli, model, optimizer
 from mfoc.cli import _initial_grid_path, load_run_document
 from mfoc.measures import ControlPath, GridMeasure, ParticleMeasure
 from mfoc.model import (
@@ -26,7 +29,7 @@ from mfoc.model import (
     _contract_columns,
     rng_for,
 )
-from mfoc.optimizer import picard_solve, sample_prior
+from mfoc.optimizer import langevin_descent_step, picard_solve, sample_prior
 from mfoc.trajectories import (
     DivergenceError,
     _hermite_midpoint,
@@ -40,6 +43,7 @@ from mfoc.trajectories import (
 )
 
 from conftest import (
+    make_config,
     fold_drift,
     prior_path,
     fold_grad_x,
@@ -319,8 +323,96 @@ def test_grad_a_contraction_equals_four_index_form(family, sigma, seed):
     X, Z = rng.normal(size=(64, 1)), rng.normal(size=(64, 1))
     A = rng.normal(size=(2000, field.dprime))
     ref = np.einsum("nmip,ni->mp", four_index_grad_a(field, X, A), Z)
-    assert np.array_equal(field.grad_a_batch(X, A, Z), ref)
-    assert np.array_equal(field.grad_a_batch(X, A, Z), reference_grad_a_contraction(field, X, A, Z))
+    assert np.array_equal(kept_grad_a(field, X, A, Z), ref)
+    assert np.array_equal(kept_grad_a(field, X, A, Z), reference_grad_a_contraction(field, X, A, Z))
+
+
+def particle_path(config, m, rng, mirrored=False):
+    """A path of prior samples, m per node; a mirrored node's points satisfy
+    points[::-1] == -points, as a centred grid's midpoints do."""
+    measures = []
+    for _ in range(config.grid.nt):
+        points = sample_prior(config.potential, config.field.dprime, m // (1 + mirrored), rng)
+        measures.append(ParticleMeasure(np.concatenate([points, -points[::-1]]) if mirrored else points))
+    return ControlPath(config.grid, measures)
+
+
+@pytest.mark.parametrize(
+    "family,sigma,mirrored",
+    [
+        (COMPONENTWISE, "tanh", False),
+        (RIDGE_OUTER, "tanh", False),
+        (RIDGE_OUTER, "logistic", False),
+        (COMPONENTWISE, "tanh", True),
+        (RIDGE_OUTER, "tanh", True),
+    ],
+)
+def test_langevin_gradient_equals_four_index_form_at_every_node(family, sigma, mirrored, monkeypatch):
+    # the step contracts the tiers its backward sweep kept at each node, the
+    # last node's from one extra call; a mirrored node extends half of them
+    config = replace(make_config(n=64, nt=5), field=ActivationField(family, sigma))
+    path = particle_path(config, 2000, np.random.default_rng(5), mirrored)
+    node_of = {id(m.points): k for k, m in enumerate(path.measures)}
+    assert all(FieldQuadrature(config.field, m.points).h == 1000 + 1000 * (not mirrored) for m in path.measures)
+    grads, original = {}, FieldQuadrature.grad_a
+
+    def recording(self, X, tiers, weights):
+        grads[node_of[id(self.support)]] = out = original(self, X, tiers, weights)
+        return out
+
+    monkeypatch.setattr(FieldQuadrature, "grad_a", recording)
+    h, eps = 0.01, config.epsilon
+    step = langevin_descent_step(config, path, h, rng_for(3, "step"))
+    assert sorted(grads) == list(range(config.grid.nt))
+    flow = backward_solve(config, path, forward_solve(config, path))
+    noise = rng_for(3, "step")
+    for k, (m, new) in enumerate(zip(path.measures, step.path.measures)):
+        ref = np.einsum("nmip,ni->mp", four_index_grad_a(config.field, flow.x[k], m.points), flow.z[k])
+        assert np.array_equal(grads[k], ref), k
+        drift = eps * config.potential.grad(m.points) + ref / flow.n
+        moved = m.points - h * drift + math.sqrt(2.0 * eps * h) * noise.standard_normal(m.points.shape)
+        assert np.array_equal(new.points, moved), k
+
+
+def test_langevin_step_forms_tiers_only_in_the_kernel(kernel_calls, monkeypatch):
+    # 4 forward and 3 backward calls per interval, and one at the last node
+    config, _ = load_run_document(str(MINI), ["descent.backend=particle"])
+    path = particle_path(config, 300, np.random.default_rng(8))
+    depth, kernel = [0], FieldQuadrature.tiers
+
+    def tracked(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return kernel(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def inside(fn):
+        def checked(*args):
+            assert depth[0] == 1, "a tier formed outside FieldQuadrature.tiers"
+            return fn(*args)
+
+        return checked
+
+    monkeypatch.setattr(FieldQuadrature, "tiers", tracked)
+    monkeypatch.setattr(model, "_preactivation", inside(model._preactivation))
+    monkeypatch.setitem(_SIGMAS, "tanh", inside(_SIGMAS["tanh"]))
+    langevin_descent_step(config, path, 0.01, rng_for(3, "step"))
+    nt = config.grid.nt
+    assert len(kernel_calls) == 7 * (nt - 1) + 1
+    assert Counter(kernel_calls) == {
+        (300, 0, 0): 4 * (nt - 1),  # forward RK4 stages
+        (300, 1, 2): nt,  # the left node of each interval, and the last node
+        (300, 1, 0): 2 * (nt - 1),  # right nodes and Hermite midpoints
+    }
+
+
+def kept_grad_a(field, X, A, weights):
+    """grad_a_batch on the tiers that a kernel call on the support A keeps."""
+    quad, work = FieldQuadrature(field, A), Workspace()
+    assert quad.h == A.shape[0]  # not mirrored: the tiers span A in order
+    quad.tiers(X, 1, (), work, keep=2)
+    return field.grad_a_batch(X, A, work.kept, weights)
 
 
 def four_index_grad_a(field, X, A):
@@ -770,7 +862,7 @@ def _blocks_checked(monkeypatch, sigma, x, cells, call):
 @pytest.mark.parametrize("case", sorted(_preactivation_supports()))
 @pytest.mark.parametrize("n", [1, 2, 16, 64])
 def test_preactivation_is_the_two_pass_form_to_the_bit(case, n, monkeypatch):
-    # the kernel and grad_a_batch form a1 x + a2 by one rank-2 product;
+    # the kernel forms a1 x + a2 by one rank-2 product, for grad_a_batch too;
     # the reference here never goes through the kernel's code
     field, support = _preactivation_supports()[case]
     quad = FieldQuadrature(field, support)
@@ -785,7 +877,7 @@ def test_preactivation_is_the_two_pass_form_to_the_bit(case, n, monkeypatch):
     fold = quad.fold(one)
     prefix = quad.h if quad._visit is None else np.argmax(carries[order]) + 1
     assert fold._w_drift.shape[0] == prefix
-    # grad_a_batch at every cell, or at a stride of at most 4096 of them
+    # grad_a_batch's tiers at every cell, or at a stride of at most 4096
     A = cells[:: max(1, quad.h // 4096)]
     # signed zeros and products that swamp a2 among values, and values alone,
     # whose sums round differently from a fused multiply-add
@@ -797,7 +889,7 @@ def test_preactivation_is_the_two_pass_form_to_the_bit(case, n, monkeypatch):
         calls = [
             (cells, lambda: quad.tiers(X, 0, (), Workspace(), keep=1)),
             (cells, lambda: quad.tiers(X, 2, (fold,), Workspace())),
-            (A, lambda: field.grad_a_batch(X, A, np.ones((n, 1)))),
+            (A, lambda: kept_grad_a(field, X, A, np.ones((n, 1)))),
         ]
         for at, call in calls:
             rows = [r for r, _ in _blocks_checked(monkeypatch, field.sigma, x, at, call)]

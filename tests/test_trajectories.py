@@ -7,7 +7,6 @@ from mfoc.measures import ControlPath, GridMeasure, ParticleMeasure, Perturbatio
 from mfoc.model import ActivationField, ConfinementPotential, Dataset, FieldQuadrature
 from mfoc.trajectories import (
     DivergenceError,
-    _measure_arrays,
     backward_solve,
     curvature_solve,
     default_test_functions,
@@ -18,6 +17,13 @@ from mfoc.trajectories import (
 from conftest import make_config, prior_path, refined
 
 POT = ConfinementPotential()
+
+
+def _measure_arrays(m):
+    """(support points, weights) realizing integration against m."""
+    if isinstance(m, GridMeasure):
+        return m.midpoints(), m.values.ravel() * m.cell_volume
+    return m.points, np.full(m.m, 1.0 / m.m)
 
 
 def tilted_grid(res=64, halfwidth=4.0, beta=(0.8, -0.4), curvature=0.0):
