@@ -371,15 +371,15 @@ def cmd_stability(config, doc, writer) -> int:
         margin=margin,
         rng=rng_for(config.seed, "stability-probe"),
     )
-    writer.write_csv("ritz.csv", ["index", "ritz_value"], enumerate(report.details["ritz"]))
+    writer.write_csv("ritz.csv", ["index", "ritz_value"], enumerate(report.ritz))
     writer.write_json(
         "summary.json",
         {
             "dominant_eig": report.dominant_eig,
-            "lambda_max": report.details["lambda_max"],
+            "lambda_max": report.lambda_max,
             "ritz_residual": report.ritz_residual,
-            "margin_from_one": report.details["margin_from_one"],
-            "stable_evidence": report.details["stable_evidence"],
+            "margin_from_one": report.margin_from_one,
+            "stable_evidence": report.stable_evidence,
             "cost": result.report.cost,
         },
     )
@@ -405,15 +405,14 @@ def cmd_pl_scan(config, doc, writer) -> int:
         prior=prior,
     )
     columns = ["sample", "entropy", "cost", "gap", "fisher", "ratio"]
-    rows = [[row.get(column) for column in columns] for row in report.details["rows"]]
+    rows = [[row.get(column) for column in columns] for row in report.rows]
     writer.write_csv("samples.csv", columns, rows)
-    ratio = report.pl_ratio
     writer.write_json(
         "summary.json",
         {
-            "pl_ratio": None if (ratio is None or math.isnan(ratio)) else ratio,
-            "samples": report.details["samples"],
-            "radius": report.details["radius"],
+            "pl_ratio": None if math.isnan(report.pl_ratio) else report.pl_ratio,
+            "samples": report.samples,
+            "radius": report.radius,
             "optimal_cost": result.report.cost,
         },
     )

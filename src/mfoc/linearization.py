@@ -7,6 +7,8 @@ them is the second derivative of the total cost along the perturbation; its
 kernel directions are exactly the fixed points of the linear map realized by
 ``linear_map_image``. The stability probe applies the same map inside its
 range, which per-node particle coefficients parameterize (``_range_map``).
+The two checks the commands report return one report type each:
+``stability_probe`` a ``StabilityReport`` and ``pl_scan`` a ``PlScanReport``.
 
 Everything here is Lagrangian: the tangent curve acts on test functions
 through tangent particles, and the multiplier and its x-gradient are
@@ -16,7 +18,7 @@ accumulated along the stored characteristics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -29,7 +31,7 @@ from .measures import (
     PerturbationPath,
     relative_entropy,
 )
-from .model import ConfigError, Dataset, FieldQuadrature, ProblemConfig, Workspace
+from .model import ConfigError, FieldQuadrature, ProblemConfig, Workspace
 from .optimizer import _prior_for, total_cost
 from .trajectories import (
     EnsembleFlow,
@@ -39,21 +41,19 @@ from .trajectories import (
     _hermite_midpoint,
     _tangent_dx,
     curvature_solve,
-    forward_solve,
     stage_pass,
 )
 
 __all__ = [
     "PerturbationPath",
     "LinearizedMultiplier",
-    "SecondOrderReport",
-    "rho_action",
+    "StabilityReport",
+    "PlScanReport",
     "solve_v",
     "eta_from",
     "linear_map_image",
     "quadratic_form",
     "cross_term_duality",
-    "second_derivative_check",
     "stability_probe",
     "pl_scan",
 ]
@@ -64,61 +64,35 @@ class LinearizedMultiplier:
     """Linearized backward multiplier along the stored characteristics.
 
     ``v`` and ``dv`` hold the multiplier and its x-gradient at the flow's
-    (node, particle) grid; the probe evaluator re-solves short tail problems
-    for off-ensemble values, giving an independent finite-difference route to
-    the gradient.
+    (node, particle) grid.
     """
 
     v: np.ndarray  # (nt, n)
     dv: np.ndarray  # (nt, n)
-    config: ProblemConfig
-    path: ControlPath
-    eta: PerturbationPath
-
-    def value_probe(self, k: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """v at node k for arbitrary points, via fresh tail characteristics."""
-        if k == self.config.grid.nt - 1:
-            return np.zeros(np.atleast_2d(x).shape[0])
-        tail_grid = self.config.grid.tail(k)
-        tail_config = replace(
-            self.config, dataset=Dataset(np.atleast_2d(x), np.atleast_2d(y)), grid=tail_grid
-        )
-        tail_path = ControlPath(tail_grid, self.path.measures[k:])
-        tail_eta = PerturbationPath(
-            tail_grid, self.eta.halfwidth, self.eta.res, self.eta.values[k:]
-        )
-        tail_flow = forward_solve(tail_config, tail_path)
-        tail_v = solve_v(tail_config, tail_path, tail_flow, tail_eta)
-        return tail_v.v[0]
-
-    def grad_probe(self, k: int, x, y, delta: float = 1e-4) -> np.ndarray:
-        """Central finite-difference x-gradient of v at probe points."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        up = self.value_probe(k, x + delta, y)
-        dn = self.value_probe(k, x - delta, y)
-        return (up - dn) / (2.0 * delta)
 
 
 @dataclass(frozen=True)
-class SecondOrderReport:
-    jform: Optional[float] = None
-    fd2: Optional[float] = None
-    ritz_residual: Optional[float] = None
-    dominant_eig: Optional[float] = None
-    pl_ratio: Optional[float] = None
-    details: dict = field(default_factory=dict)
+class StabilityReport:
+    dominant_eig: float
+    ritz_residual: float
+    ritz: list  # sorted
+    lambda_max: float
+    margin_from_one: float
+    stable_evidence: bool
+    rayleigh_history: list
+    breakdown: bool
+    # the fields as a dict, for perfbench/spans.py; drop once it reads them
+    details = property(vars)
 
 
-def rho_action(tangent: TangentFlow, probe, k: int) -> float:
-    """Action of the linearized curve on a C^1 test function at node k.
-
-    Realizes the derivative of the push-forward: mean of grad_x(phi) . dX
-    over the ensemble.
-    """
-    flow = tangent.flow
-    g = probe.grad_x(flow.x[k], flow.y)
-    return float(np.mean(np.sum(g * tangent.dx[k], axis=-1)))
+@dataclass(frozen=True)
+class PlScanReport:
+    pl_ratio: float
+    rows: list  # of dicts
+    samples: int
+    radius: float
+    # the fields as a dict, for perfbench/spans.py; drop once it reads them
+    details = property(vars)
 
 
 def solve_v(
@@ -135,11 +109,11 @@ def solve_v(
     gradient accumulator R with grad_x v = K R. The source terms use the
     signed drift of the perturbation, so the result is linear in it.
     """
-    return _multiplier(config, path, flow, eta, stage_pass(config, path, flow, (eta,)))
+    return _multiplier(config, path, flow, stage_pass(config, path, flow, (eta,)))
 
 
-def _multiplier(config, path, flow, eta, stages: StagePass) -> LinearizedMultiplier:
-    """``solve_v`` on stage data whose first perturbation is ``eta``."""
+def _multiplier(config, path, flow, stages: StagePass) -> LinearizedMultiplier:
+    """``solve_v`` along the first perturbation of the stage data."""
     V = np.empty((flow.nt, flow.n))
     DV = np.empty((flow.nt, flow.n))
 
@@ -156,7 +130,7 @@ def _multiplier(config, path, flow, eta, stages: StagePass) -> LinearizedMultipl
     for k, state in _curvature_sweep(config, flow, stages, path.grid.dt, (1.0, 0.0, 0.0), columns):
         V[k] = state[:, 3]
         DV[k] = state[:, 2] * state[:, 4]
-    return LinearizedMultiplier(v=V, dv=DV, config=config, path=path, eta=eta)
+    return LinearizedMultiplier(v=V, dv=DV)
 
 
 def eta_from(
@@ -216,7 +190,7 @@ def linear_map_image(
     stages = stage_pass(config, path, flow, (eta,))
     flow = curvature_solve(config, path, flow, stages)
     tangent = TangentFlow(dx=_tangent_dx(stages, path.grid.dt), flow=flow, eta=eta)
-    multiplier = _multiplier(config, path, flow, eta, stages)
+    multiplier = _multiplier(config, path, flow, stages)
     return eta_from(config, path, flow, tangent, multiplier)
 
 
@@ -291,45 +265,6 @@ def quadratic_form(
     return config.epsilon * weighted + 2.0 * cross
 
 
-def perturbed_path(path: ControlPath, eta: PerturbationPath, lam: float) -> ControlPath:
-    measures = []
-    for k, nu in enumerate(path.measures):
-        vals = nu.values + lam * eta.node(k)
-        if np.min(vals) < 0.0:
-            raise ConfigError("perturbed path leaves the density cone")
-        measures.append(nu.with_values(vals))
-    return path.replace_measures(measures)
-
-
-def second_derivative_check(
-    config: ProblemConfig,
-    path: ControlPath,
-    flow: EnsembleFlow,
-    eta: PerturbationPath,
-    lambdas=(1e-2, 1e-3),
-    prior=None,
-) -> SecondOrderReport:
-    """Central second difference of the cost against the quadratic form."""
-    jform = quadratic_form(config, path, flow, eta)
-    j0 = total_cost(config, path, prior=prior).cost
-    per_lambda = {}
-    note = None
-    for lam in lambdas:
-        try:
-            plus, minus = perturbed_path(path, eta, lam), perturbed_path(path, eta, -lam)
-        except ConfigError:
-            note = f"ladder truncated at lambda={lam:g}: density would go negative"
-            continue
-        jp = total_cost(config, plus, prior=prior).cost
-        jm = total_cost(config, minus, prior=prior).cost
-        per_lambda[lam] = (jp - 2.0 * j0 + jm) / lam**2
-    fd2 = per_lambda[min(per_lambda)] if per_lambda else math.nan
-    details = {"per_lambda": per_lambda}
-    if note:
-        details["note"] = note
-    return SecondOrderReport(jform=jform, fd2=fd2, details=details)
-
-
 def _arnoldi(apply, v0, dot, iters):
     """Arnoldi iteration of a linear map on plain arrays.
 
@@ -377,20 +312,24 @@ def stability_probe(
     iters: int = 10,
     margin: float = 0.1,
     rng: Optional[np.random.Generator] = None,
-) -> SecondOrderReport:
+) -> StabilityReport:
     """Krylov probe of the linearized fixed-point map.
 
     Nontrivial solutions of the linearized system are exactly fixed points of
     the map, so spectral distance of the sampled Ritz values from one is
-    evidence (not proof) of stability. Reports the dominant eigenvalue
-    estimate, the residual ||L u - theta u|| of its Ritz pair in L^2(1/nu),
-    the largest algebraic Ritz value ``lambda_max`` and the sampled
-    spectrum, which has fewer than ``iters`` values when the Krylov basis
-    breaks down.
+    evidence (not proof) of stability. The report holds the dominant
+    eigenvalue estimate ``dominant_eig``, the residual ``ritz_residual`` =
+    ||L u - theta u|| of its Ritz pair in L^2(1/nu), the sampled spectrum
+    ``ritz`` in ascending order, its largest value ``lambda_max``, its
+    distance ``margin_from_one`` from one and whether that is at least
+    ``margin`` (``stable_evidence``), the Rayleigh quotient of each Krylov
+    step (``rayleigh_history``) and whether the Krylov basis broke down
+    (``breakdown``), which leaves fewer than ``iters`` Ritz values.
 
     The Krylov space of a zero-mass seed v0 is spanned by v0 and the range
     of the map, which ``_range_map`` parameterizes by per-node particle
-    coefficients; Arnoldi runs on those. ``flow`` needs only the forward
+    coefficients; Arnoldi runs on those, for at most as many steps as they
+    have dimensions, 1 + (nt - 1) 2n. ``flow`` needs only the forward
     features: one order-2 stage pass gives the adjoint, the curvature and
     v0's stage data, and one pass of Gram matrices serves every Krylov step,
     so the probe makes no kernel call per step.
@@ -416,22 +355,20 @@ def stability_probe(
     stages = stage_pass(config, path, flow, (v0,))
     flow = curvature_solve(config, path, flow, stages)
     apply, dot, start = _range_map(config, path, flow, stages, v0)
-    _, H, history, below, breakdown = _arnoldi(apply, start, dot, iters)
+    _, H, history, below, breakdown = _arnoldi(apply, start, dot, min(iters, start.size))
     ritz = np.real_if_close(np.linalg.eigvals(H), tol=1e6)
     top = ritz[np.argmax(abs(ritz))]
     spectrum_margin = float(np.min(abs(1.0 - ritz)))
     spectrum = sorted(float(np.real(r)) for r in ritz)
-    return SecondOrderReport(
+    return StabilityReport(
         dominant_eig=float(np.real(top)),
         ritz_residual=_ritz_residual(H, below, top),
-        details={
-            "ritz": spectrum,
-            "lambda_max": spectrum[-1],
-            "margin_from_one": spectrum_margin,
-            "stable_evidence": bool(spectrum_margin >= margin),
-            "rayleigh_history": history,
-            "breakdown": breakdown,
-        },
+        ritz=spectrum,
+        lambda_max=spectrum[-1],
+        margin_from_one=spectrum_margin,
+        stable_evidence=bool(spectrum_margin >= margin),
+        rayleigh_history=history,
+        breakdown=breakdown,
     )
 
 
@@ -493,7 +430,7 @@ def _range_map(config, path, flow, stages: StagePass, seed: PerturbationPath):
             sx_eta=alpha * stages.sx_eta + drifts[None, ..., n:],
         )
         dx = _tangent_dx(linear, dt)[:-1, :, 0]
-        dv = _multiplier(config, path, flow, None, linear).dv[:-1]
+        dv = _multiplier(config, path, flow, linear).dv[:-1]
         image = np.zeros_like(u)
         image[1:] = np.concatenate(_image_coefficients(flow, dx, dv), axis=1).ravel()
         return image
@@ -625,14 +562,17 @@ def pl_scan(
     samples: int = 200,
     rng: Optional[np.random.Generator] = None,
     prior=None,
-) -> SecondOrderReport:
+) -> PlScanReport:
     """Empirical dissipation-to-suboptimality ratio inside an entropy ball.
 
     Draws Gibbs tilts of the converged control with random band-limited
     potentials (constant or single-bump in time), rescaled so the path
-    entropy stays within radius^2, and reports the smallest sampled value of
-    fisher / (cost - optimal cost); samples with a vanishing cost gap are
-    excluded.
+    entropy stays within radius^2. The report holds the smallest sampled
+    value ``pl_ratio`` of fisher / (cost - optimal cost), NaN when no sample
+    has a positive cost gap; one dict in ``rows`` per sample whose tilt
+    reached its entropy (``sample``, ``entropy``, ``cost``, ``gap``,
+    ``fisher``, and ``ratio`` when the gap exceeds 1e-12); and the
+    ``samples`` drawn and the ``radius``.
     """
     rng = rng or np.random.default_rng(config.seed)
     prior = prior or _prior_for(config, path.measures[0])
@@ -669,7 +609,4 @@ def pl_scan(
             best = min(best, fisher / gap)
         rows.append(row)
     ratio = best if math.isfinite(best) else math.nan
-    return SecondOrderReport(
-        pl_ratio=ratio,
-        details={"rows": rows, "samples": samples, "radius": radius},
-    )
+    return PlScanReport(pl_ratio=ratio, rows=rows, samples=samples, radius=radius)

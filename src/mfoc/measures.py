@@ -217,11 +217,6 @@ class PerturbationPath:
     def node(self, k: int) -> np.ndarray:
         return self.values[k]
 
-    def scaled(self, factor: float) -> "PerturbationPath":
-        return PerturbationPath(
-            self.grid, self.halfwidth, self.res, factor * self.values
-        )
-
 
 @dataclass(frozen=True)
 class PriorMeasure:

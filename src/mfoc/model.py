@@ -618,12 +618,6 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.nt)
 
-    def tail(self, k: int) -> "TimeGrid":
-        """Sub-grid starting at interior node k (restart problems)."""
-        if not 0 <= k < self.nt - 1:
-            raise ConfigError("tail start must be an interior node")
-        return TimeGrid(self.nodes[k], self.horizon, self.nt - k)
-
 
 @dataclass(frozen=True)
 class ProblemConfig:
@@ -685,7 +679,8 @@ DOCUMENT_KEYS = {
     "descent.init_tilt": (0.3, math.isfinite, "finite"),
     "stability.iters": (10, lambda v: v >= 1, ">= 1"),
     "stability.margin": (0.1, lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"),
-    "pl_scan.radius": (0.1, lambda v: v >= 0.0, ">= 0"),  # 0 is the degenerate scan
+    # 0 is the degenerate scan; the scan's entropy targets take radius^2
+    "pl_scan.radius": (0.1, lambda v: math.isfinite(v * v) and v >= 0.0, ">= 0, finite squared"),
     "pl_scan.samples": (200, lambda v: v >= 1, ">= 1"),
 }
 

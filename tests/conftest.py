@@ -1,9 +1,15 @@
+import math
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from mfoc.measures import ControlPath, GridMeasure, PriorMeasure
+from mfoc.linearization import quadratic_form, solve_v
+from mfoc.measures import ControlPath, GridMeasure, PerturbationPath, PriorMeasure
 from mfoc.model import (
     ActivationField,
+    ConfigError,
     ConfinementPotential,
     Dataset,
     FieldQuadrature,
@@ -13,6 +19,8 @@ from mfoc.model import (
     _SIGMAS,
     _preactivation,
 )
+from mfoc.optimizer import total_cost
+from mfoc.trajectories import forward_solve
 
 DESK_RES = 64
 DESK_HALFWIDTH = 4.0
@@ -124,8 +132,6 @@ def fold_calls(monkeypatch):
 
 def relative_eta(base, grid, fn, profile=None):
     """Zero-mass perturbation proportional to a base grid density."""
-    from mfoc.measures import PerturbationPath
-
     mids = base.midpoints()
     g = np.asarray(fn(mids), dtype=float).reshape(base.values.shape)
     g = g - float(np.sum(g * base.values)) * base.cell_volume
@@ -134,6 +140,97 @@ def relative_eta(base, grid, fn, profile=None):
         w = 1.0 if profile is None else float(profile(grid.nodes[k]))
         layers.append(w * base.values * g)
     return PerturbationPath(grid, base.halfwidth, base.res, np.stack(layers))
+
+
+# -- second-order oracles -------------------------------------------------------
+# Finite-difference and test-function routes to the linearized objects, which
+# the tests check the package's sweeps against.
+
+
+def grid_tail(grid, k: int) -> TimeGrid:
+    """Sub-grid starting at interior node k (restart problems)."""
+    if not 0 <= k < grid.nt - 1:
+        raise ConfigError("tail start must be an interior node")
+    return TimeGrid(grid.nodes[k], grid.horizon, grid.nt - k)
+
+
+def scaled(eta, factor: float) -> PerturbationPath:
+    return PerturbationPath(eta.grid, eta.halfwidth, eta.res, factor * eta.values)
+
+
+def rho_action(tangent, probe, k: int) -> float:
+    """Action of the linearized curve on a C^1 test function at node k.
+
+    Realizes the derivative of the push-forward: mean of grad_x(phi) . dX
+    over the ensemble.
+    """
+    flow = tangent.flow
+    g = probe.grad_x(flow.x[k], flow.y)
+    return float(np.mean(np.sum(g * tangent.dx[k], axis=-1)))
+
+
+def value_probe(config, path, eta, k: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The linearized multiplier v along ``eta`` at node k for arbitrary
+    points, via fresh tail characteristics."""
+    if k == config.grid.nt - 1:
+        return np.zeros(np.atleast_2d(x).shape[0])
+    tail_grid = grid_tail(config.grid, k)
+    tail_config = replace(
+        config, dataset=Dataset(np.atleast_2d(x), np.atleast_2d(y)), grid=tail_grid
+    )
+    tail_path = ControlPath(tail_grid, path.measures[k:])
+    tail_eta = PerturbationPath(tail_grid, eta.halfwidth, eta.res, eta.values[k:])
+    tail_flow = forward_solve(tail_config, tail_path)
+    tail_v = solve_v(tail_config, tail_path, tail_flow, tail_eta)
+    return tail_v.v[0]
+
+
+def grad_probe(config, path, eta, k: int, x, y, delta: float = 1e-4) -> np.ndarray:
+    """Central finite-difference x-gradient of v at probe points."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    up = value_probe(config, path, eta, k, x + delta, y)
+    dn = value_probe(config, path, eta, k, x - delta, y)
+    return (up - dn) / (2.0 * delta)
+
+
+def perturbed_path(path: ControlPath, eta: PerturbationPath, lam: float) -> ControlPath:
+    measures = []
+    for k, nu in enumerate(path.measures):
+        vals = nu.values + lam * eta.node(k)
+        if np.min(vals) < 0.0:
+            raise ConfigError("perturbed path leaves the density cone")
+        measures.append(nu.with_values(vals))
+    return path.replace_measures(measures)
+
+
+def second_derivative_check(
+    config: ProblemConfig,
+    path: ControlPath,
+    flow,
+    eta: PerturbationPath,
+    lambdas=(1e-2, 1e-3),
+    prior=None,
+) -> SimpleNamespace:
+    """Central second difference of the cost against the quadratic form."""
+    jform = quadratic_form(config, path, flow, eta)
+    j0 = total_cost(config, path, prior=prior).cost
+    per_lambda = {}
+    note = None
+    for lam in lambdas:
+        try:
+            plus, minus = perturbed_path(path, eta, lam), perturbed_path(path, eta, -lam)
+        except ConfigError:
+            note = f"ladder truncated at lambda={lam:g}: density would go negative"
+            continue
+        jp = total_cost(config, plus, prior=prior).cost
+        jm = total_cost(config, minus, prior=prior).cost
+        per_lambda[lam] = (jp - 2.0 * j0 + jm) / lam**2
+    fd2 = per_lambda[min(per_lambda)] if per_lambda else math.nan
+    details = {"per_lambda": per_lambda}
+    if note:
+        details["note"] = note
+    return SimpleNamespace(jform=jform, fd2=fd2, details=details)
 
 
 # -- references for the activation kernel ---------------------------------------

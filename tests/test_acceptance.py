@@ -17,13 +17,7 @@ import numpy as np
 import pytest
 
 from mfoc.cli import main as cli_main
-from mfoc.linearization import (
-    cross_term_duality,
-    pl_scan,
-    rho_action,
-    second_derivative_check,
-    solve_v,
-)
+from mfoc.linearization import cross_term_duality, pl_scan, solve_v
 from mfoc.measures import (
     ControlPath,
     GridMeasure,
@@ -48,7 +42,17 @@ from mfoc.trajectories import (
     forward_solve,
     tangent_solve,
 )
-from conftest import make_config, make_prior, prior_path, refined, relative_eta
+from conftest import (
+    grid_tail,
+    make_config,
+    make_prior,
+    prior_path,
+    refined,
+    relative_eta,
+    rho_action,
+    scaled,
+    second_derivative_check,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -332,7 +336,7 @@ def test_criterion_07_linearization_consistency(desk_solution, desk_flow):
 
     mult = solve_v(config, result.path, flow, eta)
     k = config.grid.nt // 3
-    tail_grid = config.grid.tail(k)
+    tail_grid = grid_tail(config.grid, k)
     from mfoc.model import Dataset
 
     probe_config = replace(
@@ -387,7 +391,7 @@ def test_criterion_08_second_order_identity(desk_solution, desk_flow):
                 + w[3] * np.sin(0.5 * (m[:, 0] - m[:, 1]))
             )
 
-        eta = relative_eta(base, config.grid, fn).scaled(0.5)
+        eta = scaled(relative_eta(base, config.grid, fn), 0.5)
         report = second_derivative_check(
             config, result.path, flow, eta, lambdas=(1e-2, 1e-3), prior=prior
         )
@@ -454,7 +458,7 @@ def test_criterion_10_pl_evidence(desk_solution):
         rng=rng_for(1010, "acceptance-pl"),
         prior=prior,
     )
-    rows = report.details["rows"]
+    rows = report.rows
     ratios = [row["ratio"] for row in rows if "ratio" in row]
     c_400 = min(ratios)
     c_200 = min(r["ratio"] for r in rows[:200] if "ratio" in r)

@@ -12,8 +12,6 @@ from mfoc.linearization import (
     linear_map_image,
     pl_scan,
     quadratic_form,
-    rho_action,
-    second_derivative_check,
     solve_v,
     stability_probe,
     tilt_to_entropy,
@@ -27,7 +25,17 @@ from mfoc.trajectories import (
     forward_solve,
     tangent_solve,
 )
-from conftest import make_config, prior_path, relative_eta
+from conftest import (
+    grad_probe,
+    grid_tail,
+    make_config,
+    prior_path,
+    relative_eta,
+    rho_action,
+    scaled,
+    second_derivative_check,
+    value_probe,
+)
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +142,7 @@ class TestSolveV:
 
             from mfoc.model import Dataset
 
-            tail_grid = config.grid.tail(k)
+            tail_grid = grid_tail(config.grid, k)
             probe_config = dc_replace(
                 config,
                 dataset=Dataset(flow.x[k], config.dataset.y),
@@ -158,7 +166,7 @@ class TestSolveV:
         eta = eta_family(config, result.path.measures[0], 1, seed=17)[0]
         mult = solve_v(config, result.path, flow, eta)
         for k in (10, 40):
-            fd = mult.grad_probe(k, flow.x[k], config.dataset.y, delta=1e-4)
+            fd = grad_probe(config, result.path, eta, k, flow.x[k], config.dataset.y, delta=1e-4)
             assert np.max(np.abs(fd - mult.dv[k])) < 1e-5
 
     def test_linearity(self, solved):
@@ -260,7 +268,7 @@ class TestSecondDerivative:
         config, prior, result, flow = solved
         for eta in eta_family(config, result.path.measures[0], 3, seed=37):
             report = second_derivative_check(
-                config, result.path, flow, eta.scaled(0.5), prior=prior
+                config, result.path, flow, scaled(eta, 0.5), prior=prior
             )
             denom = max(abs(report.jform), 1e-8)
             assert abs(report.fd2 - report.jform) / denom <= 0.05, report
@@ -347,7 +355,7 @@ class TestStabilityProbe:
             config, result.path, flow, iters=4, rng=rng_for(0, "probe")
         )
         assert report.dominant_eig < 0.0
-        assert report.details["stable_evidence"]
+        assert report.stable_evidence
 
     def test_zero_problem_quadratic_form_closed_form(self):
         # same fixture, checked against the expansion above
@@ -385,7 +393,7 @@ class TestStabilityProbe:
             config, result.path, flow, iters=8, rng=rng_for(1, "probe")
         )
         assert math.isfinite(report.dominant_eig)
-        assert math.isfinite(report.details["margin_from_one"])
+        assert math.isfinite(report.margin_from_one)
         # diagnostic only; at a strict minimizer the sampled spectrum must
         # stay at or below one (up to discretization noise)
         assert report.dominant_eig <= 1.0 + 1e-6
@@ -505,7 +513,7 @@ class TestPlScan:
             prior=prior,
         )
         assert report.pl_ratio > 0.0
-        for row in report.details["rows"]:
+        for row in report.rows:
             if "ratio" in row:
                 assert row["fisher"] >= report.pl_ratio * row["gap"] - 1e-15
 
@@ -532,12 +540,13 @@ class TestFd2Scaling:
             result.path.measures[0],
             config.grid,
             lambda m: np.cos(0.9 * m[:, 0]) - 0.5 * np.sin(0.6 * m[:, 1]),
-        ).scaled(0.3)
+        )
+        eta = scaled(eta, 0.3)
         r1 = second_derivative_check(
             config, result.path, flow, eta, lambdas=(1e-3,), prior=prior
         )
         r2 = second_derivative_check(
-            config, result.path, flow, eta.scaled(2.0), lambdas=(1e-3,), prior=prior
+            config, result.path, flow, scaled(eta, 2.0), lambdas=(1e-3,), prior=prior
         )
         assert r2.jform / r1.jform == pytest.approx(4.0, rel=1e-10)
         assert r2.fd2 / r1.fd2 == pytest.approx(4.0, rel=1e-3)
@@ -552,7 +561,8 @@ class TestLadderTruncation:
             result.path.measures[0],
             config.grid,
             lambda m: np.cos(0.7 * m[:, 0]),
-        ).scaled(180.0)
+        )
+        eta = scaled(eta, 180.0)
         report = second_derivative_check(
             config, result.path, flow, eta, lambdas=(1e-2, 1e-3), prior=prior
         )
@@ -568,5 +578,5 @@ class TestLadderTruncation:
             lambda m: np.sin(0.5 * m[:, 0] + 0.2 * m[:, 1]),
         )
         mult = solve_v(config, result.path, flow, eta)
-        vals = mult.value_probe(config.grid.nt - 1, flow.x[-1], config.dataset.y)
+        vals = value_probe(config, result.path, eta, config.grid.nt - 1, flow.x[-1], config.dataset.y)
         assert np.max(np.abs(vals)) == 0.0

@@ -24,6 +24,7 @@ from mfoc.model import (
     rng_for,
 )
 from mfoc.optimizer import picard_solve
+from conftest import grid_tail
 
 
 def central_diff(fn, x, step=1e-5):
@@ -240,7 +241,7 @@ class TestConfigPlumbing:
 
     def test_time_grid_tail(self):
         grid = TimeGrid(0.0, 1.0, 9)
-        tail = grid.tail(4)
+        tail = grid_tail(grid, 4)
         assert tail.nt == 5
         assert tail.t0 == pytest.approx(grid.nodes[4])
         assert tail.dt == pytest.approx(grid.dt)

@@ -29,7 +29,7 @@ from mfoc.optimizer import (
     total_cost,
 )
 from mfoc.trajectories import forward_solve
-from conftest import make_config, make_prior, prior_path, refined
+from conftest import grid_tail, make_config, make_prior, prior_path, refined
 
 MINI = Path(__file__).resolve().parent.parent / "fixtures" / "mini.json"
 
@@ -245,7 +245,7 @@ class TestPicardSolve:
         config, _, result = desk_solution
         k = config.grid.nt // 2
         flow = forward_solve(config, result.path)
-        tail_grid = config.grid.tail(k)
+        tail_grid = grid_tail(config.grid, k)
         tail_config = replace(
             config,
             dataset=Dataset(flow.x[k], config.dataset.y),

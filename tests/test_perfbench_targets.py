@@ -83,3 +83,22 @@ def test_traced_kernel_calls_are_the_calls_of_the_command(tmp_path, kernel_calls
     assert spans["model.tiers"]["calls"] == len(kernel_calls) > 0
     traced = spans.get("model.grad_a_batch", {"calls": 0})["calls"]
     assert traced == len(gradients) and (traced > 0) == (command[0] == "descent")
+
+
+def test_traced_probe_counters_are_those_of_the_run(tmp_path):
+    # the tracer reads the probe counters out of the stability and pl-scan
+    # reports; a report it cannot read would lose them
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    counts, outs = {}, {}
+    for command in ("stability", "pl-scan"):
+        report, outs[command] = tmp_path / f"{command}.json", tmp_path / command
+        child = [sys.executable, str(PERFBENCH / "child.py"), "trace", str(report), "--"]
+        args = [command, "--config", str(ROOT / "fixtures" / "mini.json"), "--out", str(outs[command])]
+        subprocess.run([*child, *args], env=env, check=True, timeout=300)
+        counts.update(json.loads(report.read_text())["trace"]["counts"])
+    ritz = (outs["stability"] / "ritz.csv").read_text().splitlines()[1:]
+    samples = (outs["pl-scan"] / "samples.csv").read_text().splitlines()[1:]
+    assert counts["linearization.stability_probe.krylov_steps"] == len(ritz) > 0
+    assert counts["linearization.pl_scan.drawn"] == 4
+    kept = sum(row.split(",")[-1] != "" for row in samples)
+    assert counts["linearization.pl_scan.kept"] == kept > 0

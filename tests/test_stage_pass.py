@@ -6,6 +6,7 @@ import functools
 import math
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,14 +16,12 @@ from mfoc.cli import _solved_state, load_run_document
 from mfoc.linearization import (
     LinearizedMultiplier,
     PerturbationPath,
-    SecondOrderReport,
     _arnoldi,
     _ritz_residual,
     cross_term_duality,
     eta_from,
     linear_map_image,
     quadratic_form,
-    second_derivative_check,
     solve_v,
     stability_probe,
 )
@@ -47,6 +46,7 @@ from conftest import (
     make_config,
     prior_path,
     relative_eta,
+    second_derivative_check,
     tier_arrays,
 )
 
@@ -137,7 +137,7 @@ def reference_solve_v(config, path, flow, eta):
         V[k] = state[:, 3]
         DV[k] = state[:, 2] * state[:, 4]
         tiers_right = tiers_left
-    return LinearizedMultiplier(v=V, dv=DV, config=config, path=path, eta=eta)
+    return LinearizedMultiplier(v=V, dv=DV)
 
 
 def reference_linear_map_image(config, path, flow, eta):
@@ -225,11 +225,10 @@ def reference_cross_term_tangent_side(config, path, flow, eta_bracket, tangent):
     return float(np.mean(state[:, 2]))
 
 
-def reference_cross_term_multiplier_side(config, path, flow, eta_drift, multiplier):
+def reference_cross_term_multiplier_side(config, path, flow, eta_drift, eta2):
     nodes = _node_quadratures(config.field, path)
     vol = eta_drift.cell_volume
     dt = path.grid.dt
-    eta2 = multiplier.eta
     state = np.zeros((flow.n, 5))
     state[:, 0] = config.loss.grad_x(flow.x[-1], flow.y)[:, 0]
     state[:, 1] = 1.0
@@ -302,14 +301,12 @@ def reference_stability_probe(config, path, flow, iters, rng):
     _, H, history, below, breakdown = _arnoldi(apply, v0, dot, iters)
     ritz = np.real_if_close(np.linalg.eigvals(H), tol=1e6)
     top = ritz[np.argmax(abs(ritz))]
-    return SecondOrderReport(
+    return SimpleNamespace(
         dominant_eig=float(np.real(top)),
         ritz_residual=_ritz_residual(H, below, top),
-        details={
-            "ritz": sorted(float(np.real(r)) for r in ritz),
-            "rayleigh_history": history,
-            "breakdown": breakdown,
-        },
+        ritz=sorted(float(np.real(r)) for r in ritz),
+        rayleigh_history=history,
+        breakdown=breakdown,
     )
 
 
@@ -322,7 +319,7 @@ def spread(config, path, flow, u):
     d[:-1] = u[1:].reshape(nt - 1, 2 * n)
     unit = replace(flow, z=np.ones_like(flow.x), hess=np.zeros((nt, n)))
     tangent = TangentFlow(dx=d[:, n:, None], flow=unit)
-    multiplier = LinearizedMultiplier(v=None, dv=d[:, :n], config=config, path=path, eta=None)
+    multiplier = LinearizedMultiplier(v=None, dv=d[:, :n])
     return eta_from(config, path, unit, tangent, multiplier)
 
 
@@ -331,16 +328,16 @@ def assert_probes_agree(new, ref):
     Rayleigh values within 1e-12 max|ritz| and the residual within 1e-12.
     The last Rayleigh quotient of a run that broke down is taken on a
     direction made of round-off, so it is not compared."""
-    ritz, want = np.array(new.details["ritz"]), np.array(ref.details["ritz"])
+    ritz, want = np.array(new.ritz), np.array(ref.ritz)
     assert ritz.shape == want.shape
-    assert new.details["breakdown"] == ref.details["breakdown"]
+    assert new.breakdown == ref.breakdown
     bound = 1e-12 * np.abs(want).max()
     assert np.all(np.abs(ritz - want) <= bound)
     assert abs(new.dominant_eig - ref.dominant_eig) <= bound
     assert abs(new.ritz_residual - ref.ritz_residual) <= 1e-12
-    history = np.array(new.details["rayleigh_history"])
-    want_history = np.array(ref.details["rayleigh_history"])
-    kept = len(want_history) - 1 if ref.details["breakdown"] else len(want_history)
+    history = np.array(new.rayleigh_history)
+    want_history = np.array(ref.rayleigh_history)
+    kept = len(want_history) - 1 if ref.breakdown else len(want_history)
     assert np.all(np.abs(history[:kept] - want_history[:kept]) <= bound)
 
 
@@ -451,7 +448,7 @@ def test_stability_probe_matches_reference_loops(mini, monkeypatch):
     ref = reference_stability_probe(
         config, path, flow, iters, rng_for(config.seed, "stability-probe")
     )
-    assert len(new.details["ritz"]) == iters
+    assert len(new.ritz) == iters
     assert_probes_agree(new, ref)
 
 
@@ -482,12 +479,12 @@ def test_stability_probe_agrees_with_the_grid_vector_probe(case, iters, monkeypa
         config, path, flow, iters, rng_for(config.seed, "stability-probe")
     )
     assert_probes_agree(new, ref)
-    assert new.details["lambda_max"] == max(new.details["ritz"])
+    assert new.lambda_max == max(new.ritz)
     if case == "mini_zero":
-        assert new.details["breakdown"] and len(new.details["ritz"]) == 8
+        assert new.breakdown and len(new.ritz) == 8
     # each direction's image part is zero-mass by construction: formed on
     # the grid it passes the perturbation's mass check
-    assert len(held["basis"]) == len(new.details["ritz"]) + (not new.details["breakdown"])
+    assert len(held["basis"]) == len(new.ritz) + (not new.breakdown)
     for u in held["basis"]:
         assert isinstance(spread(config, path, held["flow"], u), PerturbationPath)
 
@@ -507,11 +504,10 @@ def test_cross_terms_match_reference_loops(mini, eta_pairs):
     config, _, path, flow, _ = mini
     for e1, e2 in eta_pairs:
         tangent1 = tangent_solve(config, path, flow, e1)
-        mult2 = solve_v(config, path, flow, e2)
         lhs, rhs = cross_term_duality(config, path, flow, e1, e2)
         assert lhs != 0.0
         assert lhs == reference_cross_term_tangent_side(config, path, flow, e2, tangent1)
-        assert rhs == reference_cross_term_multiplier_side(config, path, flow, e1, mult2)
+        assert rhs == reference_cross_term_multiplier_side(config, path, flow, e1, e2)
 
 
 # -- kernel calls on mini (nt = 9) ---------------------------------------------
@@ -549,7 +545,7 @@ def test_stability_probe_builds_stage_data_once(mini, tiers_calls):
     for iters in (3, 8):
         tiers_calls.clear()
         report = stability_probe(config, path, flow, iters=iters, rng=rng_for(0, "probe"))
-        assert len(report.details["rayleigh_history"]) == iters
+        assert len(report.rayleigh_history) == iters
         calls.append(list(tiers_calls))
     assert calls[0] == calls[1] == [2] * 17 + [1] * 17
     assert len(calls[0]) <= 3 * (2 * config.grid.nt - 1) == 51

@@ -14,7 +14,7 @@ from mfoc.trajectories import (
     forward_solve,
     tangent_solve,
 )
-from conftest import make_config, prior_path, refined
+from conftest import grid_tail, make_config, prior_path, refined
 
 POT = ConfinementPotential()
 
@@ -174,7 +174,7 @@ class TestBackwardSolve:
         flow = backward_solve(config, path, forward_solve(config, path))
         k = 16
         h = 1e-4
-        tail_grid = config.grid.tail(k)
+        tail_grid = grid_tail(config.grid, k)
         tail_path = ControlPath.constant(tail_grid, path.measures[0])
 
         def u_at(xs):
@@ -196,7 +196,7 @@ class TestBackwardSolve:
         flow = curvature_solve(config, path, forward_solve(config, path))
         k = 16
         h = 1e-3
-        tail_grid = config.grid.tail(k)
+        tail_grid = grid_tail(config.grid, k)
         tail_path = ControlPath.constant(tail_grid, path.measures[0])
 
         def u_at(xs):
