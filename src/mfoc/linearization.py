@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
@@ -81,8 +82,9 @@ class StabilityReport:
     stable_evidence: bool
     rayleigh_history: list
     breakdown: bool
-    # the fields as a dict, for perfbench/spans.py; drop once it reads them
-    details = property(vars)
+    # a read-only view of the fields, for perfbench/spans.py; drop once it
+    # reads them
+    details = property(lambda self: MappingProxyType(vars(self)))
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,9 @@ class PlScanReport:
     rows: list  # of dicts
     samples: int
     radius: float
-    # the fields as a dict, for perfbench/spans.py; drop once it reads them
-    details = property(vars)
+    # a read-only view of the fields, for perfbench/spans.py; drop once it
+    # reads them
+    details = property(lambda self: MappingProxyType(vars(self)))
 
 
 def solve_v(

@@ -5,14 +5,14 @@ directory lists ``<file> <sha256>`` for every file the run writes except
 ``manifest.json``, and a line ``exit <code>``. ``tests/test_golden.py`` runs
 the same cases in process.
 
-    python3 tests/golden/regenerate.py [--old CHECKOUT] [--write] [CASE ...]
+    python3 tests/golden/regenerate.py [--old CHECKOUT] [--write]
 
-runs the named cases (all by default) on this tree's ``src/`` in fresh
-processes and prints, per file, the pinned and the new digest. With ``--old``
-it runs each case on ``CHECKOUT/src`` too and adds the largest absolute
-difference between the numbers of the old and the new file, read in order;
-``shape`` means the two files hold different counts of numbers. ``--write``
-rewrites the pin files from the new run. Standard library only.
+runs every case on this tree's ``src/`` in fresh processes and prints, per
+file, the pinned and the new digest. With ``--old`` it runs each case on
+``CHECKOUT/src`` too and adds the largest absolute difference between the
+numbers of the old and the new file, read in order; ``shape`` means the two
+files hold different counts of numbers. ``--write`` rewrites the pin files
+from the new run. Standard library only.
 """
 
 from __future__ import annotations
@@ -108,17 +108,12 @@ def max_deviation(old: Path, new: Path) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("cases", nargs="*", help="cases to run (default: all)")
     parser.add_argument("--old", type=Path, help="a checkout whose src/ gives the old files")
     parser.add_argument("--write", action="store_true", help="rewrite the pin files")
     args = parser.parse_args(argv)
-    names = [name for name, _ in CASES]
-    unknown = sorted(set(args.cases) - set(names))
-    if unknown:
-        parser.error(f"unknown cases: {', '.join(unknown)}")
     changed = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for case in args.cases or names:
+        for case, _ in CASES:
             new_dir, old_dir = Path(tmp) / case / "new", Path(tmp) / case / "old"
             new = digests(new_dir, _run(ROOT / "src", case, new_dir))
             old_code = _run(args.old.resolve() / "src", case, old_dir) if args.old else None
